@@ -11,14 +11,13 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import HypothesisError
 from .families import (
     FamilySpec,
     MapFamily,
-    check_marginals,
     family_certificate,
     family_for_cell,
     pairwise_constant,
+    require_uniform_marginals,
 )
 from .corpus import Corpus
 from .matrices import order_map, reduce_to_top
@@ -55,16 +54,6 @@ def _iter_cell_families(corpus: Corpus, spec: FamilySpec):
         if family is None:
             continue
         yield cell, family
-
-
-def _require_hypotheses(family: MapFamily, cap: Optional[int]):
-    cert = check_marginals(family, cap)
-    if not cert.marginals_uniform:
-        raise HypothesisError(
-            f"family {family.descriptor()} violates the uniform-marginal "
-            f"hypothesis (worst deviation {cert.worst_marginal_deviation})",
-            certificate=family_certificate(family, cap),
-        )
 
 
 def _ell_values(ell_range: Optional[tuple[int, int]], n: int) -> list[int]:
@@ -104,7 +93,7 @@ def run_verify_main(
     """
     out: list[VerificationReport] = []
     for cell, family in _iter_cell_families(corpus, spec):
-        _require_hypotheses(family, cap)
+        require_uniform_marginals(family, cap)
         c_pair = pairwise_constant(family, cap).pairwise_bound
         c_low = lower_constant(c_pair)
         example = EXAMPLE_CONSTANTS.get(family.kind)
@@ -181,7 +170,7 @@ def run_verify_lp(
     out: list[VerificationReport] = []
     min_ratio: dict[float, tuple[float, dict]] = {}
     for cell, family in _iter_cell_families(corpus, spec):
-        _require_hypotheses(family, cap)
+        require_uniform_marginals(family, cap)
         for mid, a in cell.matrices:
             for p in p_list:
                 reports = verify_lp_bounds(
@@ -212,38 +201,6 @@ def run_verify_lp(
     return out
 
 
-_AGGREGATE_NOTE = "aggregated: worst margin over the swept instances"
-
-
-def _aggregate(reports: list[VerificationReport], group_inputs: dict) -> list[VerificationReport]:
-    """Collapse per-instance reports to one worst-margin report per check id."""
-    grouped: dict[str, list[VerificationReport]] = {}
-    for r in reports:
-        grouped.setdefault(r.check_id, []).append(r)
-    out = []
-    for check_id in sorted(grouped):
-        batch = grouped[check_id]
-        live = [r for r in batch if r.status != STATUS_VACUOUS]
-        if not live:
-            out.append(vacuous_report(
-                check_id, {**group_inputs, "instances": len(batch)},
-                batch[0].extra.get("note", "all instances vacuous"),
-            ))
-            continue
-        worst = min(live, key=lambda r: r.margin)
-        failed = sum(1 for r in live if r.status == STATUS_FAIL)
-        status = STATUS_FAIL if failed else STATUS_PASS
-        out.append(VerificationReport(
-            check_id=check_id,
-            inputs={**group_inputs, "instances": len(batch)},
-            lhs=worst.lhs, rhs=worst.rhs, margin=worst.margin, status=status,
-            direction=worst.direction, mode=worst.mode, constant=worst.constant,
-            extra={"note": _AGGREGATE_NOTE, "failed_instances": failed,
-                   "worst_case": dict(worst.inputs)},
-        ))
-    return out
-
-
 def run_lemmas(
     corpus: Corpus,
     spec: FamilySpec,
@@ -260,7 +217,7 @@ def run_lemmas(
     """
     out: list[VerificationReport] = []
     for cell, family in _iter_cell_families(corpus, spec):
-        _require_hypotheses(family, cap)
+        require_uniform_marginals(family, cap)
         c_pair = pairwise_constant(family, cap).pairwise_bound
         for mid, a in cell.matrices:
             table = build_hit_table(family, order_map(a), cap=cap)
@@ -270,13 +227,5 @@ def run_lemmas(
                     a, family, ell, table=table, c_pair=c_pair, cap=cap,
                     skip_hypothesis_check=True, extra_inputs=cell_inputs,
                 )
-                if aggregate:
-                    group = {
-                        **cell_inputs,
-                        "matrix": a.digest(), "family": family.descriptor(),
-                        "ell": ell,
-                    }
-                    out.extend(_aggregate(instance, group))
-                else:
-                    out.extend(instance)
+                out.extend(instance.aggregate() if aggregate else instance)
     return out

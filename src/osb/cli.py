@@ -68,14 +68,21 @@ def _read_config(path: Optional[str]) -> dict[str, str]:
     return settings
 
 
+def _parse_setting(raw: str, name: str, source: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise DomainError(f"{name} from {source} must be an integer, got {raw!r}")
+
+
 def _resolve_int(cli_value, env_name: str, config: dict, key: str, default: int) -> int:
     if cli_value is not None:
         return int(cli_value)
     env = os.environ.get(env_name)
     if env:
-        return int(env)
+        return _parse_setting(env, env_name, "the environment")
     if key in config:
-        return int(config[key])
+        return _parse_setting(config[key], key, "the config file")
     return default
 
 
@@ -239,9 +246,11 @@ def _run(args) -> int:
         _emit(args, canonical_json(doc) + "\n")
         return EXIT_PASS
 
+    samples = args.mc_samples
+    if args.command == "lemmas" and samples is not None:
+        raise DomainError("lemmas has no Monte Carlo mode; drop --mc-samples")
     spec = parse_family_spec(args.family)
     corpus = _load_inputs(args)
-    samples = args.mc_samples
     if args.command == "verify-main":
         reports = campaigns.run_verify_main(
             corpus, spec, _parse_ell_range(args.ell),

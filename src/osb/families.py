@@ -21,7 +21,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from . import rng
-from .errors import DomainError, FormatError, ResourceError
+from .errors import DomainError, FormatError, HypothesisError, ResourceError
 
 DEFAULT_ENUM_CAP = 10_000_000
 
@@ -298,6 +298,18 @@ def family_certificate(family: MapFamily, cap: int | None = None) -> MeasureCert
         worst_marginal_deviation=marg.worst_marginal_deviation,
         pairwise_bound=pair.pairwise_bound, argmax_pair=pair.argmax_pair,
     )
+
+
+def require_uniform_marginals(family: MapFamily, cap: int | None = None):
+    """Raise HypothesisError, with the family's full certificate attached,
+    unless every event {g(i) = j} has probability exactly 1/N."""
+    cert = check_marginals(family, cap)
+    if not cert.marginals_uniform:
+        raise HypothesisError(
+            f"family {family.descriptor()} violates the uniform-marginal "
+            f"hypothesis (worst deviation {cert.worst_marginal_deviation})",
+            certificate=family_certificate(family, cap),
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from .families import (
     MapFamily,
     iter_member_arrays,
     pairwise_constant,
+    require_uniform_marginals,
     sample_array,
 )
 from .matrices import Matrix
@@ -30,7 +31,6 @@ from .orderstats import (
     RunningMoments,
     _check_dims,
     _paths_for_block,
-    _require_uniform_marginals,
     expected_top_sum,
     expected_top_sum_mc,
 )
@@ -279,7 +279,7 @@ def verify_lp_bounds(
     compared against a closed-form bound; the reference value
     1/(32 (1 + 2C)^2) is attached for context.
     """
-    _require_uniform_marginals(family, cap)
+    require_uniform_marginals(family, cap)
     c_pair = pairwise_constant(family, cap).pairwise_bound
     reference = 1.0 / (32.0 * float((1 + 2 * c_pair)) ** 2)
     expectation = expected_lp_norm(

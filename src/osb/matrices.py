@@ -81,12 +81,16 @@ class Matrix:
             raise DomainError(f"position ({i},{j}) outside {self.rows}x{self.cols}")
         return float(self.entries[i - 1, j - 1])
 
-    def digest(self) -> str:
-        """Short content hash used to identify matrices in reports."""
+    @cached_property
+    def _digest(self) -> str:
         payload = f"{self.rows}x{self.cols}:" + ",".join(
             render_float(v) for v in self.entries.ravel()
         )
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
+
+    def digest(self) -> str:
+        """Short content hash used to identify matrices in reports."""
+        return self._digest
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[float]]) -> "Matrix":

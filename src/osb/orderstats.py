@@ -11,23 +11,26 @@ integer arithmetic, so every probability here is an exact rational.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, HypothesisError
+from .errors import DomainError
 from .families import (
     MapFamily,
-    check_marginals,
     iter_member_arrays,
     pairwise_constant,
+    require_uniform_marginals,
     sample_array,
 )
 from .matrices import Matrix, OrderMap, order_map
 from .reports import (
+    EXACT_SLACK_FRACTION,
+    STATUS_FAIL,
+    STATUS_PASS,
     VerificationReport,
     exact_inequality_report,
     vacuous_report,
@@ -204,11 +207,14 @@ class HitCountTable:
     def coefficients(self, ell: int) -> tuple[Fraction, ...]:
         """Exact weights f with E S(b) = sum_j f[j-1] * b(h(j)) for every b
         carried by the ordering (nonincreasing on ranks 1..ell*N, 0 beyond)."""
+        return tuple(Fraction(c, self.size) for c in self.coefficient_counts(ell))
+
+    def coefficient_counts(self, ell: int) -> list[int]:
+        """Numerators of ``coefficients(ell)`` over the family size."""
         if not 1 <= ell <= self.n:
             raise DomainError(f"ell={ell} out of range 1..{self.n}")
         top = ell * self.N
-        col = self.hist[1: ell + 1, 1: top + 1].sum(axis=0)
-        return tuple(Fraction(int(c), self.size) for c in col)
+        return self.hist[1: ell + 1, 1: top + 1].sum(axis=0).tolist()
 
 
 def build_hit_table(
@@ -339,92 +345,248 @@ def paley_zygmund_check(
 
 # ---------------------------------------------------------------------------
 # the tail-inequality suite (report ids lemma3.1 .. lemma3.6)
+#
+# Every side of every inequality is a ratio of integers formed from the hit
+# table's cumulative counts, the pairwise constant C = p/q and theta = a/b.
+# Each check id is evaluated as one column over its whole parameter grid:
+# numerator and denominator arrays of Python ints (object dtype, so no
+# product can wrap).  Reports are built only for the rows that are read.
 
 DEFAULT_THETAS = tuple(Fraction(t, 10) for t in range(1, 10))
 
-
-def _ceil_fraction(f: Fraction) -> int:
-    return -((-f.numerator) // f.denominator)
+_AGGREGATE_NOTE = "aggregated: worst margin over the swept instances"
 
 
-def check_lemma31(
-    table: HitCountTable, c_pair: Fraction, m: int
-) -> tuple[Fraction, Fraction]:
-    """(P(X_m >= 1), (m/N)(1 - C (m-1) / (2N)))."""
-    N = table.N
-    bound = Fraction(m, N) * (1 - c_pair * Fraction(m - 1, 2 * N))
-    return table.tail(m, 1), bound
+def _at(values, i: int):
+    return values[i] if isinstance(values, np.ndarray) else values
 
 
-def check_lemma32(
-    table: HitCountTable, c_pair: Fraction, m: int, theta: Fraction
-) -> tuple[Fraction, Fraction]:
-    """(P(X_m >= theta m/N), (1-theta)^2 m / (N + m C))."""
-    N = table.N
-    k0 = _ceil_fraction(theta * Fraction(m, N))
-    prob = table.tail(m, max(k0, 1))
-    bound = (1 - theta) ** 2 * Fraction(m, N + m * c_pair)
-    return prob, bound
+@dataclass
+class _Column:
+    """One check id swept over its parameter grid.
 
+    ``params`` maps each swept input name to its per-row values; ``lhs`` and
+    ``rhs`` are (numerators, denominators), each an array over the rows or
+    one int for all of them, with positive denominators.  Rows where ``live``
+    is False are vacuous with ``note``.  The float margin of a row is the
+    correctly rounded quotient of its exact margin, as float(Fraction) gives,
+    and a row fails iff its exact margin is below -EXACT_SLACK.
+    """
 
-def check_lemma33a(
-    table: HitCountTable, c_pair: Fraction, ell: int, m: int
-) -> tuple[Fraction, Fraction]:
-    """(P(X_m >= 1), min(m/2N, 1/2C) * P(X_{ell N} >= 1))."""
-    N = table.N
-    factor = Fraction(m, 2 * N)
-    if c_pair > 0:
-        factor = min(factor, Fraction(1, 2) / c_pair)
-    return table.tail(m, 1), factor * table.tail(ell * N, 1)
+    check_id: str
+    direction: str
+    params: dict
+    lhs: tuple
+    rhs: tuple
+    constant: Optional[float] = None
+    live: Optional[np.ndarray] = None
+    note: Optional[str] = None
+    extra: Optional[Callable[[int], dict]] = None
 
+    def __post_init__(self):
+        (ln, ld), (rn, rd) = self.lhs, self.rhs
+        num = ln * rd - rn * ld
+        if self.direction == "le":
+            num = -num
+        den = ld * rd
+        self.margins = (num / den).astype(np.float64)
+        slack = EXACT_SLACK_FRACTION
+        self.failed = (num * slack.denominator < -den * slack.numerator).astype(bool)
+        if self.live is None:
+            self.live = np.ones(len(num), dtype=bool)
 
-def check_lemma33b(
-    table: HitCountTable, c_pair: Fraction, ell: int, m: int, k: int
-) -> tuple[Fraction, Fraction]:
-    """(P(X_m >= k), P(X_{ell N} >= k) / (2 + 4C)); requires 2kN <= m."""
-    bound = table.tail(ell * table.N, k) / (2 + 4 * c_pair)
-    return table.tail(m, k), bound
+    def __len__(self) -> int:
+        return len(self.live)
 
-
-def check_lemma34(
-    table: HitCountTable, c_pair: Fraction, ell: int, m: int
-) -> tuple[Fraction, Fraction]:
-    """(averaged indicator expectation, (8+16C) * plain indicator expectation)."""
-    lhs = Fraction(m, ell * table.N) * table.indicator_expectation(ell * table.N, ell)
-    rhs = (8 + 16 * c_pair) * table.indicator_expectation(m, ell)
-    return lhs, rhs
-
-
-def check_lemma35(
-    a: Matrix, order: OrderMap, table: HitCountTable, c_pair: Fraction, ell: int
-) -> tuple[Fraction, Fraction]:
-    """Averaging inequality for the matrix reduced to its ell*N largest
-    entries, evaluated through the exact coefficient representation."""
-    top = ell * table.N
-    s_vals = [Fraction(float(v)) for v in a.rearrangement[:top]]
-    coeffs = table.coefficients(ell)
-    exp_reduced = sum((f * s for f, s in zip(coeffs, s_vals)), Fraction(0))
-    coeff_sum = sum(coeffs, Fraction(0))
-    exp_averaged = coeff_sum * sum(s_vals, Fraction(0)) / top
-    return exp_averaged, (8 + 16 * c_pair) * exp_reduced
-
-
-def check_lemma36(
-    table: HitCountTable, c_pair: Fraction, ell: int, k: int
-) -> tuple[Fraction, Fraction]:
-    """(expected k-th largest path value of the ell*N-ones indicator,
-    1/(2+4C)); requires k <= ell/2."""
-    return table.tail(ell * table.N, k), Fraction(1, 1) / (2 + 4 * c_pair)
-
-
-def _require_uniform_marginals(family: MapFamily, cap: int | None):
-    cert = check_marginals(family, cap)
-    if not cert.marginals_uniform:
-        raise HypothesisError(
-            f"family {family.descriptor()} does not have uniform marginals "
-            f"(worst deviation {cert.worst_marginal_deviation})",
-            certificate=cert,
+    def report(self, i: int, base: dict) -> VerificationReport:
+        inputs = {**base, **{name: values[i] for name, values in self.params.items()}}
+        if not self.live[i]:
+            return vacuous_report(self.check_id, inputs, self.note)
+        (ln, ld), (rn, rd) = self.lhs, self.rhs
+        return VerificationReport(
+            check_id=self.check_id, inputs=inputs,
+            lhs=_at(ln, i) / _at(ld, i), rhs=_at(rn, i) / _at(rd, i),
+            margin=float(self.margins[i]),
+            status=STATUS_FAIL if self.failed[i] else STATUS_PASS,
+            direction=self.direction, mode="exact", constant=self.constant,
+            extra=self.extra(i) if self.extra else {},
         )
+
+    def aggregate(self, base: dict) -> VerificationReport:
+        """The first row of least float margin, standing for every row."""
+        inputs = {**base, "instances": len(self)}
+        live = np.flatnonzero(self.live)
+        if live.size == 0:
+            return vacuous_report(self.check_id, inputs, self.note)
+        worst = self.report(int(live[np.argmin(self.margins[live])]), base)
+        failed = int(np.count_nonzero(self.failed[live]))
+        return replace(
+            worst, inputs=inputs, status=STATUS_FAIL if failed else STATUS_PASS,
+            extra={"note": _AGGREGATE_NOTE, "failed_instances": failed,
+                   "worst_case": dict(worst.inputs)},
+        )
+
+
+def _vacuous_column(check_id: str, note: str) -> _Column:
+    """A check whose parameter range is empty: one vacuous instance."""
+    return _Column(check_id, "le", {}, (np.zeros(1, dtype=object), 1), (0, 1),
+                   live=np.zeros(1, dtype=bool), note=note)
+
+
+def _ceil_div(num, den):
+    return -((-num) // den)
+
+
+def _lemma_columns(
+    a: Matrix, table: HitCountTable, c_pair: Fraction, ell: int,
+    thetas: Sequence[Fraction],
+) -> list[_Column]:
+    """The suite's columns in sweep order: lemma3.1, lemma3.2,
+    paley-zygmund, lemma3.3a, lemma3.3b, lemma3.4, lemma3.5, lemma3.6."""
+    n, N, S = table.n, table.N, table.size
+    nN, top = n * N, ell * N
+    p, q = c_pair.numerator, c_pair.denominator
+    constant = float(c_pair)
+    # tails[k, m] = #(X_m >= k) for k = 0..n+1
+    tails = np.zeros((n + 2, nN + 1), dtype=object)
+    tails[0] = S
+    tails[1: n + 1] = table._counts_ge[1:].astype(object)
+    m_idx = np.arange(1, nN + 1)
+    ms = m_idx.astype(object)
+    hit1 = tails[1, 1:]
+
+    # the (m, theta) grid, m outer
+    T = len(thetas)
+    fracs = [Fraction(t) for t in thetas]
+    ta = np.tile(np.array([f.numerator for f in fracs], dtype=object), nN)
+    tb = np.tile(np.array([f.denominator for f in fracs], dtype=object), nN)
+    grid_m_idx = np.repeat(m_idx, T)
+    grid_m = grid_m_idx.astype(object)
+    grid_params = {"m": grid_m.tolist(), "theta": [float(t) for t in thetas] * nN}
+
+    cols = [_Column(
+        "lemma3.1", "ge", {"m": ms.tolist()}, (hit1, S),
+        (ms * (2 * N * q - p * (ms - 1)), 2 * N * N * q), constant=constant)]
+
+    k = np.clip(_ceil_div(ta * grid_m, tb * N), 1, n + 1).astype(np.int64)
+    cols.append(_Column(
+        "lemma3.2", "ge", grid_params, (tails[k, grid_m_idx], S),
+        ((tb - ta) ** 2 * grid_m * q, tb * tb * (N * q + grid_m * p)),
+        constant=constant))
+
+    # Z = X_m: E Z = M/S and E Z^2 = Q/S, and P(Z >= theta E Z) is the tail
+    # at the first integer reaching theta M/S
+    M = tails[1: n + 1, 1:].sum(axis=0)
+    Q = (np.arange(1, 2 * n, 2, dtype=object)[:, None] * tails[1: n + 1, 1:]).sum(axis=0)
+    grid_M, grid_Q = np.repeat(M, T), np.repeat(Q, T)
+    live = (grid_M > 0).astype(bool)
+    k = np.clip(_ceil_div(ta * grid_M, tb * S), 0, n + 1).astype(np.int64)
+    cols.append(_Column(
+        "paley-zygmund", "ge", grid_params, (tails[k, grid_m_idx], S),
+        ((tb - ta) ** 2 * grid_M * grid_M, tb * tb * S * np.where(live, grid_Q, 1)),
+        live=live, note="E Z = 0; inequality is vacuous",
+        extra=lambda i: {"mean": M[i // T] / S, "second_moment": Q[i // T] / S}))
+
+    # min(m/2N, 1/2C) * P(X_{ell N} >= 1)
+    small = (ms * p <= N * q).astype(bool)
+    cols.append(_Column(
+        "lemma3.3a", "ge", {"m": ms.tolist()}, (hit1, S),
+        (np.where(small, ms, q) * tails[1, top],
+         np.where(small, 2 * N, 2 * p).astype(object) * S),
+        constant=constant))
+
+    km = [(k, m) for k in range(1, n // 2 + 1) for m in range(2 * k * N, nN + 1)]
+    if km:
+        ks, ms_b = (np.array(v) for v in zip(*km))
+        cols.append(_Column(
+            "lemma3.3b", "ge", {"m": ms_b.tolist(), "k": ks.tolist()},
+            (tails[ks, ms_b], S), (tails[ks, top] * q, S * (2 * q + 4 * p)),
+            constant=constant))
+    else:
+        cols.append(_vacuous_column(
+            "lemma3.3b", "no (m, k) satisfies 2kN <= m <= nN"))
+
+    # indicator expectations: sum over k <= ell of #(X_m >= k), over S
+    plain = tails[1: ell + 1, 1: top + 1].sum(axis=0)
+    cols.append(_Column(
+        "lemma3.4", "le", {"m": ms[:top].tolist()},
+        (ms[:top] * plain[-1], top * S), ((8 * q + 16 * p) * plain, q * S),
+        constant=constant))
+
+    lhs, rhs = _lemma35_sides(a, table, p, q, ell)
+    cols.append(_Column("lemma3.5", "le", {}, lhs, rhs, constant=constant))
+
+    if ell // 2 >= 1:
+        ks = np.arange(1, ell // 2 + 1)
+        cols.append(_Column(
+            "lemma3.6", "ge", {"k": ks.tolist()}, (tails[ks, top], S),
+            (q, 2 * q + 4 * p), constant=constant))
+    else:
+        cols.append(_vacuous_column(
+            "lemma3.6", "k range 1..floor(ell/2) is empty for ell = 1"))
+    return cols
+
+
+def _lemma35_sides(a: Matrix, table: HitCountTable, p: int, q: int, ell: int):
+    """Averaging inequality for the matrix reduced to its ell*N largest
+    entries, through the exact coefficient representation.  Entries are
+    dyadic, so over the largest denominator d they are integers s_j."""
+    top = ell * table.N
+    ratios = [v.as_integer_ratio() for v in a.rearrangement[:top].tolist()]
+    d = max(den for _, den in ratios)
+    s = [num * (d // den) for num, den in ratios]
+    counts = table.coefficient_counts(ell)
+    S = table.size
+    averaged = (np.array([sum(counts) * sum(s)], dtype=object), S * d * top)
+    reduced = sum(c * v for c, v in zip(counts, s))
+    return averaged, ((8 * q + 16 * p) * reduced, q * S * d)
+
+
+class LemmaSweep(Sequence[VerificationReport]):
+    """The suite's reports for one (matrix, family, ell) instance, held as
+    exact columns.  Indexing or iterating builds the per-instance reports in
+    sweep order; ``aggregate`` reduces each check id to its worst report."""
+
+    def __init__(self, base: dict, columns: list[_Column], theta_count: int):
+        self._base = base
+        self._columns = columns
+        self._theta_count = theta_count
+
+    def _rows(self):
+        """(column, row) pairs in sweep order: for each m, lemma3.1, then
+        lemma3.2 and paley-zygmund for each theta, then lemma3.3a; then every
+        row of each remaining column."""
+        c31, c32, cpz, c33a, *rest = self._columns
+        T = self._theta_count
+        for i in range(len(c31)):
+            yield c31, i
+            for j in range(i * T, (i + 1) * T):
+                yield c32, j
+                yield cpz, j
+            yield c33a, i
+        for col in rest:
+            for i in range(len(col)):
+                yield col, i
+
+    def __len__(self) -> int:
+        return sum(len(col) for col in self._columns)
+
+    def __iter__(self):
+        for col, i in self._rows():
+            yield col.report(i, self._base)
+
+    def __getitem__(self, index):
+        rows = list(self._rows())[index]
+        if isinstance(index, slice):
+            return [col.report(i, self._base) for col, i in rows]
+        col, i = rows
+        return col.report(i, self._base)
+
+    def aggregate(self) -> list[VerificationReport]:
+        """One report per check id, in check-id order: the first instance of
+        least float margin, with the instance and failure counts."""
+        cols = sorted(self._columns, key=lambda col: col.check_id)
+        return [col.aggregate(self._base) for col in cols if len(col)]
 
 
 def lemma_suite(
@@ -438,79 +600,27 @@ def lemma_suite(
     cap: int | None = None,
     skip_hypothesis_check: bool = False,
     extra_inputs: dict | None = None,
-) -> list[VerificationReport]:
+) -> LemmaSweep:
     """Run every tail inequality on one (matrix, family, ell) instance.
 
     Sweeps: m over 1..nN (restricted to m <= ell*N where the statement
     requires it), theta over ``thetas``, and k over the admissible ranges.
-    Instances with an empty parameter range are reported as vacuous.
+    Instances with an empty parameter range are reported as vacuous.  Every
+    instance is decided in exact integer arithmetic; reports are built when
+    the returned sequence is read.
     """
     _check_dims(a, family)
     if not 1 <= ell <= family.n:
         raise DomainError(f"ell={ell} out of range 1..{family.n}")
     if not skip_hypothesis_check:
-        _require_uniform_marginals(family, cap)
+        require_uniform_marginals(family, cap)
     if c_pair is None:
         c_pair = pairwise_constant(family, cap).pairwise_bound
-    order = order_map(a)
     if table is None:
-        table = build_hit_table(family, order, cap=cap)
-    n, N = family.n, family.N
-    nN = n * N
+        table = build_hit_table(family, order_map(a), cap=cap)
     base = {
         **(extra_inputs or {}),
         "matrix": a.digest(), "family": family.descriptor(), "ell": ell,
     }
-    constant = float(c_pair)
-    out: list[VerificationReport] = []
-
-    for m in range(1, nN + 1):
-        prob, bound = check_lemma31(table, c_pair, m)
-        out.append(exact_inequality_report(
-            "lemma3.1", {**base, "m": m}, lhs=prob, rhs=bound,
-            direction="ge", constant=constant))
-        dist = hit_count_distribution(family, order, m, table=table)
-        vs, ps, mean, second = _pz_moments(dist.pairs())
-        for theta in thetas:
-            prob, bound = check_lemma32(table, c_pair, m, Fraction(theta))
-            out.append(exact_inequality_report(
-                "lemma3.2", {**base, "m": m, "theta": float(theta)},
-                lhs=prob, rhs=bound, direction="ge", constant=constant))
-            out.append(_pz_report(
-                vs, ps, mean, second, Fraction(theta), {**base, "m": m}))
-        prob, bound = check_lemma33a(table, c_pair, ell, m)
-        out.append(exact_inequality_report(
-            "lemma3.3a", {**base, "m": m}, lhs=prob, rhs=bound,
-            direction="ge", constant=constant))
-
-    any_33b = False
-    for k in range(1, n // 2 + 1):
-        for m in range(2 * k * N, nN + 1):
-            any_33b = True
-            prob, bound = check_lemma33b(table, c_pair, ell, m, k)
-            out.append(exact_inequality_report(
-                "lemma3.3b", {**base, "m": m, "k": k},
-                lhs=prob, rhs=bound, direction="ge", constant=constant))
-    if not any_33b:
-        out.append(vacuous_report(
-            "lemma3.3b", base, "no (m, k) satisfies 2kN <= m <= nN"))
-
-    for m in range(1, ell * N + 1):
-        lhs, rhs = check_lemma34(table, c_pair, ell, m)
-        out.append(exact_inequality_report(
-            "lemma3.4", {**base, "m": m}, lhs=lhs, rhs=rhs, constant=constant))
-
-    lhs, rhs = check_lemma35(a, order_map(a), table, c_pair, ell)
-    out.append(exact_inequality_report(
-        "lemma3.5", base, lhs=lhs, rhs=rhs, constant=constant))
-
-    if ell // 2 >= 1:
-        for k in range(1, ell // 2 + 1):
-            value, bound = check_lemma36(table, c_pair, ell, k)
-            out.append(exact_inequality_report(
-                "lemma3.6", {**base, "k": k}, lhs=value, rhs=bound,
-                direction="ge", constant=constant))
-    else:
-        out.append(vacuous_report(
-            "lemma3.6", base, "k range 1..floor(ell/2) is empty for ell = 1"))
-    return out
+    columns = _lemma_columns(a, table, Fraction(c_pair), ell, thetas)
+    return LemmaSweep(base, columns, len(thetas))

@@ -9,17 +9,17 @@ the ingredients of the upper expectation bound checked here.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .families import MapFamily, pairwise_constant
+from .families import MapFamily, pairwise_constant, require_uniform_marginals
 from .matrices import Matrix
 from .orderstats import (
     OrderStatResult,
-    _require_uniform_marginals,
     expected_top_sum,
     expected_top_sum_mc,
 )
@@ -96,6 +96,12 @@ def luxemburg_norm(
     absx = np.abs(np.asarray(x, dtype=np.float64))
     if absx.size == 0 or float(absx.max()) == 0.0:
         return 0.0
+    # the norm is homogeneous: rescale tiny vectors by an exact power of two
+    # so that the lower bracket end does not underflow to 0
+    scale = 0
+    if float(absx.max()) * 1e-6 < sys.float_info.min:
+        scale = -math.frexp(float(absx.max()))[1]
+        absx = np.ldexp(absx, scale)
     lo = float(absx.max()) * 1e-6
     hi = float(absx.sum()) + 1.0
     for _ in range(_MAX_BISECTIONS):
@@ -114,7 +120,7 @@ def luxemburg_norm(
             hi = mid
         else:
             lo = mid
-    return hi
+    return math.ldexp(hi, -scale)
 
 
 def hinge_norm_batch(
@@ -219,7 +225,7 @@ def orlicz_upper_bound_check(
 ) -> VerificationReport:
     """Check E top-ell path sum <= (2/N) * hinge-(ell*N) norm of the entries
     (id prop4.2/upper)."""
-    _require_uniform_marginals(family, cap)
+    require_uniform_marginals(family, cap)
     c_pair = pairwise_constant(family, cap).pairwise_bound
     if expectation is None:
         if samples is None:

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .matrices import render_float
 
 EXACT_SLACK = 1e-12
-_SLACK_FRACTION = Fraction(1, 10**12)
+EXACT_SLACK_FRACTION = Fraction(1, 10**12)
 
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
@@ -110,7 +110,7 @@ def exact_inequality_report(
 ) -> VerificationReport:
     """Like inequality_report, but decided in exact rational arithmetic."""
     margin = _signed_margin(lhs, rhs, direction)
-    status = STATUS_PASS if margin >= -_SLACK_FRACTION else STATUS_FAIL
+    status = STATUS_PASS if margin >= -EXACT_SLACK_FRACTION else STATUS_FAIL
     return VerificationReport(
         check_id=check_id, inputs=dict(inputs), lhs=float(lhs), rhs=float(rhs),
         margin=float(margin), status=status, direction=direction, mode="exact",

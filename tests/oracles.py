@@ -1,6 +1,8 @@
 """Independent brute-force oracles used to freeze and cross-check expected
 values.  These deliberately avoid the package's computation paths: plain
-itertools enumeration, exact Fractions, and direct minimization."""
+itertools enumeration, exact Fractions, and direct minimization.  The one
+exception is the lemma-suite oracle at the end, which reads the package's
+hit-count table but decides every instance with its own Fractions."""
 
 from __future__ import annotations
 
@@ -76,3 +78,186 @@ def k_functional_oracle(x, t, grid_points=10000) -> float:
     grid = np.union1d(np.linspace(0.0, top, grid_points), absx)
     costs = np.maximum(absx[None, :] - grid[:, None], 0.0).sum(axis=1) + t * grid
     return float(costs.min())
+
+
+# ---------------------------------------------------------------------------
+# The per-instance Fraction sweep of the tail-inequality suite, kept as the
+# oracle for the library's columnar evaluator: every instance is decided with
+# fresh Fractions and becomes its own report, and corpus runs aggregate the
+# reports afterwards.
+
+
+def _ceil_fraction(f: Fraction) -> int:
+    return -((-f.numerator) // f.denominator)
+
+
+def check_lemma31(table, c_pair: Fraction, m: int):
+    """(P(X_m >= 1), (m/N)(1 - C (m-1) / (2N)))."""
+    N = table.N
+    bound = Fraction(m, N) * (1 - c_pair * Fraction(m - 1, 2 * N))
+    return table.tail(m, 1), bound
+
+
+def check_lemma32(table, c_pair: Fraction, m: int, theta: Fraction):
+    """(P(X_m >= theta m/N), (1-theta)^2 m / (N + m C))."""
+    N = table.N
+    k0 = _ceil_fraction(theta * Fraction(m, N))
+    prob = table.tail(m, max(k0, 1))
+    bound = (1 - theta) ** 2 * Fraction(m, N + m * c_pair)
+    return prob, bound
+
+
+def check_lemma33a(table, c_pair: Fraction, ell: int, m: int):
+    """(P(X_m >= 1), min(m/2N, 1/2C) * P(X_{ell N} >= 1))."""
+    N = table.N
+    factor = Fraction(m, 2 * N)
+    if c_pair > 0:
+        factor = min(factor, Fraction(1, 2) / c_pair)
+    return table.tail(m, 1), factor * table.tail(ell * N, 1)
+
+
+def check_lemma33b(table, c_pair: Fraction, ell: int, m: int, k: int):
+    """(P(X_m >= k), P(X_{ell N} >= k) / (2 + 4C)); requires 2kN <= m."""
+    bound = table.tail(ell * table.N, k) / (2 + 4 * c_pair)
+    return table.tail(m, k), bound
+
+
+def check_lemma34(table, c_pair: Fraction, ell: int, m: int):
+    """(averaged indicator expectation, (8+16C) * plain indicator expectation)."""
+    lhs = Fraction(m, ell * table.N) * table.indicator_expectation(ell * table.N, ell)
+    rhs = (8 + 16 * c_pair) * table.indicator_expectation(m, ell)
+    return lhs, rhs
+
+
+def check_lemma35(a, table, c_pair: Fraction, ell: int):
+    """Averaging inequality for the matrix reduced to its ell*N largest
+    entries, evaluated through the exact coefficient representation."""
+    top = ell * table.N
+    s_vals = [Fraction(float(v)) for v in a.rearrangement[:top]]
+    coeffs = table.coefficients(ell)
+    exp_reduced = sum((f * s for f, s in zip(coeffs, s_vals)), Fraction(0))
+    coeff_sum = sum(coeffs, Fraction(0))
+    exp_averaged = coeff_sum * sum(s_vals, Fraction(0)) / top
+    return exp_averaged, (8 + 16 * c_pair) * exp_reduced
+
+
+def check_lemma36(table, c_pair: Fraction, ell: int, k: int):
+    """(expected k-th largest path value of the ell*N-ones indicator,
+    1/(2+4C)); requires k <= ell/2."""
+    return table.tail(ell * table.N, k), Fraction(1, 1) / (2 + 4 * c_pair)
+
+
+def lemma_suite_oracle(a, family, ell, *, thetas=None, table=None, c_pair=None,
+                       extra_inputs=None):
+    """Every tail inequality on one (matrix, family, ell) instance, one
+    Fraction-decided report per swept instance, in sweep order.  No
+    hypothesis check is made."""
+    from osb.families import pairwise_constant
+    from osb.matrices import order_map
+    from osb.orderstats import (
+        DEFAULT_THETAS,
+        _pz_moments,
+        _pz_report,
+        build_hit_table,
+        hit_count_distribution,
+    )
+    from osb.reports import exact_inequality_report, vacuous_report
+
+    thetas = DEFAULT_THETAS if thetas is None else thetas
+    if c_pair is None:
+        c_pair = pairwise_constant(family).pairwise_bound
+    order = order_map(a)
+    if table is None:
+        table = build_hit_table(family, order)
+    n, N = family.n, family.N
+    nN = n * N
+    base = {
+        **(extra_inputs or {}),
+        "matrix": a.digest(), "family": family.descriptor(), "ell": ell,
+    }
+    constant = float(c_pair)
+    out = []
+
+    for m in range(1, nN + 1):
+        prob, bound = check_lemma31(table, c_pair, m)
+        out.append(exact_inequality_report(
+            "lemma3.1", {**base, "m": m}, lhs=prob, rhs=bound,
+            direction="ge", constant=constant))
+        dist = hit_count_distribution(family, order, m, table=table)
+        vs, ps, mean, second = _pz_moments(dist.pairs())
+        for theta in thetas:
+            prob, bound = check_lemma32(table, c_pair, m, Fraction(theta))
+            out.append(exact_inequality_report(
+                "lemma3.2", {**base, "m": m, "theta": float(theta)},
+                lhs=prob, rhs=bound, direction="ge", constant=constant))
+            out.append(_pz_report(
+                vs, ps, mean, second, Fraction(theta), {**base, "m": m}))
+        prob, bound = check_lemma33a(table, c_pair, ell, m)
+        out.append(exact_inequality_report(
+            "lemma3.3a", {**base, "m": m}, lhs=prob, rhs=bound,
+            direction="ge", constant=constant))
+
+    any_33b = False
+    for k in range(1, n // 2 + 1):
+        for m in range(2 * k * N, nN + 1):
+            any_33b = True
+            prob, bound = check_lemma33b(table, c_pair, ell, m, k)
+            out.append(exact_inequality_report(
+                "lemma3.3b", {**base, "m": m, "k": k},
+                lhs=prob, rhs=bound, direction="ge", constant=constant))
+    if not any_33b:
+        out.append(vacuous_report(
+            "lemma3.3b", base, "no (m, k) satisfies 2kN <= m <= nN"))
+
+    for m in range(1, ell * N + 1):
+        lhs, rhs = check_lemma34(table, c_pair, ell, m)
+        out.append(exact_inequality_report(
+            "lemma3.4", {**base, "m": m}, lhs=lhs, rhs=rhs, constant=constant))
+
+    lhs, rhs = check_lemma35(a, table, c_pair, ell)
+    out.append(exact_inequality_report(
+        "lemma3.5", base, lhs=lhs, rhs=rhs, constant=constant))
+
+    if ell // 2 >= 1:
+        for k in range(1, ell // 2 + 1):
+            value, bound = check_lemma36(table, c_pair, ell, k)
+            out.append(exact_inequality_report(
+                "lemma3.6", {**base, "k": k}, lhs=value, rhs=bound,
+                direction="ge", constant=constant))
+    else:
+        out.append(vacuous_report(
+            "lemma3.6", base, "k range 1..floor(ell/2) is empty for ell = 1"))
+    return out
+
+
+def aggregate_oracle(reports, group_inputs):
+    """Collapse per-instance reports to one worst-margin report per check id:
+    the first report of minimal float margin, plus the count of failures."""
+    from osb.reports import VerificationReport, vacuous_report
+
+    grouped = {}
+    for r in reports:
+        grouped.setdefault(r.check_id, []).append(r)
+    out = []
+    for check_id in sorted(grouped):
+        batch = grouped[check_id]
+        live = [r for r in batch if r.status != "vacuous"]
+        if not live:
+            out.append(vacuous_report(
+                check_id, {**group_inputs, "instances": len(batch)},
+                batch[0].extra.get("note", "all instances vacuous"),
+            ))
+            continue
+        worst = min(live, key=lambda r: r.margin)
+        failed = sum(1 for r in live if r.status == "fail")
+        status = "fail" if failed else "pass"
+        out.append(VerificationReport(
+            check_id=check_id,
+            inputs={**group_inputs, "instances": len(batch)},
+            lhs=worst.lhs, rhs=worst.rhs, margin=worst.margin, status=status,
+            direction=worst.direction, mode=worst.mode, constant=worst.constant,
+            extra={"note": "aggregated: worst margin over the swept instances",
+                   "failed_instances": failed,
+                   "worst_case": dict(worst.inputs)},
+        ))
+    return out

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from osb.errors import DomainError, FormatError, ResourceError
+from osb.errors import DomainError, FormatError, HypothesisError, ResourceError
 from osb.families import (
     FamilySpec,
     check_marginals,
@@ -17,6 +17,7 @@ from osb.families import (
     load_family,
     pairwise_constant,
     parse_family_spec,
+    require_uniform_marginals,
     sample,
     sample_array,
     symmetric_group,
@@ -108,6 +109,14 @@ class TestMarginals:
     def test_explicit_uniform_family(self):
         fam = explicit_family(all_permutations(3), 3, 3)
         assert check_marginals(fam).marginals_uniform
+
+    def test_guard_attaches_full_certificate(self):
+        require_uniform_marginals(explicit_family(all_permutations(3), 3, 3))
+        with pytest.raises(HypothesisError, match="uniform-marginal") as err:
+            require_uniform_marginals(explicit_family([[1, 2]], 2, 2))
+        cert = err.value.certificate
+        assert cert.marginals_uniform is False
+        assert cert.pairwise_bound == 4 and cert.argmax_pair is not None
 
 
 class TestPairwiseConstant:

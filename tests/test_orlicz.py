@@ -74,6 +74,12 @@ class TestLuxemburgNorm:
     def test_zero_vector(self):
         assert luxemburg_norm([0, 0], top_sum_orlicz(2)) == 0.0
 
+    def test_subnormal_entries(self):
+        # the lower bracket end max|x| * 1e-6 underflows to 0 here
+        assert luxemburg_norm([5e-324], top_sum_orlicz(1)) == 5e-324
+        got = luxemburg_norm([1e-305, 2e-305], top_sum_orlicz(1))
+        assert got == pytest.approx(1e-305, rel=1e-11)
+
     def test_bracket_correctness(self):
         rng = np.random.default_rng(3)
         tol = 1e-12

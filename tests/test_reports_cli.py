@@ -247,3 +247,33 @@ class TestCli:
         doc = json.loads(out.read_text())
         assert all(r["mode"] == "mc" for r in doc["reports"])
         assert all(r["stderr"] is not None for r in doc["reports"])
+
+    def test_lemmas_rejects_mc_samples(self, matrix_file, capsys):
+        code = cli.main([
+            "lemmas", "--family", "sym:2", "--matrix", matrix_file,
+            "--mc-samples", "100", "--summary",
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "--mc-samples" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("name", ["OSB_SEED", "OSB_ENUM_CAP"])
+    def test_malformed_env_integer_is_usage_error(self, name, monkeypatch, capsys):
+        monkeypatch.setenv(name, "abc")
+        assert cli.main(["sample", "--family", "sym:3"]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {name}" in err and "'abc'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key", ["seed", "enum_cap"])
+    def test_malformed_config_integer_is_usage_error(self, key, tmp_path,
+                                                     monkeypatch, capsys):
+        for name in ("OSB_SEED", "OSB_ENUM_CAP"):
+            monkeypatch.delenv(name, raising=False)
+        cfg = tmp_path / "osb.cfg"
+        cfg.write_text(f"{key} = 1.5\n")
+        assert cli.main(["sample", "--family", "sym:3", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {key} from the config file" in err
+        assert "Traceback" not in err
