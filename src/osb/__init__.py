@@ -44,12 +44,9 @@ from .orderstats import (
     path_values,
 )
 from .orlicz import (
-    OrliczFunction,
     extreme_point_matrices,
-    hinge_norm_batch,
     luxemburg_norm,
     orlicz_upper_bound_check,
-    top_sum_orlicz,
     top_sum_sandwich_check,
 )
 from .interpolation import (
@@ -84,7 +81,6 @@ from .corpus import (
 )
 from .campaigns import (
     lower_constant,
-    run_family_check,
     run_lemmas,
     run_verify_lp,
     run_verify_main,

@@ -13,9 +13,8 @@ from typing import Optional, Sequence
 
 from .families import (
     FamilySpec,
-    MapFamily,
-    family_certificate,
     family_for_cell,
+    load_family,
     pairwise_constant,
     require_uniform_marginals,
 )
@@ -49,8 +48,17 @@ def lower_constant(c_pair: Fraction) -> float:
 
 
 def _iter_cell_families(corpus: Corpus, spec: FamilySpec):
+    # a file family is read once, on the first cell, and runs on the cells
+    # of its shape
+    loaded = None
     for cell in corpus:
-        family = family_for_cell(spec, cell.n, cell.N)
+        if spec.kind == "file":
+            if loaded is None:
+                loaded = load_family(spec.path)
+            shape_fits = (loaded.n, loaded.N) == (cell.n, cell.N)
+            family = loaded if shape_fits else None
+        else:
+            family = family_for_cell(spec, cell.n, cell.N)
         if family is None:
             continue
         yield cell, family
@@ -62,12 +70,6 @@ def _ell_values(ell_range: Optional[tuple[int, int]], n: int) -> list[int]:
     lo, hi = ell_range
     values = [ell for ell in range(lo, hi + 1) if 1 <= ell <= n]
     return values
-
-
-def run_family_check(family: MapFamily, cap: int | None = None):
-    """Certify conditions on the family: exact marginals and the pairwise
-    correlation constant."""
-    return family_certificate(family, cap)
 
 
 def run_verify_main(
@@ -93,8 +95,8 @@ def run_verify_main(
     """
     out: list[VerificationReport] = []
     for cell, family in _iter_cell_families(corpus, spec):
-        require_uniform_marginals(family, cap)
-        c_pair = pairwise_constant(family, cap).pairwise_bound
+        require_uniform_marginals(family)
+        c_pair = pairwise_constant(family).pairwise_bound
         c_low = lower_constant(c_pair)
         example = EXAMPLE_CONSTANTS.get(family.kind)
         N = family.N
@@ -170,7 +172,7 @@ def run_verify_lp(
     out: list[VerificationReport] = []
     min_ratio: dict[float, tuple[float, dict]] = {}
     for cell, family in _iter_cell_families(corpus, spec):
-        require_uniform_marginals(family, cap)
+        require_uniform_marginals(family)
         for mid, a in cell.matrices:
             for p in p_list:
                 reports = verify_lp_bounds(
@@ -217,8 +219,8 @@ def run_lemmas(
     """
     out: list[VerificationReport] = []
     for cell, family in _iter_cell_families(corpus, spec):
-        require_uniform_marginals(family, cap)
-        c_pair = pairwise_constant(family, cap).pairwise_bound
+        require_uniform_marginals(family)
+        c_pair = pairwise_constant(family).pairwise_bound
         for mid, a in cell.matrices:
             table = build_hit_table(family, order_map(a), cap=cap)
             cell_inputs = {"cell": f"{cell.n}x{cell.N}", "id": mid}

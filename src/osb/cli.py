@@ -27,7 +27,7 @@ from .corpus import (
 from .errors import DomainError, FormatError, HypothesisError, ResourceError
 from .families import (
     DEFAULT_ENUM_CAP,
-    family_for_cell,
+    family_certificate,
     load_family,
     parse_family_spec,
     sample,
@@ -110,9 +110,9 @@ def _parse_p_list(text: str) -> list[float]:
 
 
 def _load_inputs(args) -> Corpus:
-    if getattr(args, "matrix", None):
+    if args.matrix:
         return single_matrix_corpus(load_matrix(args.matrix))
-    if getattr(args, "corpus", None):
+    if args.corpus:
         return load_corpus(args.corpus)
     return default_corpus(seed=args.resolved_corpus_seed)
 
@@ -138,21 +138,30 @@ def _finish_reports(args, reports) -> int:
     return EXIT_PASS if all_passed(reports) else EXIT_FAIL
 
 
-def _add_common(parser: argparse.ArgumentParser, *, corpus_inputs: bool = True):
+def _add_common(parser: argparse.ArgumentParser):
+    """The options every family subcommand reads."""
     parser.add_argument("--family", required=True,
                         help="sym[:n], map[:n:N], or file:PATH")
-    if corpus_inputs:
-        parser.add_argument("--matrix", help="single matrix file (.json or .csv)")
-        parser.add_argument("--corpus", help="corpus JSON (default: built-in corpus)")
+    parser.add_argument("--out", help="output path (default: stdout)")
+    parser.add_argument("--config", help="key=value settings file")
+
+
+def _add_campaign(parser: argparse.ArgumentParser):
+    _add_common(parser)
+    parser.add_argument("--matrix", help="single matrix file (.json or .csv)")
+    parser.add_argument("--corpus", help="corpus JSON (default: built-in corpus)")
     parser.add_argument("--mc-samples", type=int, default=None,
                         help="Monte Carlo draw count (default: exact enumeration)")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--enum-cap", type=int, default=None)
-    parser.add_argument("--out", help="output path (default: stdout)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--summary", action="store_true",
                         help="print pass/fail counts and worst margins")
-    parser.add_argument("--config", help="key=value settings file")
+
+
+def _add_shape(parser: argparse.ArgumentParser):
+    parser.add_argument("--n", type=int, help="shape for bare sym/map specifiers")
+    parser.add_argument("--N", type=int, help="shape for bare sym/map specifiers")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -164,33 +173,34 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-main", help="two-sided top-sum bound campaign")
-    _add_common(p)
+    _add_campaign(p)
     p.add_argument("--ell", help="ell range A..B (default: 1..n per matrix)")
     p.add_argument("--reduce", action="store_true",
                    help="zero entries outside the ell*N largest before the "
                    "lower-bound check")
 
     p = sub.add_parser("verify-lp", help="lp path-norm bound campaign")
-    _add_common(p)
+    _add_campaign(p)
     p.add_argument("--p", default="1,1.5,2,3", help="comma-separated exponents")
 
     p = sub.add_parser("lemmas", help="tail-inequality suite campaign")
-    _add_common(p)
+    _add_campaign(p)
     p.add_argument("--ell", help="ell range A..B (default: 1..n per matrix)")
     p.add_argument("--per-instance", action="store_true",
                    help="emit one report per swept instance (default for "
                    "--matrix runs; corpus runs aggregate by worst margin)")
 
     p = sub.add_parser("family-check", help="certify family hypotheses")
-    _add_common(p, corpus_inputs=False)
-    p.add_argument("--n", type=int, help="shape for bare sym/map specifiers")
-    p.add_argument("--N", type=int, help="shape for bare sym/map specifiers")
+    _add_common(p)
+    _add_shape(p)
+    p.add_argument("--summary", action="store_true",
+                   help="print the size, marginal check and pairwise constant")
 
     p = sub.add_parser("sample", help="draw maps from a family")
-    _add_common(p, corpus_inputs=False)
+    _add_common(p)
+    _add_shape(p)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--count", type=int, default=10)
-    p.add_argument("--n", type=int, help="shape for bare sym/map specifiers")
-    p.add_argument("--N", type=int, help="shape for bare sym/map specifiers")
 
     p = sub.add_parser("corpus", help="corpus utilities")
     corpus_sub = p.add_subparsers(dest="corpus_command", required=True)
@@ -205,8 +215,8 @@ def _resolve_family(args):
     spec = parse_family_spec(args.family)
     if spec.kind == "file":
         return load_family(spec.path)
-    n = args.n if getattr(args, "n", None) else spec.n
-    N = args.N if getattr(args, "N", None) else (spec.N or n)
+    n = args.n or spec.n
+    N = args.N or spec.N or n
     if spec.kind == "sym":
         if n is None:
             raise DomainError("sym needs a size: use sym:n or --n")
@@ -217,7 +227,7 @@ def _resolve_family(args):
 
 
 def _run(args) -> int:
-    config = _read_config(getattr(args, "config", None))
+    config = _read_config(args.config)
     seed = _resolve_int(getattr(args, "seed", None), "OSB_SEED", config, "seed",
                         DEFAULT_SEED)
     cap = _resolve_int(getattr(args, "enum_cap", None), "OSB_ENUM_CAP", config,
@@ -231,7 +241,7 @@ def _run(args) -> int:
 
     if args.command == "family-check":
         family = _resolve_family(args)
-        cert = campaigns.run_family_check(family, cap=cap)
+        cert = family_certificate(family)
         _emit(args, canonical_json(cert.to_json_obj()) + "\n")
         if args.summary:
             print(f"family {cert.family}: size {cert.size}, "
@@ -262,7 +272,7 @@ def _run(args) -> int:
             cap=cap, samples=samples, seed=seed,
         )
     elif args.command == "lemmas":
-        aggregate = not (args.per_instance or getattr(args, "matrix", None))
+        aggregate = not (args.per_instance or args.matrix)
         reports = campaigns.run_lemmas(
             corpus, spec, _parse_ell_range(args.ell), cap=cap,
             aggregate=aggregate,

@@ -35,7 +35,14 @@ _SAMPLE_STREAM = 101
 
 def enumeration_cap() -> int:
     raw = os.environ.get("OSB_ENUM_CAP")
-    return int(raw) if raw else DEFAULT_ENUM_CAP
+    if not raw:
+        return DEFAULT_ENUM_CAP
+    try:
+        return int(raw)
+    except ValueError:
+        raise DomainError(
+            f"OSB_ENUM_CAP from the environment must be an integer, got {raw!r}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -214,7 +221,7 @@ class MeasureCertificate:
         }
 
 
-def check_marginals(family: MapFamily, cap: int | None = None) -> MeasureCertificate:
+def check_marginals(family: MapFamily) -> MeasureCertificate:
     """Exact check that every event {g(i) = j} has probability 1/N."""
     n, N = family.n, family.N
     if family.kind in (KIND_SYMMETRIC, KIND_FULL_MAPPING):
@@ -242,7 +249,7 @@ def check_marginals(family: MapFamily, cap: int | None = None) -> MeasureCertifi
     )
 
 
-def pairwise_constant(family: MapFamily, cap: int | None = None) -> MeasureCertificate:
+def pairwise_constant(family: MapFamily) -> MeasureCertificate:
     """Exact smallest constant C with P(g(i1)=j1, g(i2)=j2) <= C / N**2.
 
     Computed as N**2 times the maximal probability over distinct pairs; the
@@ -288,10 +295,10 @@ def pairwise_constant(family: MapFamily, cap: int | None = None) -> MeasureCerti
     )
 
 
-def family_certificate(family: MapFamily, cap: int | None = None) -> MeasureCertificate:
+def family_certificate(family: MapFamily) -> MeasureCertificate:
     """Marginal and pairwise certificates combined."""
-    marg = check_marginals(family, cap)
-    pair = pairwise_constant(family, cap)
+    marg = check_marginals(family)
+    pair = pairwise_constant(family)
     return MeasureCertificate(
         family=family.descriptor(), size=family.size,
         marginals_uniform=marg.marginals_uniform,
@@ -300,15 +307,15 @@ def family_certificate(family: MapFamily, cap: int | None = None) -> MeasureCert
     )
 
 
-def require_uniform_marginals(family: MapFamily, cap: int | None = None):
+def require_uniform_marginals(family: MapFamily):
     """Raise HypothesisError, with the family's full certificate attached,
     unless every event {g(i) = j} has probability exactly 1/N."""
-    cert = check_marginals(family, cap)
+    cert = check_marginals(family)
     if not cert.marginals_uniform:
         raise HypothesisError(
             f"family {family.descriptor()} violates the uniform-marginal "
             f"hypothesis (worst deviation {cert.worst_marginal_deviation})",
-            certificate=family_certificate(family, cap),
+            certificate=family_certificate(family),
         )
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -239,15 +239,9 @@ def expected_lp_norm(
     )
 
 
-class HeadTailBound(NamedTuple):
-    lower_expr: float
-    upper_expr: float
-
-
-def head_tail_bound(a: Matrix, p: float) -> HeadTailBound:
+def head_tail_bound(a: Matrix, p: float) -> float:
     """(1/N) * sum of the N largest entries plus the lp tail mean
-    ((1/N) * sum over the remaining entries of s^p)^(1/p); returned twice,
-    once for each side of the two-sided comparison."""
+    ((1/N) * sum over the remaining entries of s^p)^(1/p)."""
     if not math.isfinite(p) or p < 1.0:
         raise DomainError("p must be finite and >= 1")
     s = a.rearrangement
@@ -258,8 +252,7 @@ def head_tail_bound(a: Matrix, p: float) -> HeadTailBound:
         tail = (math.fsum(tail_terms**p) / N) ** (1.0 / p)
     else:
         tail = 0.0
-    value = head + tail
-    return HeadTailBound(lower_expr=value, upper_expr=value)
+    return head + tail
 
 
 def verify_lp_bounds(
@@ -279,13 +272,13 @@ def verify_lp_bounds(
     compared against a closed-form bound; the reference value
     1/(32 (1 + 2C)^2) is attached for context.
     """
-    require_uniform_marginals(family, cap)
-    c_pair = pairwise_constant(family, cap).pairwise_bound
+    require_uniform_marginals(family)
+    c_pair = pairwise_constant(family).pairwise_bound
     reference = 1.0 / (32.0 * float((1 + 2 * c_pair)) ** 2)
     expectation = expected_lp_norm(
         a, family, p, cap=cap, samples=samples, seed=seed
     )
-    bound = head_tail_bound(a, p).upper_expr
+    bound = head_tail_bound(a, p)
     inputs = {
         **(extra_inputs or {}),
         "matrix": a.digest(), "family": family.descriptor(), "p": float(p),

@@ -613,9 +613,9 @@ def lemma_suite(
     if not 1 <= ell <= family.n:
         raise DomainError(f"ell={ell} out of range 1..{family.n}")
     if not skip_hypothesis_check:
-        require_uniform_marginals(family, cap)
+        require_uniform_marginals(family)
     if c_pair is None:
-        c_pair = pairwise_constant(family, cap).pairwise_bound
+        c_pair = pairwise_constant(family).pairwise_bound
     if table is None:
         table = build_hit_table(family, order_map(a), cap=cap)
     base = {

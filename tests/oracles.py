@@ -1,7 +1,9 @@
 """Independent brute-force oracles used to freeze and cross-check expected
 values.  These deliberately avoid the package's computation paths: plain
-itertools enumeration, exact Fractions, and direct minimization.  The one
-exception is the lemma-suite oracle at the end, which reads the package's
+itertools enumeration, exact Fractions, closed forms, and direct
+minimization.  Two helpers are not oracles in that sense: the vectorized
+hinge-norm bisection, which the acceptance criteria run over many vectors at
+once, and the lemma-suite oracle at the end, which reads the package's
 hit-count table but decides every instance with its own Fractions."""
 
 from __future__ import annotations
@@ -10,6 +12,11 @@ import itertools
 from fractions import Fraction
 
 import numpy as np
+
+from osb.errors import DomainError
+from osb.orlicz import DEFAULT_NORM_TOL
+
+_MAX_BISECTIONS = 400
 
 
 def all_permutations(n):
@@ -78,6 +85,54 @@ def k_functional_oracle(x, t, grid_points=10000) -> float:
     grid = np.union1d(np.linspace(0.0, top, grid_points), absx)
     costs = np.maximum(absx[None, :] - grid[:, None], 0.0).sum(axis=1) + t * grid
     return float(costs.min())
+
+
+# ---------------------------------------------------------------------------
+# Luxemburg norms under the hinge max(t - 1/j, 0)
+
+
+def hinge_norm_closed_form(x, j) -> float:
+    """max over k of (x*_1 + ... + x*_k) / (1 + k/j), x* the decreasing
+    rearrangement of |x|.  At lambda equal to this value the hinge sum
+    max over k of sum_{i<=k} (x*_i / lambda - 1/j) is exactly 1."""
+    absx = np.sort(np.abs(np.asarray(x, dtype=np.float64)))[::-1]
+    if absx.size == 0:
+        return 0.0
+    k = np.arange(1, absx.size + 1)
+    return float((np.cumsum(absx) / (1.0 + k / j)).max())
+
+
+def hinge_norm_batch(
+    xs: np.ndarray, js: np.ndarray, tol: float = DEFAULT_NORM_TOL
+) -> np.ndarray:
+    """Luxemburg norms of the rows of ``xs`` under the hinge functions with
+    parameters ``js``; identical bracket and termination rules as the scalar
+    routine, vectorized."""
+    if tol <= 0:
+        raise DomainError("tol must be positive")
+    absx = np.abs(np.asarray(xs, dtype=np.float64))
+    js = np.asarray(js, dtype=np.float64)
+    if absx.ndim != 2 or js.shape != (absx.shape[0],):
+        raise DomainError("xs must be (B, width) and js must be (B,)")
+    if np.any(js < 1):
+        raise DomainError("j must be >= 1")
+    kinks = (1.0 / js)[:, None]
+    maxes = absx.max(axis=1)
+    nonzero = maxes > 0.0
+    lo = maxes * 1e-6
+    hi = absx.sum(axis=1) + 1.0
+    # the hinge bracket always straddles the unit level
+    for _ in range(_MAX_BISECTIONS):
+        active = nonzero & (hi - lo > tol * hi)
+        if not np.any(active):
+            break
+        mid = 0.5 * (lo + hi)
+        safe_mid = np.where(mid > 0.0, mid, 1.0)
+        sums = np.maximum(absx / safe_mid[:, None] - kinks, 0.0).sum(axis=1)
+        below = sums <= 1.0
+        hi = np.where(active & below, mid, hi)
+        lo = np.where(active & ~below, mid, lo)
+    return np.where(nonzero, hi, 0.0)
 
 
 # ---------------------------------------------------------------------------

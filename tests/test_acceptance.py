@@ -23,10 +23,10 @@ from osb.orderstats import (
     expected_top_sum_mc,
     lemma_suite,
 )
-from osb.orlicz import extreme_point_matrices, hinge_norm_batch
+from osb.orlicz import extreme_point_matrices
 from osb.reports import canonical_json, reports_to_json, summarize
 
-from oracles import k_functional_oracle
+from oracles import hinge_norm_batch, k_functional_oracle
 
 SYM = FamilySpec("sym")
 MAP = FamilySpec("map")
@@ -278,9 +278,9 @@ def test_criterion_10_reproducibility(corpus):
     lm_b = reports_to_json(run_lemmas(sub, MAP))
     assert lm_a.encode() == lm_b.encode()
 
-    from osb.campaigns import run_family_check
-    cert_a = canonical_json(run_family_check(symmetric_group(4)).to_json_obj())
-    cert_b = canonical_json(run_family_check(symmetric_group(4)).to_json_obj())
+    from osb.families import family_certificate
+    cert_a = canonical_json(family_certificate(symmetric_group(4)).to_json_obj())
+    cert_b = canonical_json(family_certificate(symmetric_group(4)).to_json_obj())
     assert cert_a == cert_b
 
     from osb.corpus import corpus_to_json

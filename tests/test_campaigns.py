@@ -4,16 +4,21 @@ import math
 import numpy as np
 import pytest
 
+from osb import campaigns, families
 from osb.campaigns import (
     lower_constant,
-    run_family_check,
     run_lemmas,
     run_verify_lp,
     run_verify_main,
 )
 from osb.corpus import single_matrix_corpus
 from osb.errors import HypothesisError
-from osb.families import FamilySpec, full_mapping_family, symmetric_group
+from osb.families import (
+    FamilySpec,
+    family_certificate,
+    full_mapping_family,
+    symmetric_group,
+)
 from osb.matrices import Matrix, order_map, reduce_to_top
 from osb.orderstats import expected_top_sum
 from osb.reports import summarize
@@ -73,6 +78,25 @@ def test_file_family_spec_runs_on_matching_cell(small_corpus, tmp_path):
     assert all(r.status == "pass" for r in reports)
 
 
+def test_file_family_is_loaded_once_per_campaign(small_corpus, tmp_path,
+                                                 monkeypatch):
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps({"n": 2, "N": 2, "maps": [[1, 2], [2, 1]]}))
+    calls = []
+    load = families.load_family
+
+    def counted(p):
+        calls.append(p)
+        return load(p)
+
+    monkeypatch.setattr(campaigns, "load_family", counted)
+    monkeypatch.setattr(families, "load_family", counted)
+    spec = FamilySpec("file", path=str(path))
+    assert len(small_corpus.cells) > 1
+    run_verify_main(small_corpus, spec)
+    assert calls == [str(path)]
+
+
 def test_ell_range_is_clamped(small_corpus):
     reports = run_verify_main(small_corpus, SYM, ell_range=(2, 9))
     ells = {(r.inputs["cell"], r.inputs["ell"]) for r in reports}
@@ -81,7 +105,7 @@ def test_ell_range_is_clamped(small_corpus):
 
 
 def test_family_check_combines_both_certificates():
-    cert = run_family_check(symmetric_group(3))
+    cert = family_certificate(symmetric_group(3))
     assert cert.marginals_uniform is True
     assert float(cert.pairwise_bound) == 1.5
     assert cert.argmax_pair is not None

@@ -53,6 +53,11 @@ class TestConstruction:
         with pytest.raises(ResourceError):
             list(iter_member_arrays(symmetric_group(13)))
 
+    def test_malformed_env_cap_is_domain_error(self, monkeypatch):
+        monkeypatch.setenv("OSB_ENUM_CAP", "x")
+        with pytest.raises(DomainError, match="OSB_ENUM_CAP.*'x'"):
+            next(iter_member_arrays(symmetric_group(2)))
+
 
 class TestLoadFamily:
     def test_round_trip(self, tmp_path):

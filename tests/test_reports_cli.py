@@ -277,3 +277,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"error: {key} from the config file" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command,option", [
+        ("family-check", ["--mc-samples", "10"]),
+        ("family-check", ["--enum-cap", "10"]),
+        ("family-check", ["--format", "csv"]),
+        ("family-check", ["--seed", "3"]),
+        ("sample", ["--mc-samples", "10"]),
+        ("sample", ["--enum-cap", "10"]),
+        ("sample", ["--format", "csv"]),
+        ("sample", ["--summary"]),
+    ])
+    def test_option_the_subcommand_does_not_read_is_rejected(self, command, option,
+                                                             capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--family", "sym:3", *option])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"unrecognized arguments: {option[0]}" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
