@@ -45,7 +45,9 @@ def main() -> int:
         t0 = time.time()
         reports = job()
         path = out_dir / f"{name}.json"
-        path.write_text(reports_to_json(reports))
+        # the bytes `osb ... --out` writes, whatever the locale
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(reports_to_json(reports))
         print(f"\n== {name} ({time.time() - t0:.1f}s) -> {path}")
         print(format_summary(summarize(reports)))
         ok = ok and all_passed(reports)

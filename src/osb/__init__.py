@@ -6,7 +6,6 @@ from .matrices import (
     Matrix,
     OrderMap,
     averaged_top_matrix,
-    decreasing_rearrangement,
     indicator_matrix,
     kth_largest,
     load_matrix,
@@ -34,7 +33,6 @@ from .orderstats import (
     HitCountTable,
     OrderStatResult,
     build_hit_table,
-    expectation_coefficients,
     expected_top_sum,
     expected_top_sum_mc,
     hit_count_distribution,
@@ -58,7 +56,6 @@ from .interpolation import (
     interpolation_norm,
     interpolation_norm_from_curve,
     k_functional,
-    k_functional_mixed,
     mixed_k_curve,
     verify_lp_bounds,
 )

@@ -173,10 +173,12 @@ def run_verify_lp(
     min_ratio: dict[float, tuple[float, dict]] = {}
     for cell, family in _iter_cell_families(corpus, spec):
         require_uniform_marginals(family)
+        c_pair = pairwise_constant(family).pairwise_bound
         for mid, a in cell.matrices:
             for p in p_list:
                 reports = verify_lp_bounds(
-                    a, family, p, cap=cap, samples=samples, seed=seed,
+                    a, family, p, c_pair=c_pair, cap=cap, samples=samples,
+                    seed=seed, skip_hypothesis_check=True,
                     extra_inputs={"cell": f"{cell.n}x{cell.N}", "id": mid},
                 )
                 for r in reports:

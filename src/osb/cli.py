@@ -295,7 +295,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if e.certificate is not None:
             print(canonical_json(e.certificate.to_json_obj()), file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except (DomainError, FormatError, ResourceError, OSError) as e:
+    except (DomainError, FormatError, ResourceError, OSError,
+            UnicodeDecodeError) as e:  # UnicodeDecodeError: an input file not in UTF-8
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

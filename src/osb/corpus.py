@@ -15,7 +15,7 @@ import numpy as np
 
 from . import rng
 from .errors import FormatError
-from .matrices import Matrix
+from .matrices import Matrix, _validate_grid
 from .reports import canonical_json
 
 DEFAULT_SEED = 123456789
@@ -143,26 +143,31 @@ def corpus_to_json(corpus: Corpus) -> str:
 def parse_corpus_json(text: str) -> Corpus:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer too long to parse
         raise FormatError(f"invalid JSON: {e}") from e
-    if not isinstance(obj, dict) or "cells" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("cells"), list):
         raise FormatError('corpus JSON needs a "cells" list')
+    try:
+        seed = int(obj.get("seed", 0))
+    except (TypeError, ValueError, OverflowError):
+        raise FormatError(
+            f"corpus seed must be an integer, got {obj['seed']!r}") from None
     cells = []
     for cell in obj["cells"]:
+        if not isinstance(cell, dict):
+            raise FormatError("each corpus cell must be an object")
         n, N = cell.get("n"), cell.get("N")
         if not isinstance(n, int) or not isinstance(N, int) or n < 1 or N < 1:
             raise FormatError("cell dimensions must be positive integers")
+        items = cell.get("matrices", [])
+        if not isinstance(items, list) or not all(isinstance(i, dict) for i in items):
+            raise FormatError(f"cell {n}x{N} needs a list of matrix objects")
         mats = []
-        for item in cell.get("matrices", []):
-            grid = item.get("entries")
-            if not isinstance(grid, list) or len(grid) != n:
-                raise FormatError(f"matrix in cell {n}x{N} has wrong row count")
-            if any(len(row) != N for row in grid):
-                raise FormatError("ragged rows are not allowed")
-            m = Matrix.from_rows(grid)
+        for item in items:
+            m = _validate_grid(n, N, item.get("entries"))
             mats.append((str(item.get("id", f"m{len(mats):02d}")), m))
         cells.append(CorpusCell(n=n, N=N, matrices=tuple(mats)))
-    return Corpus(seed=int(obj.get("seed", 0)), cells=tuple(cells))
+    return Corpus(seed=seed, cells=tuple(cells))
 
 
 def load_corpus(path: str) -> Corpus:

@@ -114,7 +114,7 @@ def load_family(path: str) -> MapFamily:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # JSONDecodeError, or an integer too long to parse
             raise FormatError(f"invalid JSON: {e}") from e
     if not isinstance(obj, dict) or not {"n", "N", "maps"} <= set(obj):
         raise FormatError('family JSON needs keys "n", "N", "maps"')
@@ -340,6 +340,9 @@ def sample_array(
     if count < 1:
         raise DomainError("count must be >= 1")
     n, N = family.n, family.N
+    if (start + count) * n >= 2**64:
+        raise DomainError(f"draws {start}..{start + count - 1} run past the "
+                          "64-bit word counter of the sample stream")
     key = _sample_key(family, seed)
     w = rng.words(key, start * n, count * n).reshape(count, n)
     if family.kind == KIND_FULL_MAPPING:

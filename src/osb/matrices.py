@@ -10,6 +10,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -21,7 +22,7 @@ from .errors import DomainError, FormatError
 
 def render_float(x: float) -> str:
     """Canonical decimal rendering with 17 significant digits (round-trips)."""
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError(f"non-finite value cannot be rendered: {x!r}")
     return format(float(x), ".17g")
 
@@ -101,11 +102,6 @@ class Matrix:
         if n < 1 or N < 1:
             raise FormatError("dimensions must be positive")
         return cls(np.zeros((n, N)))
-
-
-def decreasing_rearrangement(m: Matrix) -> np.ndarray:
-    """Entries of ``m`` sorted in nonincreasing order."""
-    return m.rearrangement
 
 
 def kth_largest(x: Sequence[float], k: int) -> float:
@@ -232,6 +228,8 @@ def _validate_grid(rows_field, cols_field, grid) -> Matrix:
         raise FormatError("rows/cols must be integers")
     if rows_field < 1 or cols_field < 1:
         raise FormatError("dimensions must be positive")
+    if not isinstance(grid, list) or not all(isinstance(row, list) for row in grid):
+        raise FormatError("entries must be a list of rows")
     if len(grid) != rows_field:
         raise FormatError(f"expected {rows_field} rows, got {len(grid)}")
     for row in grid:
@@ -240,7 +238,11 @@ def _validate_grid(rows_field, cols_field, grid) -> Matrix:
         for v in row:
             if not isinstance(v, (int, float)) or isinstance(v, bool):
                 raise FormatError(f"non-numeric entry {v!r}")
-            if not np.isfinite(float(v)):
+            try:
+                finite = math.isfinite(v)
+            except OverflowError:  # an integer beyond the float range
+                finite = False
+            if not finite:
                 raise FormatError(f"non-finite entry {v!r}")
     return Matrix.from_rows(grid)
 
@@ -248,7 +250,7 @@ def _validate_grid(rows_field, cols_field, grid) -> Matrix:
 def parse_matrix_json(text: str) -> Matrix:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer too long to parse
         raise FormatError(f"invalid JSON: {e}") from e
     if not isinstance(obj, dict) or not {"rows", "cols", "entries"} <= set(obj):
         raise FormatError('matrix JSON needs keys "rows", "cols", "entries"')

@@ -270,17 +270,6 @@ def hit_count_distribution(
     return HitCountDistribution(m=m, probabilities=probs)
 
 
-def expectation_coefficients(
-    family: MapFamily, order: OrderMap, ell: int,
-    table: HitCountTable | None = None, cap: int | None = None,
-) -> tuple[Fraction, ...]:
-    """The ell*N exact coefficients representing the expectation as a linear
-    functional of the ordered entries."""
-    if table is None:
-        table = build_hit_table(family, order, cap=cap)
-    return table.coefficients(ell)
-
-
 # ---------------------------------------------------------------------------
 # Paley-Zygmund
 

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import csv
 import io
-import json
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from json.encoder import encode_basestring
+from operator import itemgetter
+from typing import Optional
 
 from .matrices import render_float
 
@@ -132,30 +134,53 @@ def vacuous_report(
 
 
 def canonical_json(obj) -> str:
-    """Deterministic JSON: sorted keys, floats at 17 significant digits."""
-    if obj is None or isinstance(obj, bool):
-        return json.dumps(obj)
+    """Deterministic JSON: sorted keys, floats at 17 significant digits.
+
+    Mapping keys are rendered as ``str(key)`` and sorted by that string
+    (stably, so keys with equal strings keep their order); Fractions become
+    "p/q" strings; tuples render as lists.  Anything else raises TypeError.
+    """
+    if isinstance(obj, str):
+        return encode_basestring(obj)  # = json.dumps(obj, ensure_ascii=False)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
         return render_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=False)
+    if isinstance(obj, dict):
+        return _mapping_json(obj)
     if isinstance(obj, Fraction):
-        return json.dumps(f"{obj.numerator}/{obj.denominator}")
+        return encode_basestring(f"{obj.numerator}/{obj.denominator}")
     if isinstance(obj, Mapping):
-        items = ",".join(
-            f"{json.dumps(str(k), ensure_ascii=False)}:{canonical_json(v)}"
-            for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))
-        )
-        return "{" + items + "}"
+        return _mapping_json(obj)
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(canonical_json(v) for v in obj) + "]"
+        return "[" + ",".join([canonical_json(v) for v in obj]) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _mapping_json(obj) -> str:
+    items = [(str(k), v) for k, v in obj.items()]
+    items.sort(key=itemgetter(0))
+    return "{" + ",".join(
+        [encode_basestring(k) + ":" + canonical_json(v) for k, v in items]
+    ) + "}"
+
+
+def _keyed(reports: Iterable[VerificationReport]) -> list[tuple]:
+    """(check_id, canonical inputs, report) in report order: the inputs are
+    rendered once, for the sort key and for the emitted row alike."""
+    keyed = [(r.check_id, canonical_json(dict(r.inputs)), r) for r in reports]
+    keyed.sort(key=itemgetter(0, 1))
+    return keyed
+
+
 def sort_reports(reports: Iterable[VerificationReport]) -> list[VerificationReport]:
-    return sorted(reports, key=lambda r: (r.check_id, canonical_json(dict(r.inputs))))
+    return [r for _, _, r in _keyed(reports)]
 
 
 def summarize(reports: Sequence[VerificationReport]) -> dict:
@@ -185,13 +210,35 @@ def summarize(reports: Sequence[VerificationReport]) -> dict:
     }
 
 
+def _optional_float(x) -> str:
+    return "null" if x is None else render_float(float(x))
+
+
+def _report_json(r: VerificationReport, inputs: str) -> str:
+    # canonical_json(r.to_json_obj()), written field by field in sorted-key
+    # order with the inputs already rendered
+    return (
+        '{"check_id":' + canonical_json(r.check_id)
+        + ',"constant":' + _optional_float(r.constant)
+        + ',"direction":' + canonical_json(r.direction)
+        + ',"extra":' + canonical_json(dict(r.extra))
+        + ',"inputs":' + inputs
+        + ',"lhs":' + render_float(float(r.lhs))
+        + ',"margin":' + render_float(float(r.margin))
+        + ',"mode":' + canonical_json(r.mode)
+        + ',"rhs":' + render_float(float(r.rhs))
+        + ',"status":' + canonical_json(r.status)
+        + ',"stderr":' + _optional_float(r.stderr)
+        + "}"
+    )
+
+
 def reports_to_json(reports: Sequence[VerificationReport]) -> str:
-    ordered = sort_reports(reports)
-    doc = {
-        "reports": [r.to_json_obj() for r in ordered],
-        "summary": summarize(ordered),
-    }
-    return canonical_json(doc) + "\n"
+    """The canonical JSON document {"reports": [...], "summary": {...}}."""
+    keyed = _keyed(reports)
+    summary = summarize([r for _, _, r in keyed])
+    rows = ",".join([_report_json(r, inputs) for _, inputs, r in keyed])
+    return '{"reports":[' + rows + '],"summary":' + canonical_json(summary) + "}\n"
 
 
 _CSV_FIELDS = (
@@ -204,16 +251,15 @@ def reports_to_csv(reports: Sequence[VerificationReport]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_FIELDS)
-    for r in sort_reports(reports):
-        writer.writerow([
-            r.check_id, r.status, r.direction, r.mode,
-            render_float(r.lhs), render_float(r.rhs),
-            "" if r.constant is None else render_float(r.constant),
-            render_float(r.margin),
-            "" if r.stderr is None else render_float(r.stderr),
-            canonical_json(dict(r.inputs)),
-            canonical_json(dict(r.extra)),
-        ])
+    writer.writerows([
+        r.check_id, r.status, r.direction, r.mode,
+        render_float(r.lhs), render_float(r.rhs),
+        "" if r.constant is None else render_float(r.constant),
+        render_float(r.margin),
+        "" if r.stderr is None else render_float(r.stderr),
+        inputs,
+        canonical_json(dict(r.extra)),
+    ] for _, inputs, r in _keyed(reports))
     return buf.getvalue()
 
 

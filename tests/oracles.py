@@ -1,15 +1,22 @@
 """Independent brute-force oracles used to freeze and cross-check expected
 values.  These deliberately avoid the package's computation paths: plain
 itertools enumeration, exact Fractions, closed forms, and direct
-minimization.  Two helpers are not oracles in that sense: the vectorized
+minimization.  Some helpers are not oracles in that sense: three thin
+wrappers over package internals that only tests call; the vectorized
 hinge-norm bisection, which the acceptance criteria run over many vectors at
-once, and the lemma-suite oracle at the end, which reads the package's
-hit-count table but decides every instance with its own Fractions."""
+once; the lemma-suite oracle, which reads the package's hit-count table but
+decides every instance with its own Fractions; and, at the end, the recursive
+canonical serializer and report renderings that the single-pass ones
+replaced."""
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
+import json
 from fractions import Fraction
+from typing import Mapping
 
 import numpy as np
 
@@ -85,6 +92,32 @@ def k_functional_oracle(x, t, grid_points=10000) -> float:
     grid = np.union1d(np.linspace(0.0, top, grid_points), absx)
     costs = np.maximum(absx[None, :] - grid[:, None], 0.0).sum(axis=1) + t * grid
     return float(costs.min())
+
+
+# ---------------------------------------------------------------------------
+# Thin wrappers over package internals that only the tests call.
+
+
+def decreasing_rearrangement(m) -> np.ndarray:
+    """Entries of ``m`` sorted in nonincreasing order."""
+    return m.rearrangement
+
+
+def expectation_coefficients(family, order, ell, table=None, cap=None):
+    """The ell*N exact coefficients representing the expectation as a linear
+    functional of the ordered entries."""
+    from osb.orderstats import build_hit_table
+
+    if table is None:
+        table = build_hit_table(family, order, cap=cap)
+    return table.coefficients(ell)
+
+
+def k_functional_mixed(a, family, t, *, cap=None, samples=None, seed=0) -> float:
+    """Average of k_functional over the family's paths at weight t."""
+    from osb.interpolation import mixed_k_curve
+
+    return mixed_k_curve(a, family, cap=cap, samples=samples, seed=seed).value(t)
 
 
 # ---------------------------------------------------------------------------
@@ -316,3 +349,81 @@ def aggregate_oracle(reports, group_inputs):
                    "worst_case": dict(worst.inputs)},
         ))
     return out
+
+
+# ---------------------------------------------------------------------------
+# The recursive canonical serializer and the report renderings as they were
+# before the single-pass rewrite: one json.dumps per scalar, a full document
+# dict, and the inputs rendered again for every sort key.
+
+
+def _render_float_oracle(x) -> str:
+    if not np.isfinite(x):
+        raise ValueError(f"non-finite value cannot be rendered: {x!r}")
+    return format(float(x), ".17g")
+
+
+def oracle_canonical_json(obj) -> str:
+    """Deterministic JSON: sorted keys, floats at 17 significant digits."""
+    if obj is None or isinstance(obj, bool):
+        return json.dumps(obj)
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return _render_float_oracle(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj, ensure_ascii=False)
+    if isinstance(obj, Fraction):
+        return json.dumps(f"{obj.numerator}/{obj.denominator}")
+    if isinstance(obj, Mapping):
+        items = ",".join(
+            f"{json.dumps(str(k), ensure_ascii=False)}:{oracle_canonical_json(v)}"
+            for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))
+        )
+        return "{" + items + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(oracle_canonical_json(v) for v in obj) + "]"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def oracle_sort_reports(reports):
+    return sorted(
+        reports, key=lambda r: (r.check_id, oracle_canonical_json(dict(r.inputs))))
+
+
+def oracle_reports_doc(reports) -> dict:
+    """The {"reports": ..., "summary": ...} document, built as a dict."""
+    from osb.reports import summarize
+
+    ordered = oracle_sort_reports(reports)
+    return {
+        "reports": [r.to_json_obj() for r in ordered],
+        "summary": summarize(ordered),
+    }
+
+
+def oracle_reports_to_json(reports) -> str:
+    return oracle_canonical_json(oracle_reports_doc(reports)) + "\n"
+
+
+_CSV_FIELDS = (
+    "check_id", "status", "direction", "mode", "lhs", "rhs", "constant",
+    "margin", "stderr", "inputs", "extra",
+)
+
+
+def oracle_reports_to_csv(reports) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(_CSV_FIELDS)
+    for r in oracle_sort_reports(reports):
+        writer.writerow([
+            r.check_id, r.status, r.direction, r.mode,
+            _render_float_oracle(r.lhs), _render_float_oracle(r.rhs),
+            "" if r.constant is None else _render_float_oracle(r.constant),
+            _render_float_oracle(r.margin),
+            "" if r.stderr is None else _render_float_oracle(r.stderr),
+            oracle_canonical_json(dict(r.inputs)),
+            oracle_canonical_json(dict(r.extra)),
+        ])
+    return buf.getvalue()

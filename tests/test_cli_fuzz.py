@@ -1,0 +1,188 @@
+"""Fuzz the command line in-process: whatever the arguments, settings and
+files, ``osb`` exits 0, 1, 2 or 3 and never prints a traceback.
+
+Every family is at most 3 x 3 and every input file is tiny, so each example
+runs in milliseconds.  Nothing is run in a subprocess.
+"""
+
+import contextlib
+import io
+import json
+import os
+from unittest import mock
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from osb import cli
+from osb.corpus import CorpusSpec, generate_corpus, save_corpus
+
+EXIT_CODES = {0, 1, 2, 3}
+SETTING_VARS = ("OSB_SEED", "OSB_ENUM_CAP", "OSB_CONFIG")
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("cli-fuzz")
+    paths = {}
+
+    def put(name, text):
+        path = d / name
+        path.write_text(text, encoding="utf-8")
+        paths[name] = str(path)
+
+    put("m2.csv", "0.5,1\n2,0.25\n")
+    put("m3.json", json.dumps([[1, 0, 2], [0.5, 3, 1], [0, 0, 1]]))
+    put("m-bad.csv", "1,x\n")
+    put("m-ragged.csv", "1,2\n3\n")
+    put("fam-sym2.json", json.dumps({"n": 2, "N": 2, "maps": [[1, 2], [2, 1]]}))
+    put("fam-biased.json", json.dumps({"n": 2, "N": 2, "maps": [[1, 2]]}))
+    put("fam-bad.json", '{"n": 2, "N": 2, "maps": [[1, 3]]}')
+    put("fam-garbage.json", "{not json")
+    put("cfg-good", "seed = 5\nenum_cap = 1000\n# comment\n")
+    put("cfg-bad-seed", "seed = 1.5\n")
+    put("cfg-bad-line", "just words\n")
+    put("m-grid.json", json.dumps({"rows": 2, "cols": 2, "entries": 7}))
+    put("m-huge.json", '{"rows": 1, "cols": 1, "entries": [[1%s]]}' % ("0" * 400))
+    put("m-digits.json", '{"rows": 1, "cols": 1, "entries": [[1%s]]}' % ("0" * 5000))
+    put("fam-huge.json", '{"n": 1, "N": 1, "maps": [[1%s]]}' % ("0" * 5000))
+    put("corpus-bad.json", '{"cells": 3}')
+    put("corpus-cell.json", '{"cells": [3]}')
+    put("corpus-rows.json", json.dumps(
+        {"cells": [{"n": 2, "N": 2, "matrices": [{"entries": ["ab", "cd"]}]}]}))
+    put("corpus-seed.json", '{"seed": "x", "cells": []}')
+    (d / "latin1.csv").write_bytes(b"1,\xe9\n")
+    paths["latin1.csv"] = str(d / "latin1.csv")
+    corpus = generate_corpus(
+        [CorpusSpec(cells=((1, 1), (2, 2), (2, 3), (3, 3)), matrices_per_cell=2,
+                    distribution="sparse", seed=9)],
+        seed=9,
+    )
+    save_corpus(corpus, str(d / "corpus.json"))
+    paths["corpus.json"] = str(d / "corpus.json")
+    paths["dir"] = str(d)
+    paths["missing"] = str(d / "missing" / "nothing.json")
+    paths["out"] = str(d / "out.txt")
+    return paths
+
+
+_INTS = ["0", "1", "2", "3", "-1", "abc", "1.5", "", "99999999999999999999"]
+_SMALL_INTS = ["0", "1", "2", "3", "-1", "abc", "1.5", ""]
+_SIZED = ["sym:1", "sym:2", "sym:3", "map:1:1", "map:2:3", "map:3:2", "map:3:3"]
+_BROKEN = ["sym:0", "sym:-1", "sym:x", "map:2", "map:0:2", "map:a:b", "nope:2",
+           "", "file:", "sym:2:2"]
+
+
+def _family(files_):
+    return st.one_of(
+        st.sampled_from(_SIZED + _BROKEN + ["sym", "map"]),
+        st.sampled_from(["fam-sym2.json", "fam-biased.json", "fam-bad.json",
+                         "fam-garbage.json", "fam-huge.json", "latin1.csv",
+                         "missing"]).map(
+            lambda k: "file:" + files_[k]),
+    )
+
+
+def _inputs(files_):
+    return st.sampled_from(sorted(v for k, v in files_.items() if k != "out"))
+
+
+def _option_pool(files_):
+    # --out only ever names the scratch output, a directory or a missing
+    # directory, so no example overwrites an input file
+    outs = st.sampled_from([files_["out"], files_["dir"], files_["missing"]])
+    return st.one_of(
+        st.tuples(st.just("--seed"), st.sampled_from(_INTS)),
+        st.tuples(st.just("--enum-cap"), st.sampled_from(_INTS)),
+        st.tuples(st.just("--mc-samples"), st.sampled_from(_SMALL_INTS + ["50"])),
+        st.tuples(st.just("--format"), st.sampled_from(["json", "csv", "xml"])),
+        st.tuples(st.just("--ell"), st.sampled_from(
+            ["1", "2", "1..2", "2..1", "0..5", "a..b", "1..", "-1..1", "3..3"])),
+        st.tuples(st.just("--p"), st.sampled_from(
+            ["1", "1,2", "1.5,3", "0.5", "abc", "", "1,,2", "inf", "nan", "-2"])),
+        st.tuples(st.just("--n"), st.sampled_from(_SMALL_INTS)),
+        st.tuples(st.just("--N"), st.sampled_from(_SMALL_INTS)),
+        st.tuples(st.just("--count"), st.sampled_from(_SMALL_INTS)),
+        st.tuples(st.just("--out"), outs),
+        st.tuples(st.sampled_from(["--config", "--matrix", "--corpus"]),
+                  _inputs(files_)),
+        st.sampled_from(["--summary", "--reduce", "--per-instance", "--bogus", "-x",
+                         "--family", "--seed", "--help"]).map(lambda o: (o,)),
+    )
+
+
+@st.composite
+def invocations(draw, files_):
+    command = draw(st.sampled_from(
+        ["verify-main", "verify-lp", "lemmas", "family-check", "sample",
+         "corpus gen", "corpus", "bogus", ""]))
+    argv = command.split()
+    family = draw(_family(files_))
+    if command in ("verify-main", "verify-lp", "lemmas"):
+        # a bare sym/map spec runs on every cell of its corpus, so it only
+        # gets an explicit small input
+        source = draw(st.one_of(
+            st.just([]),
+            st.sampled_from([["--matrix", files_["m2.csv"]],
+                             ["--corpus", files_["corpus.json"]]]),
+            st.tuples(st.sampled_from(["--matrix", "--corpus"]),
+                      _inputs(files_)).map(list),
+        ))
+        if not source and family in ("sym", "map"):
+            source = ["--corpus", files_["corpus.json"]]
+        argv += source
+    if draw(st.booleans()) or command not in ("corpus gen", "corpus", "bogus", ""):
+        argv += ["--family", family]
+    for option in draw(st.lists(_option_pool(files_), max_size=4)):
+        argv += list(option)
+    env = {
+        "OSB_SEED": draw(st.sampled_from([None, "7", "abc", "1.5", ""])),
+        "OSB_ENUM_CAP": draw(st.sampled_from([None, "1000", "2", "x", "-1"])),
+        "OSB_CONFIG": draw(st.sampled_from(
+            [None, files_["cfg-good"], files_["cfg-bad-seed"], files_["cfg-bad-line"],
+             files_["latin1.csv"], files_["missing"]])),
+    }
+    return argv, env
+
+
+def _run(argv, env):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ):
+        for name in SETTING_VARS:
+            os.environ.pop(name, None)
+        os.environ.update({k: v for k, v in env.items() if v is not None})
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse: usage errors and --help
+                code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_fuzzed_command_lines_keep_the_exit_code_contract(files):
+    @settings(max_examples=250, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(invocations(files))
+    def check(invocation):
+        argv, env = invocation
+        code, _, err = _run(argv, env)
+        assert code in EXIT_CODES, (argv, env, code, err)
+        assert "Traceback" not in err, (argv, env, err)
+
+    check()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--family", "sym:3", "--count", "99999999999999999999"],
+    ["verify-main", "--family", "sym:2", "--seed", "99999999999999999999"],
+    ["lemmas", "--family", "map:2:2", "--ell", "2..1"],
+    ["verify-lp", "--family", "map:2:2", "--p", "nan"],
+    ["family-check", "--family", "sym", "--n", "0"],
+])
+def test_edge_command_lines(files, argv):
+    if argv[0] != "sample":
+        argv = argv + ["--corpus", files["corpus.json"]]
+    code, _, err = _run(argv, {})
+    assert code in EXIT_CODES, (argv, code, err)
+    assert "Traceback" not in err

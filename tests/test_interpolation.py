@@ -14,14 +14,19 @@ from osb.interpolation import (
     interpolation_norm,
     interpolation_norm_from_curve,
     k_functional,
-    k_functional_mixed,
     mixed_k_curve,
     verify_lp_bounds,
 )
 from osb.matrices import Matrix
 from osb.orderstats import path_values
 
-from oracles import all_mappings, all_permutations, brute_expected_lp, k_functional_oracle
+from oracles import (
+    all_mappings,
+    all_permutations,
+    brute_expected_lp,
+    k_functional_mixed,
+    k_functional_oracle,
+)
 
 
 def random_matrix(n, N, seed):

@@ -7,7 +7,6 @@ from osb.errors import DomainError, FormatError
 from osb.matrices import (
     Matrix,
     averaged_top_matrix,
-    decreasing_rearrangement,
     indicator_matrix,
     kth_largest,
     order_map,
@@ -15,6 +14,8 @@ from osb.matrices import (
     parse_matrix_json,
     reduce_to_top,
 )
+
+from oracles import decreasing_rearrangement
 
 
 def small_matrices(max_dim=4):

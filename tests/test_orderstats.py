@@ -11,7 +11,6 @@ from osb.families import explicit_family, full_mapping_family, symmetric_group
 from osb.matrices import Matrix, indicator_matrix, order_map
 from osb.orderstats import (
     build_hit_table,
-    expectation_coefficients,
     expected_top_sum,
     expected_top_sum_mc,
     hit_count_distribution,
@@ -27,6 +26,7 @@ from oracles import (
     brute_expected_top_sum,
     brute_hit_tail,
     check_lemma34,
+    expectation_coefficients,
 )
 
 
