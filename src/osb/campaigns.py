@@ -173,12 +173,10 @@ def run_verify_lp(
     min_ratio: dict[float, tuple[float, dict]] = {}
     for cell, family in _iter_cell_families(corpus, spec):
         require_uniform_marginals(family)
-        c_pair = pairwise_constant(family).pairwise_bound
         for mid, a in cell.matrices:
             for p in p_list:
                 reports = verify_lp_bounds(
-                    a, family, p, c_pair=c_pair, cap=cap, samples=samples,
-                    seed=seed, skip_hypothesis_check=True,
+                    a, family, p, cap=cap, samples=samples, seed=seed,
                     extra_inputs={"cell": f"{cell.n}x{cell.N}", "id": mid},
                 )
                 for r in reports:
@@ -222,14 +220,12 @@ def run_lemmas(
     out: list[VerificationReport] = []
     for cell, family in _iter_cell_families(corpus, spec):
         require_uniform_marginals(family)
-        c_pair = pairwise_constant(family).pairwise_bound
         for mid, a in cell.matrices:
             table = build_hit_table(family, order_map(a), cap=cap)
             cell_inputs = {"cell": f"{cell.n}x{cell.N}", "id": mid}
             for ell in _ell_values(ell_range, family.n):
                 instance = lemma_suite(
-                    a, family, ell, table=table, c_pair=c_pair, cap=cap,
-                    skip_hypothesis_check=True, extra_inputs=cell_inputs,
+                    a, family, ell, table=table, cap=cap, extra_inputs=cell_inputs,
                 )
                 out.extend(instance.aggregate() if aggregate else instance)
     return out

@@ -24,7 +24,8 @@ from .corpus import (
     load_corpus,
     single_matrix_corpus,
 )
-from .errors import DomainError, FormatError, HypothesisError, ResourceError
+from .errors import (DomainError, FormatError, HypothesisError, ResourceError,
+                     read_input_text)
 from .families import (
     DEFAULT_ENUM_CAP,
     family_certificate,
@@ -56,15 +57,14 @@ def _read_config(path: Optional[str]) -> dict[str, str]:
     if path is None or not os.path.exists(path):
         return {}
     settings = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise FormatError(f"bad config line {line!r}; expected key=value")
-            key, value = line.split("=", 1)
-            settings[key.strip()] = value.strip()
+    for line in read_input_text(path).split("\n"):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise FormatError(f"bad config line {line!r}; expected key=value")
+        key, value = line.split("=", 1)
+        settings[key.strip()] = value.strip()
     return settings
 
 
@@ -295,8 +295,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if e.certificate is not None:
             print(canonical_json(e.certificate.to_json_obj()), file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except (DomainError, FormatError, ResourceError, OSError,
-            UnicodeDecodeError) as e:  # UnicodeDecodeError: an input file not in UTF-8
+    except (DomainError, FormatError, ResourceError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

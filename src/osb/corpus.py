@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import rng
-from .errors import FormatError
+from .errors import FormatError, read_input_text
 from .matrices import Matrix, _validate_grid
 from .reports import canonical_json
 
@@ -171,8 +171,7 @@ def parse_corpus_json(text: str) -> Corpus:
 
 
 def load_corpus(path: str) -> Corpus:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_corpus_json(fh.read())
+    return parse_corpus_json(read_input_text(path))
 
 
 def save_corpus(corpus: Corpus, path: str):

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the reader of input files
+that reports an undecodable file as a FormatError."""
 
 
 class DomainError(ValueError):
@@ -19,3 +20,12 @@ class HypothesisError(RuntimeError):
     def __init__(self, message, certificate=None):
         super().__init__(message)
         self.certificate = certificate
+
+
+def read_input_text(path: str) -> str:
+    """The text of an input file, which must be UTF-8."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as e:
+            raise FormatError(f"{path} is not UTF-8 text: {e}") from e

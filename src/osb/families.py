@@ -21,7 +21,8 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from . import rng
-from .errors import DomainError, FormatError, HypothesisError, ResourceError
+from .errors import (DomainError, FormatError, HypothesisError, ResourceError,
+                     read_input_text)
 
 DEFAULT_ENUM_CAP = 10_000_000
 
@@ -92,6 +93,16 @@ class MapFamily:
         arr.setflags(write=False)
         return arr
 
+    # The certificates are exact and the family is immutable, so each is
+    # computed once per family object, however often it is asked for.
+    @cached_property
+    def _marginal_certificate(self) -> MeasureCertificate:
+        return _compute_marginal_certificate(self)
+
+    @cached_property
+    def _pairwise_certificate(self) -> MeasureCertificate:
+        return _compute_pairwise_certificate(self)
+
 
 def symmetric_group(n: int) -> MapFamily:
     """All n! permutations of {1..n}."""
@@ -111,11 +122,11 @@ def explicit_family(maps: Sequence[Sequence[int]], n: int, N: int) -> MapFamily:
 
 def load_family(path: str) -> MapFamily:
     """Read an explicit family from JSON {"n": ..., "N": ..., "maps": [[...]]}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except ValueError as e:  # JSONDecodeError, or an integer too long to parse
-            raise FormatError(f"invalid JSON: {e}") from e
+    text = read_input_text(path)
+    try:
+        obj = json.loads(text)
+    except ValueError as e:  # JSONDecodeError, or an integer too long to parse
+        raise FormatError(f"invalid JSON: {e}") from e
     if not isinstance(obj, dict) or not {"n", "N", "maps"} <= set(obj):
         raise FormatError('family JSON needs keys "n", "N", "maps"')
     n, N, maps = obj["n"], obj["N"], obj["maps"]
@@ -223,6 +234,10 @@ class MeasureCertificate:
 
 def check_marginals(family: MapFamily) -> MeasureCertificate:
     """Exact check that every event {g(i) = j} has probability 1/N."""
+    return family._marginal_certificate
+
+
+def _compute_marginal_certificate(family: MapFamily) -> MeasureCertificate:
     n, N = family.n, family.N
     if family.kind in (KIND_SYMMETRIC, KIND_FULL_MAPPING):
         # each value j is attained by exactly |G|/N members at every index
@@ -255,6 +270,10 @@ def pairwise_constant(family: MapFamily) -> MeasureCertificate:
     Computed as N**2 times the maximal probability over distinct pairs; the
     maximum over an empty pair set (n = N = 1) is 0.
     """
+    return family._pairwise_certificate
+
+
+def _compute_pairwise_certificate(family: MapFamily) -> MeasureCertificate:
     n, N = family.n, family.N
     if family.kind in (KIND_SYMMETRIC, KIND_FULL_MAPPING):
         if n == 1:

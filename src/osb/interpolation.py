@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -248,11 +247,9 @@ def verify_lp_bounds(
     family: MapFamily,
     p: float,
     *,
-    c_pair: Fraction | None = None,
     cap: int | None = None,
     samples: int | None = None,
     seed: int = 0,
-    skip_hypothesis_check: bool = False,
     extra_inputs: dict | None = None,
 ) -> list[VerificationReport]:
     """The two lp reports: the upper bound with constant 1, and the recorded
@@ -260,14 +257,10 @@ def verify_lp_bounds(
 
     The lower constant is never numeric, so the ratio is logged rather than
     compared against a closed-form bound; the reference value
-    1/(32 (1 + 2C)^2) is attached for context.  A caller that has already
-    certified the family passes its pairwise constant ``c_pair`` and
-    ``skip_hypothesis_check``, as campaigns do once per cell.
+    1/(32 (1 + 2C)^2) is attached for context.
     """
-    if not skip_hypothesis_check:
-        require_uniform_marginals(family)
-    if c_pair is None:
-        c_pair = pairwise_constant(family).pairwise_bound
+    require_uniform_marginals(family)
+    c_pair = pairwise_constant(family).pairwise_bound
     reference = 1.0 / (32.0 * float((1 + 2 * c_pair)) ** 2)
     expectation = expected_lp_norm(
         a, family, p, cap=cap, samples=samples, seed=seed

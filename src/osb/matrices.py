@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, FormatError
+from .errors import DomainError, FormatError, read_input_text
 
 
 def render_float(x: float) -> str:
@@ -280,8 +280,7 @@ def parse_matrix_csv(text: str) -> Matrix:
 
 def load_matrix(path: str) -> Matrix:
     """Load a matrix from a .json or .csv file (format chosen by suffix)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_input_text(path)
     if path.endswith(".json"):
         return parse_matrix_json(text)
     return parse_matrix_csv(text)

@@ -585,7 +585,6 @@ def lemma_suite(
     *,
     thetas: Sequence[Fraction] = DEFAULT_THETAS,
     table: HitCountTable | None = None,
-    c_pair: Fraction | None = None,
     cap: int | None = None,
     skip_hypothesis_check: bool = False,
     extra_inputs: dict | None = None,
@@ -603,13 +602,12 @@ def lemma_suite(
         raise DomainError(f"ell={ell} out of range 1..{family.n}")
     if not skip_hypothesis_check:
         require_uniform_marginals(family)
-    if c_pair is None:
-        c_pair = pairwise_constant(family).pairwise_bound
+    c_pair = pairwise_constant(family).pairwise_bound
     if table is None:
         table = build_hit_table(family, order_map(a), cap=cap)
     base = {
         **(extra_inputs or {}),
         "matrix": a.digest(), "family": family.descriptor(), "ell": ell,
     }
-    columns = _lemma_columns(a, table, Fraction(c_pair), ell, thetas)
+    columns = _lemma_columns(a, table, c_pair, ell, thetas)
     return LemmaSweep(base, columns, len(thetas))

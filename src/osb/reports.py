@@ -26,6 +26,13 @@ STATUS_FAIL = "fail"
 STATUS_VACUOUS = "vacuous"
 
 
+# the keys of a report row, sorted
+_ROW_KEYS = (
+    "check_id", "constant", "direction", "extra", "inputs", "lhs", "margin",
+    "mode", "rhs", "status", "stderr",
+)
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """One directed inequality check.
@@ -53,20 +60,25 @@ class VerificationReport:
     def passed(self) -> bool:
         return self.status != STATUS_FAIL
 
+    def _row_values(self) -> tuple:
+        # the one definition of the row format: values in _ROW_KEYS order
+        # (to_json_obj and reports_to_json both read it)
+        return (
+            self.check_id,
+            None if self.constant is None else float(self.constant),
+            self.direction,
+            dict(self.extra),
+            dict(self.inputs),
+            float(self.lhs),
+            float(self.margin),
+            self.mode,
+            float(self.rhs),
+            self.status,
+            None if self.stderr is None else float(self.stderr),
+        )
+
     def to_json_obj(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "inputs": dict(self.inputs),
-            "lhs": float(self.lhs),
-            "rhs": float(self.rhs),
-            "direction": self.direction,
-            "constant": None if self.constant is None else float(self.constant),
-            "margin": float(self.margin),
-            "status": self.status,
-            "mode": self.mode,
-            "stderr": None if self.stderr is None else float(self.stderr),
-            "extra": dict(self.extra),
-        }
+        return dict(zip(_ROW_KEYS, self._row_values()))
 
 
 def _signed_margin(lhs, rhs, direction):
@@ -172,8 +184,8 @@ def _mapping_json(obj) -> str:
 
 
 def _keyed(reports: Iterable[VerificationReport]) -> list[tuple]:
-    """(check_id, canonical inputs, report) in report order: the inputs are
-    rendered once, for the sort key and for the emitted row alike."""
+    """(check_id, canonical inputs, report), stably sorted on the first two:
+    the inputs are rendered once, for the sort key and the emitted row alike."""
     keyed = [(r.check_id, canonical_json(dict(r.inputs)), r) for r in reports]
     keyed.sort(key=itemgetter(0, 1))
     return keyed
@@ -210,27 +222,21 @@ def summarize(reports: Sequence[VerificationReport]) -> dict:
     }
 
 
-def _optional_float(x) -> str:
-    return "null" if x is None else render_float(float(x))
+_ROW_PREFIXES = tuple(
+    ("{" if i == 0 else ",") + encode_basestring(k) + ":"
+    for i, k in enumerate(_ROW_KEYS)
+)
+_INPUTS = _ROW_KEYS.index("inputs")
 
 
 def _report_json(r: VerificationReport, inputs: str) -> str:
-    # canonical_json(r.to_json_obj()), written field by field in sorted-key
+    # canonical_json(r.to_json_obj()), written field by field in _ROW_KEYS
     # order with the inputs already rendered
-    return (
-        '{"check_id":' + canonical_json(r.check_id)
-        + ',"constant":' + _optional_float(r.constant)
-        + ',"direction":' + canonical_json(r.direction)
-        + ',"extra":' + canonical_json(dict(r.extra))
-        + ',"inputs":' + inputs
-        + ',"lhs":' + render_float(float(r.lhs))
-        + ',"margin":' + render_float(float(r.margin))
-        + ',"mode":' + canonical_json(r.mode)
-        + ',"rhs":' + render_float(float(r.rhs))
-        + ',"status":' + canonical_json(r.status)
-        + ',"stderr":' + _optional_float(r.stderr)
-        + "}"
-    )
+    values = r._row_values()
+    return "".join([
+        prefix + (inputs if i == _INPUTS else canonical_json(values[i]))
+        for i, prefix in enumerate(_ROW_PREFIXES)
+    ]) + "}"
 
 
 def reports_to_json(reports: Sequence[VerificationReport]) -> str:

@@ -1,12 +1,11 @@
 """Independent brute-force oracles used to freeze and cross-check expected
 values.  These deliberately avoid the package's computation paths: plain
 itertools enumeration, exact Fractions, closed forms, and direct
-minimization.  Some helpers are not oracles in that sense: three thin
-wrappers over package internals that only tests call; the vectorized
+minimization.  Three helpers are not oracles in that sense: the vectorized
 hinge-norm bisection, which the acceptance criteria run over many vectors at
 once; the lemma-suite oracle, which reads the package's hit-count table but
 decides every instance with its own Fractions; and, at the end, the recursive
-canonical serializer and report renderings that the single-pass ones
+canonical serializer and the report renderings that the single-pass ones
 replaced."""
 
 from __future__ import annotations
@@ -92,32 +91,6 @@ def k_functional_oracle(x, t, grid_points=10000) -> float:
     grid = np.union1d(np.linspace(0.0, top, grid_points), absx)
     costs = np.maximum(absx[None, :] - grid[:, None], 0.0).sum(axis=1) + t * grid
     return float(costs.min())
-
-
-# ---------------------------------------------------------------------------
-# Thin wrappers over package internals that only the tests call.
-
-
-def decreasing_rearrangement(m) -> np.ndarray:
-    """Entries of ``m`` sorted in nonincreasing order."""
-    return m.rearrangement
-
-
-def expectation_coefficients(family, order, ell, table=None, cap=None):
-    """The ell*N exact coefficients representing the expectation as a linear
-    functional of the ordered entries."""
-    from osb.orderstats import build_hit_table
-
-    if table is None:
-        table = build_hit_table(family, order, cap=cap)
-    return table.coefficients(ell)
-
-
-def k_functional_mixed(a, family, t, *, cap=None, samples=None, seed=0) -> float:
-    """Average of k_functional over the family's paths at weight t."""
-    from osb.interpolation import mixed_k_curve
-
-    return mixed_k_curve(a, family, cap=cap, samples=samples, seed=seed).value(t)
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +370,26 @@ def oracle_reports_doc(reports) -> dict:
 
     ordered = oracle_sort_reports(reports)
     return {
-        "reports": [r.to_json_obj() for r in ordered],
+        "reports": [oracle_report_row(r) for r in ordered],
         "summary": summarize(ordered),
+    }
+
+
+def oracle_report_row(r) -> dict:
+    """One row of the report document, as ``VerificationReport.to_json_obj``
+    built it before the row format got a single definition."""
+    return {
+        "check_id": r.check_id,
+        "inputs": dict(r.inputs),
+        "lhs": float(r.lhs),
+        "rhs": float(r.rhs),
+        "direction": r.direction,
+        "constant": None if r.constant is None else float(r.constant),
+        "margin": float(r.margin),
+        "status": r.status,
+        "mode": r.mode,
+        "stderr": None if r.stderr is None else float(r.stderr),
+        "extra": dict(r.extra),
     }
 
 

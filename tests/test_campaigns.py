@@ -97,6 +97,26 @@ def test_file_family_is_loaded_once_per_campaign(small_corpus, tmp_path,
     assert calls == [str(path)]
 
 
+def test_file_family_is_certified_once_per_campaign(small_corpus, tmp_path,
+                                                    monkeypatch):
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps({"n": 2, "N": 2, "maps": [[1, 2], [2, 1]]}))
+    calls = []
+    compute = families._compute_pairwise_certificate
+
+    def counted(family):
+        calls.append(family.descriptor())
+        return compute(family)
+
+    monkeypatch.setattr(families, "_compute_pairwise_certificate", counted)
+    spec = FamilySpec("file", path=str(path))
+    for run in (run_verify_main, run_lemmas,
+                lambda c, s: run_verify_lp(c, s, [1.5, 3.0])):
+        calls.clear()
+        assert run(small_corpus, spec)
+        assert len(calls) == 1
+
+
 def test_ell_range_is_clamped(small_corpus):
     reports = run_verify_main(small_corpus, SYM, ell_range=(2, 9))
     ells = {(r.inputs["cell"], r.inputs["ell"]) for r in reports}

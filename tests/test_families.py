@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from osb import families
 from osb.errors import DomainError, FormatError, HypothesisError, ResourceError
 from osb.families import (
     FamilySpec,
@@ -90,6 +91,12 @@ class TestLoadFamily:
         with pytest.raises(FormatError):
             load_family(str(path))
 
+    def test_non_utf8_file_is_a_format_error(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"n": 1, "N": 1, "maps": [[1]], "note": "\xe9"}')
+        with pytest.raises(FormatError, match="not UTF-8"):
+            load_family(str(path))
+
     def test_duplicates_weight_the_measure(self):
         fam = explicit_family([[1, 1], [1, 1], [2, 2]], 2, 2)
         cert = check_marginals(fam)
@@ -168,6 +175,35 @@ class TestPairwiseConstant:
     def test_singleton_shape_has_zero_constant(self):
         assert pairwise_constant(symmetric_group(1)).pairwise_bound == 0
         assert pairwise_constant(full_mapping_family(1, 4)).pairwise_bound == 0
+
+
+class TestCertificateCache:
+    def test_each_certificate_is_computed_once_per_family(self, monkeypatch):
+        calls = []
+
+        def counted(name):
+            compute = getattr(families, name)
+
+            def wrapper(family):
+                calls.append(name)
+                return compute(family)
+            return wrapper
+
+        for name in ("_compute_marginal_certificate",
+                     "_compute_pairwise_certificate"):
+            monkeypatch.setattr(families, name, counted(name))
+        fam = explicit_family(all_permutations(3) * 2, 3, 3)
+        for _ in range(3):
+            require_uniform_marginals(fam)
+            assert check_marginals(fam) is check_marginals(fam)
+            assert pairwise_constant(fam) is pairwise_constant(fam)
+        assert sorted(calls) == ["_compute_marginal_certificate",
+                                 "_compute_pairwise_certificate"]
+        twin = explicit_family(all_permutations(3) * 2, 3, 3)
+        assert twin == fam and "_pairwise_certificate" not in vars(twin)
+        assert pairwise_constant(twin) == pairwise_constant(fam)
+        assert check_marginals(twin) == check_marginals(fam)
+        assert len(calls) == 4
 
 
 class TestSampling:

@@ -20,13 +20,7 @@ from osb.interpolation import (
 from osb.matrices import Matrix
 from osb.orderstats import path_values
 
-from oracles import (
-    all_mappings,
-    all_permutations,
-    brute_expected_lp,
-    k_functional_mixed,
-    k_functional_oracle,
-)
+from oracles import all_mappings, all_permutations, brute_expected_lp, k_functional_oracle
 
 
 def random_matrix(n, N, seed):
@@ -87,15 +81,15 @@ class TestMixedKFunctional:
         a = Matrix.from_rows([[1] * 3] * 3)
         fam = symmetric_group(3)
         for t in (0.5, 1.0, 2.25, 3.0):
-            assert k_functional_mixed(a, fam, t) == pytest.approx(t, abs=1e-12)
+            assert mixed_k_curve(a, fam).value(t) == pytest.approx(t, abs=1e-12)
 
     def test_two_permutations_example(self):
         a = Matrix.from_rows([[1, 0], [0, 1]])
-        assert k_functional_mixed(a, symmetric_group(2), 1.0) == pytest.approx(0.5)
+        assert mixed_k_curve(a, symmetric_group(2)).value(1.0) == pytest.approx(0.5)
 
     def test_zero_weight(self):
         a = random_matrix(2, 2, seed=1)
-        assert k_functional_mixed(a, symmetric_group(2), 0.0) == 0.0
+        assert mixed_k_curve(a, symmetric_group(2)).value(0.0) == 0.0
 
     def test_equals_average_of_member_curves(self):
         a = random_matrix(3, 2, seed=2)
@@ -104,13 +98,13 @@ class TestMixedKFunctional:
             direct = np.mean([
                 k_functional(path_values(a, g), t) for g in all_mappings(3, 2)
             ])
-            assert k_functional_mixed(a, fam, t) == pytest.approx(float(direct), abs=1e-12)
+            assert mixed_k_curve(a, fam).value(t) == pytest.approx(float(direct), abs=1e-12)
 
     def test_mc_close_to_exact(self):
         a = random_matrix(3, 3, seed=3)
         fam = full_mapping_family(3, 3)
-        exact = k_functional_mixed(a, fam, 1.5)
-        approx = k_functional_mixed(a, fam, 1.5, samples=200000, seed=1)
+        exact = mixed_k_curve(a, fam).value(1.5)
+        approx = mixed_k_curve(a, fam, samples=200000, seed=1).value(1.5)
         assert approx == pytest.approx(exact, rel=2e-2)
 
 

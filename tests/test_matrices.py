@@ -15,8 +15,6 @@ from osb.matrices import (
     reduce_to_top,
 )
 
-from oracles import decreasing_rearrangement
-
 
 def small_matrices(max_dim=4):
     return st.integers(1, max_dim).flatmap(
@@ -32,22 +30,22 @@ def small_matrices(max_dim=4):
 class TestRearrangement:
     def test_symmetric_example(self):
         m = Matrix.from_rows([[1, 0], [0, 1]])
-        assert decreasing_rearrangement(m).tolist() == [1, 1, 0, 0]
+        assert m.rearrangement.tolist() == [1, 1, 0, 0]
 
     def test_direct_sort_example(self):
         m = Matrix.from_rows([[3, 1], [2, 2]])
-        assert decreasing_rearrangement(m).tolist() == [3, 2, 2, 1]
+        assert m.rearrangement.tolist() == [3, 2, 2, 1]
 
     def test_zero_matrix(self):
-        assert decreasing_rearrangement(Matrix.zeros(3, 3)).tolist() == [0.0] * 9
+        assert Matrix.zeros(3, 3).rearrangement.tolist() == [0.0] * 9
 
     @given(small_matrices())
     @settings(max_examples=50, deadline=None)
     def test_permutation_invariance(self, m):
         rng = np.random.default_rng(0)
         shuffled = m.entries[rng.permutation(m.rows)][:, rng.permutation(m.cols)]
-        assert decreasing_rearrangement(Matrix(shuffled)).tolist() == \
-            decreasing_rearrangement(m).tolist()
+        assert Matrix(shuffled).rearrangement.tolist() == \
+            m.rearrangement.tolist()
 
     def test_abs_at_construction(self):
         m = Matrix.from_rows([[-3, 1]])

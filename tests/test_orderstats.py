@@ -26,7 +26,6 @@ from oracles import (
     brute_expected_top_sum,
     brute_hit_tail,
     check_lemma34,
-    expectation_coefficients,
 )
 
 
@@ -223,7 +222,7 @@ class TestCoefficients:
         order = order_map(a)
         for fam in (symmetric_group(3), full_mapping_family(3, 3)):
             for ell in (1, 2, 3):
-                coeffs = expectation_coefficients(fam, order, ell)
+                coeffs = build_hit_table(fam, order).coefficients(ell)
                 for _ in range(20):
                     vals = np.sort(rng.uniform(0, 1, ell * 3))[::-1]
                     b = np.zeros((3, 3))
@@ -252,7 +251,7 @@ class TestCoefficients:
     def test_full_coefficients_sum_to_n(self):
         a = random_matrix(3, 3, seed=31)
         for fam in (symmetric_group(3), full_mapping_family(3, 3)):
-            coeffs = expectation_coefficients(fam, order_map(a), 3)
+            coeffs = build_hit_table(fam, order_map(a)).coefficients(3)
             assert sum(coeffs, Fraction(0)) == 3
 
 

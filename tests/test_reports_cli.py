@@ -121,6 +121,22 @@ class TestCli:
     def test_usage_error_exit_code(self):
         assert cli.main(["verify-main", "--family", "nope:2"]) == 2
 
+    @pytest.mark.parametrize("name,flag", [
+        ("m.csv", "--matrix"), ("m.json", "--matrix"), ("c.json", "--corpus"),
+        ("f.json", "--family"), ("cfg", "--config"),
+    ])
+    def test_non_utf8_input_file_is_a_usage_error(self, tmp_path, capsys,
+                                                  name, flag):
+        path = tmp_path / name
+        path.write_bytes(b"1,\xe9\n")
+        value = f"file:{path}" if flag == "--family" else str(path)
+        argv = ["verify-main", "--family", "sym", flag, value]
+        if flag == "--family":
+            argv = ["verify-main", flag, value]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "is not UTF-8 text" in err and "Traceback" not in err
+
     def test_campaign_aborts_on_hypothesis_failure(self, matrix_file,
                                                    biased_family_file, capsys):
         code = cli.main([
