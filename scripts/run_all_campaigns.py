@@ -4,11 +4,13 @@
 Usage: python scripts/run_all_campaigns.py [--out-dir OUT] [--seed S]
 
 Writes one JSON report file per (campaign, family kind) into OUT (default
-./reports), prints a summary block per file, and exits nonzero if any
-non-vacuous check fails.
+./reports), prints a summary block and a ``sha256 <hex>  <file>`` line per
+file, and exits nonzero if any non-vacuous check fails.  Two runs write the
+same bytes when ``grep sha256`` of their logs match.
 """
 
 import argparse
+import hashlib
 import sys
 import time
 from pathlib import Path
@@ -42,13 +44,14 @@ def main() -> int:
     ]
     ok = True
     for name, job in jobs:
-        t0 = time.time()
+        t0 = time.perf_counter()
         reports = job()
         path = out_dir / f"{name}.json"
         # the bytes `osb ... --out` writes, whatever the locale
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(reports_to_json(reports))
-        print(f"\n== {name} ({time.time() - t0:.1f}s) -> {path}")
+        data = reports_to_json(reports).encode("utf-8")
+        path.write_bytes(data)
+        print(f"\n== {name} ({time.perf_counter() - t0:.1f}s) -> {path}")
+        print(f"sha256 {hashlib.sha256(data).hexdigest()}  {path.name}")
         print(format_summary(summarize(reports)))
         ok = ok and all_passed(reports)
     return 0 if ok else 1

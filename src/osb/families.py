@@ -15,7 +15,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -63,9 +63,7 @@ class MapFamily:
         if self.kind == KIND_EXPLICIT:
             if not self.members:
                 raise DomainError("explicit families must be nonempty")
-            for g in self.members:
-                if len(g) != self.n or any(not 1 <= v <= self.N for v in g):
-                    raise DomainError(f"map {g} is not {self.n} values in 1..{self.N}")
+            self._members_array  # converts and range-checks every value, once
         elif self.members is not None:
             raise DomainError("built-in kinds carry no explicit member list")
 
@@ -82,6 +80,11 @@ class MapFamily:
             return f"sym:{self.n}"
         if self.kind == KIND_FULL_MAPPING:
             return f"map:{self.n}:{self.N}"
+        return self._explicit_descriptor
+
+    @cached_property
+    def _explicit_descriptor(self) -> str:
+        # hashes every member, so it is computed once per family object
         payload = f"{self.n}:{self.N}:" + ";".join(
             ",".join(map(str, g)) for g in self.members
         )
@@ -89,7 +92,13 @@ class MapFamily:
 
     @cached_property
     def _members_array(self) -> np.ndarray:
-        arr = np.asarray(self.members, dtype=np.int64)
+        if any(len(g) != self.n for g in self.members):
+            raise DomainError(f"each map must list {self.n} values")
+        arr = np.asarray(self.members)
+        if (arr.ndim != 2 or arr.dtype.kind not in "iu"
+                or not ((arr >= 1) & (arr <= self.N)).all()):
+            raise DomainError(f"map values must be integers in 1..{self.N}")
+        arr = arr.astype(np.int64, copy=False)
         arr.setflags(write=False)
         return arr
 
@@ -117,7 +126,7 @@ def full_mapping_family(n: int, N: int) -> MapFamily:
 def explicit_family(maps: Sequence[Sequence[int]], n: int, N: int) -> MapFamily:
     """A listed family; duplicates weight the counting measure."""
     return MapFamily(n=n, N=N, kind=KIND_EXPLICIT,
-                     members=tuple(tuple(int(v) for v in g) for g in maps))
+                     members=tuple(tuple(g) for g in maps))
 
 
 def load_family(path: str) -> MapFamily:
@@ -138,9 +147,9 @@ def load_family(path: str) -> MapFamily:
         if not isinstance(g, list) or len(g) != n:
             raise FormatError(f"each map must list {n} values")
         for v in g:
-            if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= N:
-                raise FormatError(f"map value {v!r} outside 1..{N}")
-    try:
+            if type(v) is not int:  # JSON gives int, bool, float, str, list, dict or None
+                raise FormatError(f"map value {v!r} is not an integer")
+    try:  # MapFamily range-checks the values
         return explicit_family(maps, n, N)
     except DomainError as e:
         raise FormatError(str(e)) from e
@@ -165,33 +174,79 @@ def iter_member_arrays(
     """Stream all members as int64 arrays of shape (B, n), values 1..N.
 
     Iteration order is fixed: lexicographic for built-in kinds, list order for
-    explicit families.  Chunk boundaries never change the multiset.
+    explicit families.  Every block but the last holds ``chunk`` rows.  The
+    order and the cut points are part of the output contract: exact
+    expectations add per-block float sums, whose last bits depend on both.
     """
     require_enumerable(family, cap)
-    n, N = family.n, family.N
     if family.kind == KIND_EXPLICIT:
         arr = family._members_array
         for lo in range(0, arr.shape[0], chunk):
             yield arr[lo : lo + chunk]
-    elif family.kind == KIND_SYMMETRIC:
-        it = itertools.permutations(range(1, n + 1))
-        while True:
-            block = list(itertools.islice(it, chunk))
-            if not block:
-                return
-            yield np.asarray(block, dtype=np.int64)
+        return
+    n, N = family.n, family.N
+    if family.kind == KIND_SYMMETRIC:
+        # each prefix of n - r values, in lexicographic order, is followed by
+        # the permutations of the values it leaves out, in lexicographic order
+        r = min(n, _SYM_TABLE_WIDTH)
+        table = _permutation_table(r)
+        runs = ((prefix,
+                 np.array([v for v in range(1, n + 1) if v not in prefix])[table])
+                for prefix in itertools.permutations(range(1, n + 1), n - r))
     else:
-        total = family.size
-        powers = N ** np.arange(n - 1, -1, -1, dtype=np.int64)
-        for lo in range(0, total, chunk):
-            idx = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-            yield (idx[:, None] // powers) % N + 1
+        # the high n - r digits stay fixed over each run of N**r rows
+        r = 1
+        while r < n and N ** (r + 1) <= _MAP_TABLE_ROWS:
+            r += 1
+        table = _mapping_table(N, r)
+        runs = ((prefix, table)
+                for prefix in itertools.product(range(1, N + 1), repeat=n - r))
+    yield from _blocks_from_runs(runs, n, family.size, chunk)
 
 
-def iter_members(family: MapFamily, cap: int | None = None) -> Iterator[tuple[int, ...]]:
-    for block in iter_member_arrays(family, cap=cap):
-        for row in block:
-            yield tuple(int(v) for v in row)
+# r = 7 keeps the permutation table at 5040 rows; N**r <= 4096 (or r = 1)
+# keeps a mapping table at a few hundred KB.  Both are far below the default
+# chunk.
+_SYM_TABLE_WIDTH = 7
+_MAP_TABLE_ROWS = 4096
+
+
+@lru_cache(maxsize=None)
+def _permutation_table(r: int) -> np.ndarray:
+    """All permutations of range(r) in lexicographic order, read-only."""
+    table = np.array(list(itertools.permutations(range(r))), dtype=np.intp)
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=32)
+def _mapping_table(N: int, r: int) -> np.ndarray:
+    """All maps {1..r} -> {1..N} in lexicographic order, read-only."""
+    digits = np.indices((N,) * r, dtype=np.int64).reshape(r, -1).T
+    table = np.ascontiguousarray(digits) + 1
+    table.setflags(write=False)
+    return table
+
+
+def _blocks_from_runs(runs, n: int, total: int, chunk: int) -> Iterator[np.ndarray]:
+    """Cut the rows of consecutive (prefix, suffix rows) runs into fresh
+    (chunk, n) blocks, the last one shorter, each written in place."""
+    block, filled = None, 0
+    for prefix, rows in runs:
+        split = n - rows.shape[1]
+        pos = 0
+        while pos < rows.shape[0]:
+            if block is None:
+                block, filled = np.empty((min(chunk, total), n), dtype=np.int64), 0
+            k = min(rows.shape[0] - pos, block.shape[0] - filled)
+            block[filled : filled + k, :split] = prefix
+            block[filled : filled + k, split:] = rows[pos : pos + k]
+            pos += k
+            filled += k
+            if filled == block.shape[0]:
+                total -= filled
+                yield block
+                block = None
 
 
 # ---------------------------------------------------------------------------

@@ -80,8 +80,14 @@ class OrderStatResult:
     stderr: Optional[float] = None
 
 
+def _gather(table: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """table[i, block[:, i] - 1] for every row of the block, as one flat take."""
+    n, N = table.shape
+    return table.ravel().take(block + (np.arange(n) * N - 1))
+
+
 def _paths_for_block(a: Matrix, block: np.ndarray) -> np.ndarray:
-    return a.entries[np.arange(a.rows)[None, :], block - 1]
+    return _gather(a.entries, block)
 
 
 class RunningMoments:
@@ -228,7 +234,7 @@ def build_hit_table(
     hist = np.zeros((n + 1, nN + 1), dtype=np.int64)
     rank = order.rank_of
     for block in iter_member_arrays(family, cap=cap):
-        pos = rank[np.arange(n)[None, :], block - 1].copy()
+        pos = _gather(rank, block)
         pos.sort(axis=1)
         for k in range(1, n + 1):
             hist[k] += np.bincount(pos[:, k - 1], minlength=nN + 1)

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to freeze and cross-check expected
 values.  These deliberately avoid the package's computation paths: plain
-itertools enumeration, exact Fractions, closed forms, and direct
-minimization.  Three helpers are not oracles in that sense: the vectorized
+itertools enumeration, exact Fractions, closed forms, direct minimization,
+and the member generators and path gather that the table-driven ones
+replaced.  Three helpers are not oracles in that sense: the vectorized
 hinge-norm bisection, which the acceptance criteria run over many vectors at
 once; the lemma-suite oracle, which reads the package's hit-count table but
 decides every instance with its own Fractions; and, at the end, the recursive
@@ -79,6 +80,41 @@ def brute_hit_tail(maps, positions, k) -> Fraction:
         if hits >= k:
             count += 1
     return Fraction(count, len(maps))
+
+
+# ---------------------------------------------------------------------------
+# member blocks and path gathers as computed before the table-driven ones
+
+
+def oracle_member_blocks(family, chunk=65536):
+    """The blocks ``iter_member_arrays`` yields: built-in members streamed
+    from itertools (permutations) or digit arithmetic (mappings), cut every
+    ``chunk`` rows."""
+    from osb.families import KIND_EXPLICIT, KIND_SYMMETRIC
+
+    n, N = family.n, family.N
+    if family.kind == KIND_EXPLICIT:
+        arr = np.asarray(family.members, dtype=np.int64)
+        for lo in range(0, arr.shape[0], chunk):
+            yield arr[lo : lo + chunk]
+    elif family.kind == KIND_SYMMETRIC:
+        it = itertools.permutations(range(1, n + 1))
+        while True:
+            block = list(itertools.islice(it, chunk))
+            if not block:
+                return
+            yield np.asarray(block, dtype=np.int64)
+    else:
+        total = family.size
+        powers = N ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        for lo in range(0, total, chunk):
+            idx = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
+            yield (idx[:, None] // powers) % N + 1
+
+
+def oracle_gather(table, block):
+    """table[i, block[:, i] - 1] for every row of the block, by fancy index."""
+    return table[np.arange(table.shape[0])[None, :], block - 1]
 
 
 def k_functional_oracle(x, t, grid_points=10000) -> float:

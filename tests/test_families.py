@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -14,7 +15,6 @@ from osb.families import (
     family_for_cell,
     full_mapping_family,
     iter_member_arrays,
-    iter_members,
     load_family,
     pairwise_constant,
     parse_family_spec,
@@ -24,7 +24,12 @@ from osb.families import (
     symmetric_group,
 )
 
-from oracles import all_mappings, all_permutations, brute_pairwise_constant
+from oracles import (
+    all_mappings,
+    all_permutations,
+    brute_pairwise_constant,
+    oracle_member_blocks,
+)
 
 
 class TestConstruction:
@@ -37,9 +42,11 @@ class TestConstruction:
         assert full_mapping_family(n, N).size == size
 
     def test_enumeration_matches_oracle(self):
-        got = sorted(iter_members(symmetric_group(3)))
+        got = sorted(map(tuple, np.vstack(list(
+            iter_member_arrays(symmetric_group(3)))).tolist()))
         assert got == sorted(all_permutations(3))
-        got = sorted(iter_members(full_mapping_family(2, 3)))
+        got = sorted(map(tuple, np.vstack(list(
+            iter_member_arrays(full_mapping_family(2, 3)))).tolist()))
         assert got == sorted(all_mappings(2, 3))
 
     def test_chunked_enumeration_is_the_same_multiset(self):
@@ -60,6 +67,88 @@ class TestConstruction:
             next(iter_member_arrays(symmetric_group(2)))
 
 
+_BLOCK_FAMILIES = (
+    [symmetric_group(n) for n in range(1, 10)]
+    + [full_mapping_family(n, N) for n, N in
+       [(1, 1), (1, 5), (4, 1), (2, 3), (5, 5), (3, 70), (1, 5000), (6, 7), (7, 8)]]
+)
+_CHUNKS = (1, 7, 5040, 5041, 65536)
+
+
+class TestMemberBlocks:
+    """The table-driven blocks against the generators they replaced.  Small
+    chunks are paired only with families of at most 50,000 blocks."""
+
+    @pytest.mark.parametrize("fam,chunk", [
+        (fam, chunk) for fam in _BLOCK_FAMILIES for chunk in _CHUNKS
+        if fam.size <= 50_000 * chunk
+    ], ids=lambda x: x.descriptor() if isinstance(x, families.MapFamily) else str(x))
+    def test_blocks_equal_the_oracle_block_for_block(self, fam, chunk):
+        got = iter_member_arrays(fam, chunk=chunk)
+        want = oracle_member_blocks(fam, chunk)
+        for g, w in itertools.zip_longest(got, want):
+            assert g is not None and w is not None
+            assert g.shape == w.shape and g.dtype == w.dtype == np.int64
+            assert np.array_equal(g, w)
+
+    def test_explicit_blocks_are_list_order_slices(self):
+        fam = explicit_family(all_permutations(4)[::-1] * 3, 4, 4)
+        for chunk in (1, 7, 72):
+            blocks = list(iter_member_arrays(fam, chunk=chunk))
+            want = list(oracle_member_blocks(fam, chunk))
+            assert len(blocks) == len(want)
+            assert all(np.array_equal(g, w) for g, w in zip(blocks, want))
+
+    def test_cached_tables_are_read_only(self):
+        for table in (families._permutation_table(7), families._mapping_table(8, 4)):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 99
+
+    def test_a_caller_cannot_corrupt_later_enumerations(self):
+        for fam in (symmetric_group(8), full_mapping_family(5, 6)):
+            for block in iter_member_arrays(fam, chunk=5041):
+                block[:] = 0
+            for g, w in zip(iter_member_arrays(fam), oracle_member_blocks(fam)):
+                assert np.array_equal(g, w)
+
+    def test_cap_raises_before_the_first_block(self, monkeypatch):
+        def no_blocks(*args):
+            raise AssertionError("a block was built")
+
+        monkeypatch.setattr(families, "_blocks_from_runs", no_blocks)
+        for fam in (symmetric_group(4), full_mapping_family(3, 3)):
+            with pytest.raises(ResourceError):
+                next(iter_member_arrays(fam, cap=fam.size - 1))
+
+
+class TestDescriptor:
+    def test_descriptor_strings(self):
+        assert symmetric_group(3).descriptor() == "sym:3"
+        assert full_mapping_family(2, 3).descriptor() == "map:2:3"
+        # sha256 of "2:2:1,2;2,1", first 8 hex digits
+        fam = explicit_family([[1, 2], [2, 1]], 2, 2)
+        assert fam.descriptor() == "explicit:c8a76a34"
+
+    def test_explicit_payload_is_hashed_once_per_object(self, monkeypatch):
+        calls = []
+        sha256 = families.hashlib.sha256
+
+        def counted(data):
+            calls.append(data)
+            return sha256(data)
+
+        monkeypatch.setattr(families.hashlib, "sha256", counted)
+        fam = explicit_family(all_permutations(3), 3, 3)
+        for _ in range(3):
+            fam.descriptor()
+            check_marginals(fam)
+            pairwise_constant(fam)
+        assert len(calls) == 1
+        twin = explicit_family(all_permutations(3), 3, 3)
+        assert twin.descriptor() == fam.descriptor() and len(calls) == 2
+
+
 class TestLoadFamily:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "fam.json"
@@ -72,7 +161,8 @@ class TestLoadFamily:
         path.write_text(json.dumps({"n": 2, "N": 2, "maps": [[1, 2], [2, 1]]}))
         fam = load_family(str(path))
         builtin = symmetric_group(2)
-        assert sorted(iter_members(fam)) == sorted(iter_members(builtin))
+        assert sorted(map(tuple, np.vstack(list(iter_member_arrays(fam))).tolist())) \
+            == sorted(map(tuple, np.vstack(list(iter_member_arrays(builtin))).tolist()))
         assert pairwise_constant(fam).pairwise_bound == \
             pairwise_constant(builtin).pairwise_bound
 
@@ -90,6 +180,27 @@ class TestLoadFamily:
         path.write_text(json.dumps({"n": 2, "N": 2, "maps": []}))
         with pytest.raises(FormatError):
             load_family(str(path))
+
+    @pytest.mark.parametrize("maps", [
+        [[1, 0]], [[True, 1]], [[1.0, 2]], [[1, "2"]], [[1, None]],
+        [[1, 2**70]], [[1, -2**70]], [[[1], 2]],
+    ])
+    def test_rejects_values_that_are_not_integers_in_range(self, tmp_path, maps):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": 2, "N": 2, "maps": maps}))
+        with pytest.raises(FormatError):
+            load_family(str(path))
+
+    def test_explicit_family_rejects_bad_members(self):
+        with pytest.raises(DomainError, match="integers in 1..2"):
+            explicit_family([[1, 2], [2, 3]], 2, 2)
+        with pytest.raises(DomainError, match="integers in 1..2"):
+            explicit_family([[1, 2], [2, 1.5]], 2, 2)
+        with pytest.raises(DomainError, match="each map must list 2 values"):
+            explicit_family([[1, 2], [2]], 2, 2)
+        fam = explicit_family(np.array([[2, 1], [1, 2]]), 2, 2)
+        assert fam._members_array.dtype == np.int64
+        assert fam.descriptor() == explicit_family([[2, 1], [1, 2]], 2, 2).descriptor()
 
     def test_non_utf8_file_is_a_format_error(self, tmp_path):
         path = tmp_path / "latin1.json"

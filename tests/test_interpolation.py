@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from osb.errors import DomainError
-from osb.families import full_mapping_family, iter_members, symmetric_group
+from osb.families import full_mapping_family, iter_member_arrays, symmetric_group
 from osb.interpolation import (
     InterpolationParams,
     KFunctionalCurve,
@@ -258,6 +258,6 @@ class TestVerifyLpBounds:
                     per_path = np.mean([
                         interpolation_norm(path_values(a, g), p)
                         if path_values(a, g).max() > 0 else 0.0
-                        for g in iter_members(fam)
+                        for block in iter_member_arrays(fam) for g in block
                     ])
                     assert mixed <= float(per_path) + 1e-9

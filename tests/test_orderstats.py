@@ -7,9 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osb.errors import DomainError, HypothesisError
-from osb.families import explicit_family, full_mapping_family, symmetric_group
+from osb.families import (
+    explicit_family,
+    full_mapping_family,
+    iter_member_arrays,
+    sample_array,
+    symmetric_group,
+)
 from osb.matrices import Matrix, indicator_matrix, order_map
 from osb.orderstats import (
+    _gather,
+    _paths_for_block,
     build_hit_table,
     expected_top_sum,
     expected_top_sum_mc,
@@ -26,11 +34,40 @@ from oracles import (
     brute_expected_top_sum,
     brute_hit_tail,
     check_lemma34,
+    oracle_gather,
 )
 
 
 def random_matrix(n, N, seed):
     return Matrix(np.random.default_rng(seed).uniform(0, 1, (n, N)))
+
+
+class TestGather:
+    """The flat take against the fancy-index gather it replaced."""
+
+    def test_bit_identical_on_signed_zeros_and_subnormals(self):
+        rng = np.random.default_rng(5)
+        specials = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                    np.nextafter(0.0, 1.0) * 3, np.inf, -np.inf, np.nan, 1e308]
+        for n, N in [(1, 1), (1, 6), (3, 4), (5, 5)]:
+            table = rng.choice(np.array(specials + [0.5, 1.25]), size=(n, N))
+            for block in iter_member_arrays(full_mapping_family(n, N), chunk=7):
+                got, want = _gather(table, block), oracle_gather(table, block)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_paths_and_ranks(self):
+        a = random_matrix(4, 4, 3)
+        rank = order_map(a).rank_of
+        for fam in (symmetric_group(4), full_mapping_family(4, 4)):
+            blocks = list(iter_member_arrays(fam, chunk=5))
+            blocks.append(sample_array(fam, seed=1, count=9))
+            for block in blocks:
+                assert np.array_equal(_paths_for_block(a, block).view(np.uint64),
+                                      oracle_gather(a.entries, block).view(np.uint64))
+                got = _gather(rank, block)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, oracle_gather(rank, block))
 
 
 class TestPathValues:
