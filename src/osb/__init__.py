@@ -5,9 +5,6 @@ from .errors import DomainError, FormatError, HypothesisError, ResourceError
 from .matrices import (
     Matrix,
     OrderMap,
-    averaged_top_matrix,
-    indicator_matrix,
-    kth_largest,
     load_matrix,
     order_map,
     reduce_to_top,
@@ -29,26 +26,19 @@ from .families import (
     symmetric_group,
 )
 from .orderstats import (
-    HitCountDistribution,
     HitCountTable,
     OrderStatResult,
     build_hit_table,
     expected_top_sum,
     expected_top_sum_mc,
-    hit_count_distribution,
     lemma_suite,
-    paley_zygmund_check,
-    path_top_sum,
-    path_values,
 )
 from .orlicz import (
-    extreme_point_matrices,
     luxemburg_norm,
     orlicz_upper_bound_check,
     top_sum_sandwich_check,
 )
 from .interpolation import (
-    InterpolationParams,
     KFunctionalCurve,
     ScalarExpectation,
     expected_lp_norm,
@@ -73,7 +63,6 @@ from .corpus import (
     default_corpus,
     generate_corpus,
     load_corpus,
-    save_corpus,
     single_matrix_corpus,
 )
 from .campaigns import (

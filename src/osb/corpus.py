@@ -157,7 +157,7 @@ def parse_corpus_json(text: str) -> Corpus:
         if not isinstance(cell, dict):
             raise FormatError("each corpus cell must be an object")
         n, N = cell.get("n"), cell.get("N")
-        if not isinstance(n, int) or not isinstance(N, int) or n < 1 or N < 1:
+        if type(n) is not int or type(N) is not int or n < 1 or N < 1:
             raise FormatError("cell dimensions must be positive integers")
         items = cell.get("matrices", [])
         if not isinstance(items, list) or not all(isinstance(i, dict) for i in items):
@@ -173,7 +173,3 @@ def parse_corpus_json(text: str) -> Corpus:
 def load_corpus(path: str) -> Corpus:
     return parse_corpus_json(read_input_text(path))
 
-
-def save_corpus(corpus: Corpus, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(corpus_to_json(corpus))

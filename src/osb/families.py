@@ -46,26 +46,41 @@ def enumeration_cap() -> int:
         ) from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MapFamily:
-    """A multiset of maps {1..n} -> {1..N}; probability of E is |E| / |G|."""
+    """A multiset of maps {1..n} -> {1..N}; probability of E is |E| / |G|.
+
+    An explicit family holds its members, in list order, as one read-only
+    (size, n) int64 array.  Two families are equal when their kinds, n, N
+    and member lists, in order, are equal.
+    """
 
     n: int
     N: int
     kind: str
-    members: Optional[tuple[tuple[int, ...], ...]] = None
+    members: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        if self.kind not in _KIND_CODES:
+            raise DomainError(f"unknown family kind {self.kind!r}")
         if self.n < 1 or self.N < 1:
             raise DomainError("n and N must be positive")
         if self.kind == KIND_SYMMETRIC and self.N != self.n:
             raise DomainError("symmetric-group families require N == n")
         if self.kind == KIND_EXPLICIT:
-            if not self.members:
-                raise DomainError("explicit families must be nonempty")
-            self._members_array  # converts and range-checks every value, once
+            object.__setattr__(self, "members",
+                               _member_array(self.members, self.n, self.N))
         elif self.members is not None:
             raise DomainError("built-in kinds carry no explicit member list")
+
+    def __eq__(self, other):
+        if not isinstance(other, MapFamily):
+            return NotImplemented
+        return ((self.kind, self.n, self.N) == (other.kind, other.n, other.N)
+                and np.array_equal(self.members, other.members))
+
+    def __hash__(self):
+        return hash(self.descriptor())
 
     @property
     def size(self) -> int:
@@ -73,7 +88,7 @@ class MapFamily:
             return math.factorial(self.n)
         if self.kind == KIND_FULL_MAPPING:
             return self.N**self.n
-        return len(self.members)
+        return self.members.shape[0]
 
     def descriptor(self) -> str:
         if self.kind == KIND_SYMMETRIC:
@@ -84,23 +99,13 @@ class MapFamily:
 
     @cached_property
     def _explicit_descriptor(self) -> str:
-        # hashes every member, so it is computed once per family object
-        payload = f"{self.n}:{self.N}:" + ";".join(
-            ",".join(map(str, g)) for g in self.members
-        )
+        # hashes every member, so it is computed once per family object; each
+        # value is written through a table of its distinct values' strings
+        values, codes = np.unique(self.members, return_inverse=True)
+        tokens = np.array([str(v) for v in values.tolist()], dtype=object)
+        rows = tokens[codes.reshape(self.members.shape)].tolist()
+        payload = f"{self.n}:{self.N}:" + ";".join(map(",".join, rows))
         return "explicit:" + hashlib.sha256(payload.encode()).hexdigest()[:8]
-
-    @cached_property
-    def _members_array(self) -> np.ndarray:
-        if any(len(g) != self.n for g in self.members):
-            raise DomainError(f"each map must list {self.n} values")
-        arr = np.asarray(self.members)
-        if (arr.ndim != 2 or arr.dtype.kind not in "iu"
-                or not ((arr >= 1) & (arr <= self.N)).all()):
-            raise DomainError(f"map values must be integers in 1..{self.N}")
-        arr = arr.astype(np.int64, copy=False)
-        arr.setflags(write=False)
-        return arr
 
     # The certificates are exact and the family is immutable, so each is
     # computed once per family object, however often it is asked for.
@@ -124,9 +129,25 @@ def full_mapping_family(n: int, N: int) -> MapFamily:
 
 
 def explicit_family(maps: Sequence[Sequence[int]], n: int, N: int) -> MapFamily:
-    """A listed family; duplicates weight the counting measure."""
-    return MapFamily(n=n, N=N, kind=KIND_EXPLICIT,
-                     members=tuple(tuple(g) for g in maps))
+    """A listed family; duplicates weight the counting measure.  ``maps`` is
+    a sequence of sequences or an array, copied once."""
+    return MapFamily(n=n, N=N, kind=KIND_EXPLICIT, members=maps)
+
+
+def _member_array(maps, n: int, N: int) -> np.ndarray:
+    try:
+        arr = np.array(maps)
+    except ValueError:  # a ragged nested list
+        raise DomainError(f"each map must list {n} values") from None
+    if maps is None or arr.shape[:1] == (0,):
+        raise DomainError("explicit families must be nonempty")
+    if arr.ndim != 2 or arr.shape[1] != n:
+        raise DomainError(f"each map must list {n} values")
+    if arr.dtype.kind not in "iu" or not ((arr >= 1) & (arr <= N)).all():
+        raise DomainError(f"map values must be integers in 1..{N}")
+    arr = arr.astype(np.int64, copy=False)
+    arr.setflags(write=False)
+    return arr
 
 
 def load_family(path: str) -> MapFamily:
@@ -139,17 +160,18 @@ def load_family(path: str) -> MapFamily:
     if not isinstance(obj, dict) or not {"n", "N", "maps"} <= set(obj):
         raise FormatError('family JSON needs keys "n", "N", "maps"')
     n, N, maps = obj["n"], obj["N"], obj["maps"]
-    if not isinstance(n, int) or not isinstance(N, int) or n < 1 or N < 1:
+    if type(n) is not int or type(N) is not int or n < 1 or N < 1:
         raise FormatError("n and N must be positive integers")
     if not isinstance(maps, list) or not maps:
         raise FormatError("maps must be a nonempty list")
-    for g in maps:
-        if not isinstance(g, list) or len(g) != n:
-            raise FormatError(f"each map must list {n} values")
-        for v in g:
-            if type(v) is not int:  # JSON gives int, bool, float, str, list, dict or None
-                raise FormatError(f"map value {v!r} is not an integer")
-    try:  # MapFamily range-checks the values
+    if any(type(g) is not list for g in maps):
+        raise FormatError(f"each map must list {n} values")
+    # JSON gives int, bool, float, str, list, dict or None; numpy would read
+    # a bool among ints as an int, so every value's type is checked here
+    if set(map(type, itertools.chain.from_iterable(maps))) - {int}:
+        bad = next(v for v in itertools.chain.from_iterable(maps) if type(v) is not int)
+        raise FormatError(f"map value {bad!r} is not an integer")
+    try:  # MapFamily checks the shape and the range
         return explicit_family(maps, n, N)
     except DomainError as e:
         raise FormatError(str(e)) from e
@@ -180,7 +202,7 @@ def iter_member_arrays(
     """
     require_enumerable(family, cap)
     if family.kind == KIND_EXPLICIT:
-        arr = family._members_array
+        arr = family.members
         for lo in range(0, arr.shape[0], chunk):
             yield arr[lo : lo + chunk]
         return
@@ -304,7 +326,7 @@ def _compute_marginal_certificate(family: MapFamily) -> MeasureCertificate:
     target = Fraction(1, N)
     worst = Fraction(0)
     uniform = True
-    arr = family._members_array
+    arr = family.members
     for i in range(n):
         counts = np.bincount(arr[:, i], minlength=N + 1)[1:]
         for j in range(N):
@@ -348,7 +370,7 @@ def _compute_pairwise_certificate(family: MapFamily) -> MeasureCertificate:
         )
 
     size = family.size
-    arr = family._members_array
+    arr = family.members
     best_count = 0
     argmax = None
     for i1 in range(n):
@@ -423,7 +445,7 @@ def sample_array(
         return (w % np.uint64(N)).astype(np.int64) + 1
     if family.kind == KIND_EXPLICIT:
         idx = (w[:, 0] % np.uint64(family.size)).astype(np.int64)
-        return family._members_array[idx]
+        return family.members[idx]
     perm = np.tile(np.arange(1, n + 1, dtype=np.int64), (count, 1))
     rows = np.arange(count)
     for t in range(n - 1):

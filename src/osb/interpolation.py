@@ -126,29 +126,6 @@ def mixed_k_curve(
 # the (theta, p) interpolation norm with theta = 1 - 1/p
 
 
-@dataclass(frozen=True)
-class InterpolationParams:
-    """Exponent bookkeeping: theta = 1 - 1/p and q = p.
-
-    The integral norm needs 0 < theta < 1, i.e. p > 1; p = 1 is handled by
-    the exact identity in the lp verifier instead.
-    """
-
-    p: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.p) or self.p < 1.0:
-            raise DomainError("p must be finite and >= 1")
-
-    @property
-    def theta(self) -> float:
-        return 1.0 - 1.0 / self.p
-
-    @property
-    def q(self) -> float:
-        return self.p
-
-
 def interpolation_norm_from_curve(curve: KFunctionalCurve, p: float) -> float:
     """(integral of [t^-theta K(t)]^p dt/t)^(1/p) for theta = 1 - 1/p.
 

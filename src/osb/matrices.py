@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -76,12 +76,6 @@ class Matrix:
             raise DomainError(f"count {count} out of range 0..{self.rows * self.cols}")
         return float(self._partial_sums[count])
 
-    def entry(self, i: int, j: int) -> float:
-        """Entry in row i, column j (1-based)."""
-        if not (1 <= i <= self.rows and 1 <= j <= self.cols):
-            raise DomainError(f"position ({i},{j}) outside {self.rows}x{self.cols}")
-        return float(self.entries[i - 1, j - 1])
-
     @cached_property
     def _digest(self) -> str:
         payload = f"{self.rows}x{self.cols}:" + ",".join(
@@ -104,14 +98,6 @@ class Matrix:
         return cls(np.zeros((n, N)))
 
 
-def kth_largest(x: Sequence[float], k: int) -> float:
-    """The k-th largest of the absolute values of ``x`` (k = 1 is the max)."""
-    vals = np.abs(np.asarray(x, dtype=np.float64))
-    if not 1 <= k <= vals.size:
-        raise DomainError(f"k={k} out of range 1..{vals.size}")
-    return float(np.sort(vals)[vals.size - k])
-
-
 @dataclass(frozen=True)
 class OrderMap:
     """Bijection from ranks 1..n*N to matrix positions, nonincreasing in value.
@@ -126,7 +112,8 @@ class OrderMap:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if len(self.pairs) != self.n * self.N or len(set(self.pairs)) != len(self.pairs):
+        grid = {(i, j) for i in range(1, self.n + 1) for j in range(1, self.N + 1)}
+        if len(self.pairs) != len(grid) or set(self.pairs) != grid:
             raise DomainError("pairs must enumerate every position exactly once")
 
     @cached_property
@@ -138,37 +125,6 @@ class OrderMap:
         rank.setflags(write=False)
         return rank
 
-    def position(self, r: int) -> tuple[int, int]:
-        if not 1 <= r <= self.n * self.N:
-            raise DomainError(f"rank {r} out of range 1..{self.n * self.N}")
-        return self.pairs[r - 1]
-
-    def values_along(self, m: Matrix) -> np.ndarray:
-        """m's entries read in rank order (the rearrangement when compatible)."""
-        self._check_dims(m)
-        flat = np.array([m.entries[i - 1, j - 1] for i, j in self.pairs])
-        return flat
-
-    def compatible_with(self, m: Matrix) -> bool:
-        """True if the entry values are nonincreasing along the full ordering."""
-        v = self.values_along(m)
-        return bool(np.all(v[:-1] >= v[1:]))
-
-    def in_ordered_class(self, m: Matrix, ell: int) -> bool:
-        """Membership test for the class of matrices carried by this ordering:
-        values nonincreasing on ranks 1..ell*N and zero beyond."""
-        if not 1 <= ell <= self.n:
-            raise DomainError(f"ell={ell} out of range 1..{self.n}")
-        v = self.values_along(m)
-        top = ell * self.N
-        return bool(np.all(v[: top - 1] >= v[1:top]) and np.all(v[top:] == 0.0))
-
-    def _check_dims(self, m: Matrix):
-        if (m.rows, m.cols) != (self.n, self.N):
-            raise DomainError(
-                f"matrix is {m.rows}x{m.cols}, ordering is {self.n}x{self.N}"
-            )
-
 
 def order_map(m: Matrix) -> OrderMap:
     """Canonical ordering of positions by entry value, largest first."""
@@ -177,32 +133,10 @@ def order_map(m: Matrix) -> OrderMap:
     return OrderMap(m.rows, m.cols, tuple(positions))
 
 
-def averaged_top_matrix(m: Matrix, order: OrderMap, ell: int) -> Matrix:
-    """Replace the ell*N largest entries by their average, zero the rest."""
-    order._check_dims(m)
-    if not 1 <= ell <= m.rows:
-        raise DomainError(f"ell={ell} out of range 1..{m.rows}")
-    top = ell * order.N
-    avg = m.top_sum(top) / top
-    out = np.zeros((order.n, order.N))
-    for i, j in order.pairs[:top]:
-        out[i - 1, j - 1] = avg
-    return Matrix(out)
-
-
-def indicator_matrix(order: OrderMap, m: int) -> Matrix:
-    """Matrix with ones at the positions of the m largest entries."""
-    if not 1 <= m <= order.n * order.N:
-        raise DomainError(f"m={m} out of range 1..{order.n * order.N}")
-    out = np.zeros((order.n, order.N))
-    for i, j in order.pairs[:m]:
-        out[i - 1, j - 1] = 1.0
-    return Matrix(out)
-
-
 def reduce_to_top(m: Matrix, order: OrderMap, ell: int) -> Matrix:
     """Zero every entry outside the ell*N largest (ties resolved by ``order``)."""
-    order._check_dims(m)
+    if (m.rows, m.cols) != (order.n, order.N):
+        raise DomainError(f"matrix is {m.rows}x{m.cols}, ordering is {order.n}x{order.N}")
     if not 1 <= ell <= m.rows:
         raise DomainError(f"ell={ell} out of range 1..{m.rows}")
     out = np.zeros((order.n, order.N))
@@ -224,7 +158,7 @@ def matrix_to_json_obj(m: Matrix) -> dict:
 
 
 def _validate_grid(rows_field, cols_field, grid) -> Matrix:
-    if not isinstance(rows_field, int) or not isinstance(cols_field, int):
+    if type(rows_field) is not int or type(cols_field) is not int:
         raise FormatError("rows/cols must be integers")
     if rows_field < 1 or cols_field < 1:
         raise FormatError("dimensions must be positive")

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .reports import (
     STATUS_FAIL,
     STATUS_PASS,
     VerificationReport,
-    exact_inequality_report,
     vacuous_report,
 )
 
@@ -44,24 +43,6 @@ def _check_dims(a: Matrix, family: MapFamily):
         raise DomainError(
             f"matrix is {a.rows}x{a.cols}, family maps {family.n} -> {family.N}"
         )
-
-
-def path_values(a: Matrix, g: Sequence[int]) -> np.ndarray:
-    """The path (a[1,g(1)], ..., a[n,g(n)]) as a float array."""
-    if len(g) != a.rows:
-        raise DomainError(f"map has {len(g)} values, matrix has {a.rows} rows")
-    cols = np.asarray(g, dtype=np.int64)
-    if cols.min() < 1 or cols.max() > a.cols:
-        raise DomainError(f"map values must lie in 1..{a.cols}")
-    return a.entries[np.arange(a.rows), cols - 1]
-
-
-def path_top_sum(a: Matrix, g: Sequence[int], ell: int) -> float:
-    """Sum of the ell largest path values of g."""
-    if not 1 <= ell <= a.rows:
-        raise DomainError(f"ell={ell} out of range 1..{a.rows}")
-    vals = np.sort(path_values(a, g))
-    return float(vals[a.rows - ell:].sum())
 
 
 @dataclass(frozen=True)
@@ -186,37 +167,10 @@ class HitCountTable:
         counts.setflags(write=False)
         return counts
 
-    def tail_count(self, m: int, k: int) -> int:
-        """#{g : X_m >= k} as an exact integer."""
-        if not 0 <= m <= self.n * self.N:
-            raise DomainError(f"m={m} out of range 0..{self.n * self.N}")
-        if k <= 0:
-            return self.size
-        if k > self.n:
-            return 0
-        return int(self._counts_ge[k, m])
-
-    def tail(self, m: int, k: int) -> Fraction:
-        """P(X_m >= k)."""
-        return Fraction(self.tail_count(m, k), self.size)
-
-    def prob_eq(self, m: int, k: int) -> Fraction:
-        return Fraction(self.tail_count(m, k) - self.tail_count(m, k + 1), self.size)
-
-    def indicator_expectation(self, m: int, ell: int) -> Fraction:
-        """E of the top-ell path sum of the 0/1 matrix marking the m largest
-        positions: sum over k <= ell of P(X_m >= k)."""
-        return Fraction(
-            sum(self.tail_count(m, k) for k in range(1, ell + 1)), self.size
-        )
-
-    def coefficients(self, ell: int) -> tuple[Fraction, ...]:
-        """Exact weights f with E S(b) = sum_j f[j-1] * b(h(j)) for every b
-        carried by the ordering (nonincreasing on ranks 1..ell*N, 0 beyond)."""
-        return tuple(Fraction(c, self.size) for c in self.coefficient_counts(ell))
-
     def coefficient_counts(self, ell: int) -> list[int]:
-        """Numerators of ``coefficients(ell)`` over the family size."""
+        """Numerators over the family size of the exact weights f with
+        E S(b) = sum_j f[j-1] * b(h(j)) for every b carried by the ordering
+        (nonincreasing on ranks 1..ell*N, 0 beyond)."""
         if not 1 <= ell <= self.n:
             raise DomainError(f"ell={ell} out of range 1..{self.n}")
         top = ell * self.N
@@ -240,102 +194,6 @@ def build_hit_table(
             hist[k] += np.bincount(pos[:, k - 1], minlength=nN + 1)
     hist.setflags(write=False)
     return HitCountTable(size=family.size, n=n, N=N, hist=hist)
-
-
-@dataclass(frozen=True)
-class HitCountDistribution:
-    """Exact distribution of the number of path positions among the m largest."""
-
-    m: int
-    probabilities: tuple[Fraction, ...]  # index k = 0..n
-
-    def tail(self, k: int) -> Fraction:
-        return sum(self.probabilities[max(k, 0):], Fraction(0))
-
-    def expectation(self) -> Fraction:
-        return sum((k * p for k, p in enumerate(self.probabilities)), Fraction(0))
-
-    def second_moment(self) -> Fraction:
-        return sum((k * k * p for k, p in enumerate(self.probabilities)), Fraction(0))
-
-    def pairs(self) -> list[tuple[int, Fraction]]:
-        return list(enumerate(self.probabilities))
-
-
-def hit_count_distribution(
-    family: MapFamily, order: OrderMap, m: int,
-    table: HitCountTable | None = None, cap: int | None = None,
-) -> HitCountDistribution:
-    """Distribution of the hit count for the m largest positions, counted
-    exactly over the family."""
-    if table is None:
-        table = build_hit_table(family, order, cap=cap)
-    if not 1 <= m <= table.n * table.N:
-        raise DomainError(f"m={m} out of range 1..{table.n * table.N}")
-    probs = tuple(table.prob_eq(m, k) for k in range(0, table.n + 1))
-    return HitCountDistribution(m=m, probabilities=probs)
-
-
-# ---------------------------------------------------------------------------
-# Paley-Zygmund
-
-
-Distribution = Union[HitCountDistribution, Iterable[tuple[object, object]]]
-
-
-def _pz_moments(pairs: list[tuple[Fraction, Fraction]]):
-    values = [v for v, _ in pairs]
-    probs = [p for _, p in pairs]
-    mean = sum((v * p for v, p in zip(values, probs)), Fraction(0))
-    second = sum((v * v * p for v, p in zip(values, probs)), Fraction(0))
-    return values, probs, mean, second
-
-
-def _pz_report(values, probs, mean, second, theta: Fraction, inputs: dict
-               ) -> VerificationReport:
-    base_inputs = dict(inputs)
-    base_inputs["theta"] = float(theta)
-    if mean == 0:
-        return vacuous_report(
-            "paley-zygmund", base_inputs, "E Z = 0; inequality is vacuous"
-        )
-    threshold = theta * mean
-    prob = sum((p for v, p in zip(values, probs) if v >= threshold), Fraction(0))
-    bound = (1 - theta) ** 2 * mean * mean / second
-    return exact_inequality_report(
-        "paley-zygmund", base_inputs, lhs=prob, rhs=bound, direction="ge",
-        extra={"mean": float(mean), "second_moment": float(second)},
-    )
-
-
-def paley_zygmund_check(
-    distribution: Distribution,
-    theta: float | Fraction,
-    inputs: dict | None = None,
-) -> VerificationReport:
-    """Check P(Z >= theta * E Z) >= (1-theta)^2 (E Z)^2 / E Z^2 exactly.
-
-    The distribution is a finite list of (value, weight) pairs with
-    nonnegative values; weights are normalized by their exact sum.  A zero
-    mean makes the inequality vacuous.
-    """
-    theta = Fraction(theta)
-    if not 0 < theta < 1:
-        raise DomainError("theta must lie strictly between 0 and 1")
-    if isinstance(distribution, HitCountDistribution):
-        pairs = distribution.pairs()
-    else:
-        pairs = list(distribution)
-    values = [Fraction(v) for v, _ in pairs]
-    weights = [Fraction(w) for _, w in pairs]
-    if any(v < 0 for v in values) or any(w < 0 for w in weights):
-        raise DomainError("values and weights must be nonnegative")
-    total = sum(weights, Fraction(0))
-    if total == 0:
-        raise DomainError("distribution has zero total weight")
-    normalized = [(v, w / total) for v, w in zip(values, weights)]
-    vs, ps, mean, second = _pz_moments(normalized)
-    return _pz_report(vs, ps, mean, second, theta, inputs or {})
 
 
 # ---------------------------------------------------------------------------

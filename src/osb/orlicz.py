@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -90,19 +90,6 @@ def top_sum_sandwich_check(x: Sequence[float], j: int) -> VerificationReport:
         lhs=0.5 * top, rhs=top, margin=float(margin), status=status,
         direction="le", constant=2.0, extra={"norm": norm},
     )
-
-
-def extreme_point_matrices(n: int, N: int, ell: int) -> Iterator[Matrix]:
-    """The n*N unit-sphere extreme points of the hinge-(ell*N) ball with
-    positive entries: every entry 1/(ell*N), one entry 1 + 1/(ell*N)."""
-    if not 1 <= ell <= n:
-        raise DomainError(f"ell={ell} out of range 1..{n}")
-    base = 1.0 / (ell * N)
-    for i0 in range(n):
-        for j0 in range(N):
-            entries = np.full((n, N), base)
-            entries[i0, j0] = 1.0 + base
-            yield Matrix(entries)
 
 
 def orlicz_upper_bound_check(

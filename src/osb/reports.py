@@ -191,10 +191,6 @@ def _keyed(reports: Iterable[VerificationReport]) -> list[tuple]:
     return keyed
 
 
-def sort_reports(reports: Iterable[VerificationReport]) -> list[VerificationReport]:
-    return [r for _, _, r in _keyed(reports)]
-
-
 def summarize(reports: Sequence[VerificationReport]) -> dict:
     """Pass/fail counts overall and worst margin per check_id."""
     by_check: dict[str, dict] = {}

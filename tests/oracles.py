@@ -7,7 +7,8 @@ hinge-norm bisection, which the acceptance criteria run over many vectors at
 once; the lemma-suite oracle, which reads the package's hit-count table but
 decides every instance with its own Fractions; and, at the end, the recursive
 canonical serializer and the report renderings that the single-pass ones
-replaced."""
+replaced.  The matrix builders (indicators and averages on an ordering's
+largest positions, extreme points of the hinge ball) make test inputs."""
 
 from __future__ import annotations
 
@@ -15,12 +16,14 @@ import csv
 import io
 import itertools
 import json
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
 
 from osb.errors import DomainError
+from osb.matrices import Matrix
 from osb.orlicz import DEFAULT_NORM_TOL
 
 _MAX_BISECTIONS = 400
@@ -52,9 +55,21 @@ def brute_expected_lp(rows, maps, p) -> float:
     return total / len(maps)
 
 
-def brute_marginal(maps, i, j) -> Fraction:
-    count = sum(1 for g in maps if g[i - 1] == j)
-    return Fraction(count, len(maps))
+def path_values(a, g) -> np.ndarray:
+    """The path (a[1,g(1)], ..., a[n,g(n)]) as a float array."""
+    if len(g) != a.rows:
+        raise DomainError(f"map has {len(g)} values, matrix has {a.rows} rows")
+    cols = np.asarray(g, dtype=np.int64)
+    if cols.min() < 1 or cols.max() > a.cols:
+        raise DomainError(f"map values must lie in 1..{a.cols}")
+    return a.entries[np.arange(a.rows), cols - 1]
+
+
+def path_top_sum(a, g, ell) -> float:
+    """Sum of the ell largest path values of g."""
+    if not 1 <= ell <= a.rows:
+        raise DomainError(f"ell={ell} out of range 1..{a.rows}")
+    return float(np.sort(path_values(a, g))[a.rows - ell:].sum())
 
 
 def brute_pairwise_constant(maps, n, N) -> Fraction:
@@ -80,6 +95,60 @@ def brute_hit_tail(maps, positions, k) -> Fraction:
         if hits >= k:
             count += 1
     return Fraction(count, len(maps))
+
+
+# ---------------------------------------------------------------------------
+# orderings, and matrices built on an ordering's largest positions
+
+
+def values_along(order, m) -> np.ndarray:
+    """m's entries read in rank order."""
+    return np.array([m.entries[i - 1, j - 1] for i, j in order.pairs])
+
+
+def in_ordered_class(order, m, ell) -> bool:
+    """True if m is carried by the ordering: nonincreasing on ranks
+    1..ell*N and zero beyond."""
+    v, top = values_along(order, m), ell * order.N
+    return bool(np.all(v[: top - 1] >= v[1:top]) and np.all(v[top:] == 0.0))
+
+
+def compatible_with(order, m) -> bool:
+    """True if m's entries are nonincreasing along the whole ordering."""
+    return in_ordered_class(order, m, order.n)
+
+
+def _on_top(order, count, value) -> Matrix:
+    out = np.zeros((order.n, order.N))
+    for i, j in order.pairs[:count]:
+        out[i - 1, j - 1] = value
+    return Matrix(out)
+
+
+def indicator_matrix(order, m) -> Matrix:
+    """Ones at the positions of the m largest entries."""
+    if not 1 <= m <= order.n * order.N:
+        raise DomainError(f"m={m} out of range 1..{order.n * order.N}")
+    return _on_top(order, m, 1.0)
+
+
+def averaged_top_matrix(m, order, ell) -> Matrix:
+    """The ell*N largest entries replaced by their average, the rest zeroed:
+    the averaged matrix of lemma 3.5."""
+    if not 1 <= ell <= m.rows:
+        raise DomainError(f"ell={ell} out of range 1..{m.rows}")
+    top = ell * order.N
+    return _on_top(order, top, m.top_sum(top) / top)
+
+
+def extreme_point_matrices(n, N, ell):
+    """The n*N unit-sphere extreme points of the hinge-(ell*N) ball with
+    positive entries: every entry 1/(ell*N), one entry 1 + 1/(ell*N)."""
+    base = 1.0 / (ell * N)
+    for i0, j0 in itertools.product(range(n), range(N)):
+        entries = np.full((n, N), base)
+        entries[i0, j0] = 1.0 + base
+        yield Matrix(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +230,11 @@ def hinge_norm_batch(
     kinks = (1.0 / js)[:, None]
     maxes = absx.max(axis=1)
     nonzero = maxes > 0.0
-    lo = maxes * 1e-6
+    # rows too small for the lower bracket end are rescaled by the exact
+    # power of two that luxemburg_norm uses
+    scale = np.where(maxes * 1e-6 < np.finfo(np.float64).tiny, -np.frexp(maxes)[1], 0)
+    absx = np.ldexp(absx, scale[:, None])
+    lo = absx.max(axis=1) * 1e-6
     hi = absx.sum(axis=1) + 1.0
     # the hinge bracket always straddles the unit level
     for _ in range(_MAX_BISECTIONS):
@@ -169,12 +242,86 @@ def hinge_norm_batch(
         if not np.any(active):
             break
         mid = 0.5 * (lo + hi)
-        safe_mid = np.where(mid > 0.0, mid, 1.0)
-        sums = np.maximum(absx / safe_mid[:, None] - kinks, 0.0).sum(axis=1)
+        sums = np.maximum(absx / mid[:, None] - kinks, 0.0).sum(axis=1)
         below = sums <= 1.0
         hi = np.where(active & below, mid, hi)
         lo = np.where(active & ~below, mid, lo)
-    return np.where(nonzero, hi, 0.0)
+    return np.where(nonzero, np.ldexp(hi, -scale), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Hit-count tails, distributions and coefficients read off the package's
+# hit-count table, and the Paley-Zygmund inequality, all as Fractions.
+
+
+def table_tail(table, m, k) -> Fraction:
+    """P(X_m >= k): the share of members whose k-th smallest hit rank is <= m."""
+    count = table.size if k <= 0 else 0 if k > table.n else table.hist[k, 1: m + 1].sum()
+    return Fraction(int(count), table.size)
+
+
+def indicator_expectation(table, m, ell) -> Fraction:
+    """E of the top-ell path sum of the 0/1 matrix marking the m largest
+    positions: sum over k <= ell of P(X_m >= k)."""
+    return sum((table_tail(table, m, k) for k in range(1, ell + 1)), Fraction(0))
+
+
+def table_coefficients(table, ell) -> tuple:
+    """Exact weights f with E S(b) = sum_j f[j-1] * b(h(j)) for every b
+    carried by the ordering (nonincreasing on ranks 1..ell*N, 0 beyond)."""
+    counts = table.hist[1: ell + 1, 1: ell * table.N + 1].sum(axis=0)
+    return tuple(Fraction(int(c), table.size) for c in counts)
+
+
+@dataclass(frozen=True)
+class HitCountDistribution:
+    """P(X_m = k) for k = 0..n; iterating gives the (k, probability) pairs."""
+
+    probabilities: tuple
+
+    def __iter__(self):
+        return enumerate(self.probabilities)
+
+    def expectation(self) -> Fraction:
+        return sum((k * p for k, p in self), Fraction(0))
+
+
+def hit_count_distribution(family, order, m, table=None) -> HitCountDistribution:
+    """The distribution of X_m, the number of path positions among the m largest."""
+    from osb.orderstats import build_hit_table
+
+    if table is None:
+        table = build_hit_table(family, order)
+    if not 1 <= m <= table.n * table.N:
+        raise DomainError(f"m={m} out of range 1..{table.n * table.N}")
+    tails = [table_tail(table, m, k) for k in range(table.n + 2)]
+    return HitCountDistribution(tuple(t - u for t, u in zip(tails, tails[1:])))
+
+
+def paley_zygmund_check(distribution, theta, inputs=None):
+    """P(Z >= theta E Z) >= (1-theta)^2 (E Z)^2 / E Z^2, decided exactly.
+
+    The distribution is a HitCountDistribution or any (value, weight) pairs
+    with nonnegative values; weights are normalized by their exact sum.  A zero
+    mean makes the inequality vacuous."""
+    from osb.reports import exact_inequality_report, vacuous_report
+
+    theta = Fraction(theta)
+    if not 0 < theta < 1:
+        raise DomainError("theta must lie strictly between 0 and 1")
+    pairs = [(Fraction(v), Fraction(w)) for v, w in distribution]
+    if any(v < 0 or w < 0 for v, w in pairs):
+        raise DomainError("values and weights must be nonnegative")
+    total = sum(w for _, w in pairs)
+    mean = sum(v * w for v, w in pairs) / total
+    second = sum(v * v * w for v, w in pairs) / total
+    inputs = {**(inputs or {}), "theta": float(theta)}
+    if mean == 0:
+        return vacuous_report("paley-zygmund", inputs, "E Z = 0; inequality is vacuous")
+    prob = sum(w for v, w in pairs if v >= theta * mean) / total
+    return exact_inequality_report(
+        "paley-zygmund", inputs, lhs=prob, rhs=(1 - theta) ** 2 * mean * mean / second,
+        direction="ge", extra={"mean": float(mean), "second_moment": float(second)})
 
 
 # ---------------------------------------------------------------------------
@@ -192,14 +339,14 @@ def check_lemma31(table, c_pair: Fraction, m: int):
     """(P(X_m >= 1), (m/N)(1 - C (m-1) / (2N)))."""
     N = table.N
     bound = Fraction(m, N) * (1 - c_pair * Fraction(m - 1, 2 * N))
-    return table.tail(m, 1), bound
+    return table_tail(table, m, 1), bound
 
 
 def check_lemma32(table, c_pair: Fraction, m: int, theta: Fraction):
     """(P(X_m >= theta m/N), (1-theta)^2 m / (N + m C))."""
     N = table.N
     k0 = _ceil_fraction(theta * Fraction(m, N))
-    prob = table.tail(m, max(k0, 1))
+    prob = table_tail(table, m, max(k0, 1))
     bound = (1 - theta) ** 2 * Fraction(m, N + m * c_pair)
     return prob, bound
 
@@ -210,19 +357,19 @@ def check_lemma33a(table, c_pair: Fraction, ell: int, m: int):
     factor = Fraction(m, 2 * N)
     if c_pair > 0:
         factor = min(factor, Fraction(1, 2) / c_pair)
-    return table.tail(m, 1), factor * table.tail(ell * N, 1)
+    return table_tail(table, m, 1), factor * table_tail(table, ell * N, 1)
 
 
 def check_lemma33b(table, c_pair: Fraction, ell: int, m: int, k: int):
     """(P(X_m >= k), P(X_{ell N} >= k) / (2 + 4C)); requires 2kN <= m."""
-    bound = table.tail(ell * table.N, k) / (2 + 4 * c_pair)
-    return table.tail(m, k), bound
+    bound = table_tail(table, ell * table.N, k) / (2 + 4 * c_pair)
+    return table_tail(table, m, k), bound
 
 
 def check_lemma34(table, c_pair: Fraction, ell: int, m: int):
     """(averaged indicator expectation, (8+16C) * plain indicator expectation)."""
-    lhs = Fraction(m, ell * table.N) * table.indicator_expectation(ell * table.N, ell)
-    rhs = (8 + 16 * c_pair) * table.indicator_expectation(m, ell)
+    lhs = Fraction(m, ell * table.N) * indicator_expectation(table, ell * table.N, ell)
+    rhs = (8 + 16 * c_pair) * indicator_expectation(table, m, ell)
     return lhs, rhs
 
 
@@ -231,7 +378,7 @@ def check_lemma35(a, table, c_pair: Fraction, ell: int):
     entries, evaluated through the exact coefficient representation."""
     top = ell * table.N
     s_vals = [Fraction(float(v)) for v in a.rearrangement[:top]]
-    coeffs = table.coefficients(ell)
+    coeffs = table_coefficients(table, ell)
     exp_reduced = sum((f * s for f, s in zip(coeffs, s_vals)), Fraction(0))
     coeff_sum = sum(coeffs, Fraction(0))
     exp_averaged = coeff_sum * sum(s_vals, Fraction(0)) / top
@@ -241,7 +388,7 @@ def check_lemma35(a, table, c_pair: Fraction, ell: int):
 def check_lemma36(table, c_pair: Fraction, ell: int, k: int):
     """(expected k-th largest path value of the ell*N-ones indicator,
     1/(2+4C)); requires k <= ell/2."""
-    return table.tail(ell * table.N, k), Fraction(1, 1) / (2 + 4 * c_pair)
+    return table_tail(table, ell * table.N, k), Fraction(1, 1) / (2 + 4 * c_pair)
 
 
 def lemma_suite_oracle(a, family, ell, *, thetas=None, table=None, c_pair=None,
@@ -251,13 +398,7 @@ def lemma_suite_oracle(a, family, ell, *, thetas=None, table=None, c_pair=None,
     hypothesis check is made."""
     from osb.families import pairwise_constant
     from osb.matrices import order_map
-    from osb.orderstats import (
-        DEFAULT_THETAS,
-        _pz_moments,
-        _pz_report,
-        build_hit_table,
-        hit_count_distribution,
-    )
+    from osb.orderstats import DEFAULT_THETAS, build_hit_table
     from osb.reports import exact_inequality_report, vacuous_report
 
     thetas = DEFAULT_THETAS if thetas is None else thetas
@@ -281,14 +422,12 @@ def lemma_suite_oracle(a, family, ell, *, thetas=None, table=None, c_pair=None,
             "lemma3.1", {**base, "m": m}, lhs=prob, rhs=bound,
             direction="ge", constant=constant))
         dist = hit_count_distribution(family, order, m, table=table)
-        vs, ps, mean, second = _pz_moments(dist.pairs())
         for theta in thetas:
             prob, bound = check_lemma32(table, c_pair, m, Fraction(theta))
             out.append(exact_inequality_report(
                 "lemma3.2", {**base, "m": m, "theta": float(theta)},
                 lhs=prob, rhs=bound, direction="ge", constant=constant))
-            out.append(_pz_report(
-                vs, ps, mean, second, Fraction(theta), {**base, "m": m}))
+            out.append(paley_zygmund_check(dist, theta, {**base, "m": m}))
         prob, bound = check_lemma33a(table, c_pair, ell, m)
         out.append(exact_inequality_report(
             "lemma3.3a", {**base, "m": m}, lhs=prob, rhs=bound,
@@ -427,10 +566,6 @@ def oracle_report_row(r) -> dict:
         "stderr": None if r.stderr is None else float(r.stderr),
         "extra": dict(r.extra),
     }
-
-
-def oracle_reports_to_json(reports) -> str:
-    return oracle_canonical_json(oracle_reports_doc(reports)) + "\n"
 
 
 _CSV_FIELDS = (

@@ -23,10 +23,9 @@ from osb.orderstats import (
     expected_top_sum_mc,
     lemma_suite,
 )
-from osb.orlicz import extreme_point_matrices
 from osb.reports import canonical_json, reports_to_json, summarize
 
-from oracles import hinge_norm_batch, k_functional_oracle
+from oracles import extreme_point_matrices, hinge_norm_batch, k_functional_oracle
 
 SYM = FamilySpec("sym")
 MAP = FamilySpec("map")

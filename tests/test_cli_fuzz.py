@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from osb import cli
-from osb.corpus import CorpusSpec, generate_corpus, save_corpus
+from osb.corpus import CorpusSpec, corpus_to_json, generate_corpus
 
 EXIT_CODES = {0, 1, 2, 3}
 SETTING_VARS = ("OSB_SEED", "OSB_ENUM_CAP", "OSB_CONFIG")
@@ -39,6 +39,7 @@ def files(tmp_path_factory):
     put("fam-sym2.json", json.dumps({"n": 2, "N": 2, "maps": [[1, 2], [2, 1]]}))
     put("fam-biased.json", json.dumps({"n": 2, "N": 2, "maps": [[1, 2]]}))
     put("fam-bad.json", '{"n": 2, "N": 2, "maps": [[1, 3]]}')
+    put("fam-bool.json", '{"n": true, "N": true, "maps": [[1]]}')
     put("fam-garbage.json", "{not json")
     put("cfg-good", "seed = 5\nenum_cap = 1000\n# comment\n")
     put("cfg-bad-seed", "seed = 1.5\n")
@@ -59,8 +60,7 @@ def files(tmp_path_factory):
                     distribution="sparse", seed=9)],
         seed=9,
     )
-    save_corpus(corpus, str(d / "corpus.json"))
-    paths["corpus.json"] = str(d / "corpus.json")
+    put("corpus.json", corpus_to_json(corpus))
     paths["dir"] = str(d)
     paths["missing"] = str(d / "missing" / "nothing.json")
     paths["out"] = str(d / "out.txt")
@@ -77,7 +77,7 @@ _BROKEN = ["sym:0", "sym:-1", "sym:x", "map:2", "map:0:2", "map:a:b", "nope:2",
 def _family(files_):
     return st.one_of(
         st.sampled_from(_SIZED + _BROKEN + ["sym", "map"]),
-        st.sampled_from(["fam-sym2.json", "fam-biased.json", "fam-bad.json",
+        st.sampled_from(["fam-sym2.json", "fam-biased.json", "fam-bad.json", "fam-bool.json",
                          "fam-garbage.json", "fam-huge.json", "latin1.csv",
                          "missing"]).map(
             lambda k: "file:" + files_[k]),

@@ -191,6 +191,15 @@ class TestLoadFamily:
         with pytest.raises(FormatError):
             load_family(str(path))
 
+    @pytest.mark.parametrize("n,N", [
+        (True, True), (1, True), (True, 1), (1.0, 1), (0, 1), ("1", 1),
+    ])
+    def test_rejects_dimensions_that_are_not_positive_integers(self, tmp_path, n, N):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": n, "N": N, "maps": [[1]]}))
+        with pytest.raises(FormatError, match="n and N must be positive integers"):
+            load_family(str(path))
+
     def test_explicit_family_rejects_bad_members(self):
         with pytest.raises(DomainError, match="integers in 1..2"):
             explicit_family([[1, 2], [2, 3]], 2, 2)
@@ -199,7 +208,7 @@ class TestLoadFamily:
         with pytest.raises(DomainError, match="each map must list 2 values"):
             explicit_family([[1, 2], [2]], 2, 2)
         fam = explicit_family(np.array([[2, 1], [1, 2]]), 2, 2)
-        assert fam._members_array.dtype == np.int64
+        assert fam.members.dtype == np.int64
         assert fam.descriptor() == explicit_family([[2, 1], [1, 2]], 2, 2).descriptor()
 
     def test_non_utf8_file_is_a_format_error(self, tmp_path):
@@ -212,6 +221,36 @@ class TestLoadFamily:
         fam = explicit_family([[1, 1], [1, 1], [2, 2]], 2, 2)
         cert = check_marginals(fam)
         assert cert.worst_marginal_deviation == Fraction(2, 3) - Fraction(1, 2)
+
+
+class TestEquality:
+    def test_equal_member_lists_are_equal_and_hash_equal(self):
+        fam = explicit_family(all_permutations(3), 3, 3)
+        twin = explicit_family(np.array(all_permutations(3)), 3, 3)
+        assert twin == fam and hash(twin) == hash(fam)
+        assert len({fam, twin, symmetric_group(3)}) == 2
+        assert symmetric_group(3) == symmetric_group(3)
+        assert hash(symmetric_group(3)) == hash(symmetric_group(3))
+
+    def test_different_members_or_order_are_unequal(self):
+        maps = all_permutations(3)
+        fam = explicit_family(maps, 3, 3)
+        assert explicit_family(maps[:-1] + [maps[0]], 3, 3) != fam
+        assert explicit_family(maps[::-1], 3, 3) != fam
+        assert explicit_family(maps, 3, 4) != fam
+        assert symmetric_group(3) != fam and full_mapping_family(3, 3) != symmetric_group(3)
+
+    def test_members_are_one_read_only_copy(self):
+        source = np.array(all_permutations(3))
+        fam = explicit_family(source, 3, 3)
+        source[0] = 1
+        assert fam.members.tolist() == [list(g) for g in all_permutations(3)]
+        with pytest.raises(ValueError):
+            fam.members[0, 0] = 2
+
+    def test_unknown_kind_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="unknown family kind 'foo'"):
+            families.MapFamily(2, 2, "foo")
 
 
 class TestMarginals:

@@ -7,7 +7,6 @@ from scipy.integrate import quad
 from osb.errors import DomainError
 from osb.families import full_mapping_family, iter_member_arrays, symmetric_group
 from osb.interpolation import (
-    InterpolationParams,
     KFunctionalCurve,
     expected_lp_norm,
     head_tail_bound,
@@ -18,9 +17,8 @@ from osb.interpolation import (
     verify_lp_bounds,
 )
 from osb.matrices import Matrix
-from osb.orderstats import path_values
-
-from oracles import all_mappings, all_permutations, brute_expected_lp, k_functional_oracle
+from oracles import (all_mappings, all_permutations, brute_expected_lp, k_functional_oracle,
+                     path_values)
 
 
 def random_matrix(n, N, seed):
@@ -144,13 +142,6 @@ class TestInterpolationNorm:
             tail = x.sum() ** p * n ** (1 - p) / (p - 1)
             want = (total + tail) ** (1 / p)
             assert got == pytest.approx(want, rel=1e-8)
-
-    def test_params_bookkeeping(self):
-        params = InterpolationParams(p=2.0)
-        assert params.theta == 0.5 and params.q == 2.0
-        assert InterpolationParams(p=1.0).theta == 0.0
-        with pytest.raises(DomainError):
-            InterpolationParams(p=0.9)
 
 
 class TestLpExpectation:

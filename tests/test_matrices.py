@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,13 +8,19 @@ from hypothesis import strategies as st
 from osb.errors import DomainError, FormatError
 from osb.matrices import (
     Matrix,
-    averaged_top_matrix,
-    indicator_matrix,
-    kth_largest,
+    OrderMap,
     order_map,
     parse_matrix_csv,
     parse_matrix_json,
     reduce_to_top,
+)
+
+from oracles import (
+    averaged_top_matrix,
+    compatible_with,
+    in_ordered_class,
+    indicator_matrix,
+    values_along,
 )
 
 
@@ -59,25 +67,6 @@ class TestRearrangement:
             m.top_sum(5)
 
 
-class TestKthLargest:
-    def test_examples(self):
-        assert kth_largest([3, 1, 2], 2) == 2
-        assert all(kth_largest([5, 5, 5], k) == 5 for k in (1, 2, 3))
-        assert kth_largest([0, 0, 0, 0], 3) == 0
-
-    def test_out_of_range(self):
-        with pytest.raises(DomainError):
-            kth_largest([1, 2], 0)
-        with pytest.raises(DomainError):
-            kth_largest([1, 2], 3)
-
-    @given(st.lists(st.floats(-50, 50, allow_nan=False), min_size=1, max_size=8))
-    @settings(max_examples=100, deadline=None)
-    def test_sum_identity(self, x):
-        total = sum(kth_largest(x, k) for k in range(1, len(x) + 1))
-        assert total == pytest.approx(sum(abs(v) for v in x), abs=1e-9)
-
-
 class TestOrderMap:
     def test_tie_break_example(self):
         h = order_map(Matrix.from_rows([[1, 0], [0, 1]]))
@@ -91,15 +80,22 @@ class TestOrderMap:
     @settings(max_examples=50, deadline=None)
     def test_compatibility_invariant(self, m):
         h = order_map(m)
-        assert h.compatible_with(m)
-        assert m.entry(*h.position(1)) == m.rearrangement[0]
+        assert compatible_with(h, m)
+        assert values_along(h, m)[0] == m.rearrangement[0]
 
     def test_ordered_class_membership(self):
         m = Matrix.from_rows([[3, 1], [2, 2]])
         h = order_map(m)
         member = indicator_matrix(h, 2)
-        assert h.in_ordered_class(member, 1)
-        assert not h.in_ordered_class(Matrix.from_rows([[0, 1], [1, 0]]), 1)
+        assert in_ordered_class(h, member, 1)
+        assert not in_ordered_class(h, Matrix.from_rows([[0, 1], [1, 0]]), 1)
+
+    @pytest.mark.parametrize("pairs", [
+        ((1, 1), (5, 5)), ((1, 1), (1, 1)), ((1, 1),), ((1, 1), (1, 2), (1, 1)),
+    ])
+    def test_pairs_must_be_the_grid_positions(self, pairs):
+        with pytest.raises(DomainError, match="every position exactly once"):
+            OrderMap(1, 2, pairs)
 
 
 class TestAveragedMatrix:
@@ -175,6 +171,12 @@ class TestFileFormats:
     def test_json_rejects_bad_dims(self):
         with pytest.raises(FormatError):
             parse_matrix_json('{"rows": -2, "cols": 2, "entries": []}')
+
+    @pytest.mark.parametrize("rows,cols", [(True, 1), (1, True), (1.0, 1)])
+    def test_json_rejects_dims_that_are_not_integers(self, rows, cols):
+        text = json.dumps({"rows": rows, "cols": cols, "entries": [[1.0]]})
+        with pytest.raises(FormatError, match="rows/cols must be integers"):
+            parse_matrix_json(text)
 
     def test_json_rejects_nan(self):
         with pytest.raises(FormatError):

@@ -14,27 +14,33 @@ from osb.families import (
     sample_array,
     symmetric_group,
 )
-from osb.matrices import Matrix, indicator_matrix, order_map
+from osb.matrices import Matrix, order_map
 from osb.orderstats import (
     _gather,
     _paths_for_block,
     build_hit_table,
     expected_top_sum,
     expected_top_sum_mc,
-    hit_count_distribution,
     lemma_suite,
-    paley_zygmund_check,
-    path_top_sum,
-    path_values,
 )
 
 from oracles import (
     all_mappings,
     all_permutations,
+    averaged_top_matrix,
     brute_expected_top_sum,
     brute_hit_tail,
     check_lemma34,
+    check_lemma35,
+    hit_count_distribution,
+    indicator_expectation,
+    indicator_matrix,
     oracle_gather,
+    paley_zygmund_check,
+    path_top_sum,
+    path_values,
+    table_coefficients,
+    table_tail,
 )
 
 
@@ -239,16 +245,16 @@ class TestHitCounts:
         for m in range(1, 7):
             positions = order.pairs[:m]
             for k in range(0, 3):
-                assert table.tail(m, k) == brute_hit_tail(maps, positions, k)
+                assert table_tail(table, m, k) == brute_hit_tail(maps, positions, k)
 
     def test_tail_monotonicity(self):
         a = random_matrix(3, 3, seed=17)
         table = build_hit_table(symmetric_group(3), order_map(a))
         for k in (1, 2, 3):
-            tails = [table.tail(m, k) for m in range(0, 10)]
+            tails = [table_tail(table, m, k) for m in range(0, 10)]
             assert tails == sorted(tails)
         for m in (1, 5, 9):
-            by_k = [table.tail(m, k) for k in (1, 2, 3)]
+            by_k = [table_tail(table, m, k) for k in (1, 2, 3)]
             assert by_k == sorted(by_k, reverse=True)
 
 
@@ -259,7 +265,7 @@ class TestCoefficients:
         order = order_map(a)
         for fam in (symmetric_group(3), full_mapping_family(3, 3)):
             for ell in (1, 2, 3):
-                coeffs = build_hit_table(fam, order).coefficients(ell)
+                coeffs = table_coefficients(build_hit_table(fam, order), ell)
                 for _ in range(20):
                     vals = np.sort(rng.uniform(0, 1, ell * 3))[::-1]
                     b = np.zeros((3, 3))
@@ -278,17 +284,27 @@ class TestCoefficients:
         fam = full_mapping_family(3, 2)
         table = build_hit_table(fam, order)
         ell = 2
-        coeffs = table.coefficients(ell)
+        coeffs = table_coefficients(table, ell)
         for m in range(1, ell * 2 + 1):
             prefix = sum(coeffs[:m], Fraction(0))
-            assert prefix == table.indicator_expectation(m, ell)
+            assert prefix == indicator_expectation(table, m, ell)
             direct = expected_top_sum(indicator_matrix(order, m), fam, ell).value
             assert float(prefix) == pytest.approx(direct, abs=1e-12)
+
+    def test_averaged_matrix_expectation_is_the_lemma35_lhs(self):
+        a = random_matrix(3, 3, seed=37)
+        order = order_map(a)
+        for fam in (symmetric_group(3), full_mapping_family(3, 3)):
+            table = build_hit_table(fam, order)
+            for ell in (1, 2, 3):
+                lhs, _ = check_lemma35(a, table, Fraction(1), ell)
+                direct = expected_top_sum(averaged_top_matrix(a, order, ell), fam, ell)
+                assert float(lhs) == pytest.approx(direct.value, rel=1e-12)
 
     def test_full_coefficients_sum_to_n(self):
         a = random_matrix(3, 3, seed=31)
         for fam in (symmetric_group(3), full_mapping_family(3, 3)):
-            coeffs = build_hit_table(fam, order_map(a)).coefficients(3)
+            coeffs = table_coefficients(build_hit_table(fam, order_map(a)), 3)
             assert sum(coeffs, Fraction(0)) == 3
 
 
@@ -366,7 +382,7 @@ class TestLemmaSuite:
         table = build_hit_table(fam, order_map(a))
         ell = 2
         lhs, rhs = check_lemma34(table, Fraction(2), ell, ell * 2)
-        assert lhs == table.indicator_expectation(ell * 2, ell)
+        assert lhs == indicator_expectation(table, ell * 2, ell)
         assert rhs == (8 + 16 * 2) * lhs
 
     def test_hypothesis_failure_raises(self):

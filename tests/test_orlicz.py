@@ -9,13 +9,12 @@ from osb.matrices import Matrix
 from osb.orderstats import expected_top_sum
 from osb.orlicz import (
     DEFAULT_NORM_TOL,
-    extreme_point_matrices,
     luxemburg_norm,
     orlicz_upper_bound_check,
     top_sum_sandwich_check,
 )
 
-from oracles import hinge_norm_batch, hinge_norm_closed_form
+from oracles import extreme_point_matrices, hinge_norm_batch, hinge_norm_closed_form
 
 vectors = st.lists(st.floats(-20, 20, allow_nan=False), min_size=1, max_size=10)
 
@@ -137,6 +136,14 @@ class TestLuxemburgNorm:
         for row, j, got in zip(xs, js, batch):
             want = luxemburg_norm(row, int(j))
             assert got == pytest.approx(want, rel=1e-10, abs=1e-15)
+
+
+    @pytest.mark.parametrize("x", [[5e-324], [1e-305, 2e-305]])
+    def test_batch_matches_scalar_on_tiny_vectors(self, x):
+        js = np.arange(1, len(x) + 1)
+        batch = hinge_norm_batch(np.array([x] * len(js)), js)
+        assert batch.tolist() == [luxemburg_norm(x, int(j)) for j in js]
+        assert batch.min() > 0.0
 
 
 class TestSandwich:

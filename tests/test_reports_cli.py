@@ -13,10 +13,11 @@ from osb.reports import (
     inequality_report,
     reports_to_csv,
     reports_to_json,
-    sort_reports,
     summarize,
     vacuous_report,
 )
+
+from oracles import oracle_sort_reports
 
 
 class TestReportLogic:
@@ -89,7 +90,7 @@ class TestSerialization:
         assert len(lines) == 4
 
     def test_summarize(self):
-        s = summarize(sort_reports(self._reports()))
+        s = summarize(oracle_sort_reports(self._reports()))
         assert s["total"] == 3 and s["failed"] == 1 and s["vacuous"] == 1
         assert s["by_check"]["a"]["failed"] == 1
 
@@ -117,6 +118,13 @@ class TestCli:
     def test_family_check_hypothesis_failure(self, biased_family_file):
         code = cli.main(["family-check", "--family", f"file:{biased_family_file}"])
         assert code == 3
+
+    def test_bool_dimension_in_family_file_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "fam.json"
+        path.write_text('{"n": true, "N": true, "maps": [[1]]}')
+        assert cli.main(["family-check", "--family", f"file:{path}"]) == 2
+        err = capsys.readouterr().err
+        assert "n and N must be positive integers" in err and "Traceback" not in err
 
     def test_usage_error_exit_code(self):
         assert cli.main(["verify-main", "--family", "nope:2"]) == 2
