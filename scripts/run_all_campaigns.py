@@ -6,7 +6,8 @@ Usage: python scripts/run_all_campaigns.py [--out-dir OUT] [--seed S]
 Writes one JSON report file per (campaign, family kind) into OUT (default
 ./reports), prints a summary block and a ``sha256 <hex>  <file>`` line per
 file, and exits nonzero if any non-vacuous check fails.  Two runs write the
-same bytes when ``grep sha256`` of their logs match.
+same bytes when ``grep sha256`` of their logs match.  The orlicz jobs are the
+hinge-norm sweep: prop4.2/upper and lemma4.1 for every matrix and ell.
 """
 
 import argparse
@@ -17,10 +18,25 @@ from pathlib import Path
 
 from osb.campaigns import run_lemmas, run_verify_lp, run_verify_main
 from osb.corpus import DEFAULT_SEED, default_corpus
-from osb.families import FamilySpec
+from osb.families import FamilySpec, family_for_cell
+from osb.orlicz import orlicz_upper_bound_check, top_sum_sandwich_check
 from osb.reports import all_passed, format_summary, reports_to_json, summarize
 
 P_LIST = [1.0, 1.5, 2.0, 3.0]
+
+
+def run_orlicz(corpus, kind: str) -> list:
+    """prop4.2/upper and lemma4.1 for every matrix and ell of the corpus."""
+    reports = []
+    for cell in corpus:
+        family = family_for_cell(FamilySpec(kind), cell.n, cell.N)
+        if family is None:
+            continue
+        for _, a in cell.matrices:
+            for ell in range(1, cell.n + 1):
+                reports.append(orlicz_upper_bound_check(a, family, ell))
+                reports.append(top_sum_sandwich_check(a.entries.ravel(), ell * cell.N))
+    return reports
 
 
 def main() -> int:
@@ -41,6 +57,8 @@ def main() -> int:
         ("verify-lp-sym", lambda: run_verify_lp(corpus, FamilySpec("sym"), P_LIST)),
         ("lemmas-map", lambda: run_lemmas(corpus, FamilySpec("map"))),
         ("lemmas-sym", lambda: run_lemmas(corpus, FamilySpec("sym"))),
+        ("orlicz-map", lambda: run_orlicz(corpus, "map")),
+        ("orlicz-sym", lambda: run_orlicz(corpus, "sym")),
     ]
     ok = True
     for name, job in jobs:

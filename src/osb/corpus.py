@@ -147,11 +147,9 @@ def parse_corpus_json(text: str) -> Corpus:
         raise FormatError(f"invalid JSON: {e}") from e
     if not isinstance(obj, dict) or not isinstance(obj.get("cells"), list):
         raise FormatError('corpus JSON needs a "cells" list')
-    try:
-        seed = int(obj.get("seed", 0))
-    except (TypeError, ValueError, OverflowError):
-        raise FormatError(
-            f"corpus seed must be an integer, got {obj['seed']!r}") from None
+    seed = obj.get("seed", 0)
+    if type(seed) is not int:  # JSON true/false load as bool, 1.9 as float
+        raise FormatError(f"corpus seed must be an integer, got {seed!r}")
     cells = []
     for cell in obj["cells"]:
         if not isinstance(cell, dict):

@@ -63,6 +63,9 @@ class MapFamily:
     def __post_init__(self):
         if self.kind not in _KIND_CODES:
             raise DomainError(f"unknown family kind {self.kind!r}")
+        # bool is an int subclass, and numpy integers are not ints
+        if type(self.n) is not int or type(self.N) is not int:
+            raise DomainError(f"n and N must be integers, got {self.n!r} and {self.N!r}")
         if self.n < 1 or self.N < 1:
             raise DomainError("n and N must be positive")
         if self.kind == KIND_SYMMETRIC and self.N != self.n:

@@ -91,12 +91,6 @@ class Matrix:
     def from_rows(cls, rows: Iterable[Iterable[float]]) -> "Matrix":
         return cls(np.array([list(r) for r in rows], dtype=np.float64))
 
-    @classmethod
-    def zeros(cls, n: int, N: int) -> "Matrix":
-        if n < 1 or N < 1:
-            raise FormatError("dimensions must be positive")
-        return cls(np.zeros((n, N)))
-
 
 @dataclass(frozen=True)
 class OrderMap:

@@ -44,30 +44,88 @@ def luxemburg_norm(x: Sequence[float], j: int) -> float:
     sum|x| / (sum|x| + 1) < 1 at its upper end.  Halves until the relative
     width is at most ``DEFAULT_NORM_TOL`` and returns the upper end, so the
     constraint sum <= 1 holds at the returned value.
+
+    A step moves ``hi`` to the midpoint m exactly when the plain hinge sum
+    fsum(max(|x_i| / m - k, 0)) rounds to at most 1, k the float 1/j.  Most
+    steps are decided without that sum, in the manner of Shewchuk's filtered
+    predicates, and the decisions, hence the bits, are the same.  With P_i
+    the sum of the i largest |x_i| and n the length, the exact sum
+    F(m) = sum max(|x_i| / m - k, 0) = max_i (P_i / m - i k) is at most 1
+    exactly when m >= L = max_i P_i / (1 + i k).  F is a convex function of
+    1/m that is 0 at 1/m = 0 and 1 at m = L, so F(m) <= L/m for m >= L and
+    F(m) >= L/m for m <= L.
+    To first order in u = 2**-53:
+
+    - the float estimate of L (sequential prefix sums, the denominators
+      1 + i k, the divisions) is within (n + 2) u relative of L;
+    - each computed term is within 2u |x_i| / m + 2**-1074 of its exact
+      value (the quotient, its underflow, and the difference), so the sum of
+      the terms is within c L/m + n 2**-1074 of F(m), where
+      c = 2u (1 + n k) since P_n <= (1 + n k) L;
+    - fsum rounds that sum once, so the sum rounds to at most 1 exactly
+      when it is at most 1 + u.
+
+    As n 2**-1074 is below u, m >= L (1 + c) gives a rounded sum <= 1 and
+    m <= L (1 - c - 2u) gives one > 1.  Moving those edges to the estimate
+    costs another (n + 2) u, plus 2u for forming them.  The band used is
+    w = 4 (n + 4)(1 + k) u, at least twice the first-order total
+    (n + 8 + 2 n k) u, which also covers the second-order terms for
+    n < 2**40.  A midpoint more than w (relative) above the estimate moves
+    ``hi``, one more than w below it moves ``lo``, and only one inside the
+    band evaluates the sum.
     """
     if j < 1:
         raise DomainError("j must be >= 1")
     absx = np.abs(np.asarray(x, dtype=np.float64))
-    if absx.size == 0 or float(absx.max()) == 0.0:
+    top = float(absx.max()) if absx.size else 0.0
+    if top == 0.0:
         return 0.0
-    # the norm is homogeneous: rescale tiny vectors by an exact power of two
-    # so that the lower bracket end does not underflow to 0
+    # the norm is homogeneous: rescale by an exact power of two a vector so
+    # tiny that the lower bracket end underflows to 0, or so large that its
+    # sum overflows (the upper bracket end would be inf)
     scale = 0
-    if float(absx.max()) * 1e-6 < sys.float_info.min:
-        scale = -math.frexp(float(absx.max()))[1]
+    if top * 1e-6 < sys.float_info.min:
+        scale = -math.frexp(top)[1]
+    elif math.isfinite(top) and top * absx.size > 0.5 * sys.float_info.max:
+        with np.errstate(over="ignore"):
+            if float(absx.sum()) == math.inf:
+                scale = -(absx.size.bit_length() + 1)
+    if scale:
         absx = np.ldexp(absx, scale)
     kink = 1.0 / j
     lo = float(absx.max()) * 1e-6
     hi = float(absx.sum()) + 1.0
+    below, above = _band_edges(absx, kink)
     for _ in range(_MAX_BISECTIONS):
         if hi - lo <= DEFAULT_NORM_TOL * hi:
             break
         mid = 0.5 * (lo + hi)
-        if math.fsum(np.maximum(absx / mid - kink, 0.0)) <= 1.0:
+        if mid > above:
+            hi = mid
+        elif mid < below:
+            lo = mid
+        elif math.fsum(np.maximum(absx / mid - kink, 0.0)) <= 1.0:
             hi = mid
         else:
             lo = mid
-    return math.ldexp(hi, -scale)
+    try:
+        return math.ldexp(hi, -scale)
+    except OverflowError:  # the norm itself is beyond the float range
+        return math.inf
+
+
+def _band_edges(absx: np.ndarray, kink: float) -> tuple[float, float]:
+    """The edges of the band around the closed-form norm inside which
+    ``luxemburg_norm`` evaluates the hinge sum (see its docstring).
+
+    Formed as differences, so an estimate that overflows gives a NaN lower
+    edge and an infinite upper one and no step is decided without the sum.
+    """
+    n = absx.size
+    ratios = np.sort(absx)[::-1].cumsum() / (1.0 + np.arange(1, n + 1) * kink)
+    estimate = float(ratios.max())
+    slack = estimate * (4 * (n + 4) * (1.0 + kink) * 2.0**-53)
+    return estimate - slack, estimate + slack
 
 
 # ---------------------------------------------------------------------------

@@ -56,10 +56,6 @@ class VerificationReport:
     stderr: Optional[float] = None
     extra: Mapping[str, object] = field(default_factory=dict)
 
-    @property
-    def passed(self) -> bool:
-        return self.status != STATUS_FAIL
-
     def _row_values(self) -> tuple:
         # the one definition of the row format: values in _ROW_KEYS order
         # (to_json_obj and reports_to_json both read it)

@@ -2,13 +2,15 @@
 values.  These deliberately avoid the package's computation paths: plain
 itertools enumeration, exact Fractions, closed forms, direct minimization,
 and the member generators and path gather that the table-driven ones
-replaced.  Three helpers are not oracles in that sense: the vectorized
-hinge-norm bisection, which the acceptance criteria run over many vectors at
-once; the lemma-suite oracle, which reads the package's hit-count table but
+replaced, and the plain hinge-norm bisection that the filtered one replaced.
+Three helpers are not oracles in that sense: the vectorized hinge-norm
+bisection, which the acceptance criteria run over many vectors at once; the
+lemma-suite oracle, which reads the package's hit-count table but
 decides every instance with its own Fractions; and, at the end, the recursive
 canonical serializer and the report renderings that the single-pass ones
 replaced.  The matrix builders (indicators and averages on an ordering's
-largest positions, extreme points of the hinge ball) make test inputs."""
+largest positions, extreme points of the hinge ball, the zero matrix) make
+test inputs."""
 
 from __future__ import annotations
 
@@ -16,9 +18,11 @@ import csv
 import io
 import itertools
 import json
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -141,6 +145,10 @@ def averaged_top_matrix(m, order, ell) -> Matrix:
     return _on_top(order, top, m.top_sum(top) / top)
 
 
+def zero_matrix(n, N) -> Matrix:
+    return Matrix(np.zeros((n, N)))
+
+
 def extreme_point_matrices(n, N, ell):
     """The n*N unit-sphere extreme points of the hinge-(ell*N) ball with
     positive entries: every entry 1/(ell*N), one entry 1 + 1/(ell*N)."""
@@ -213,6 +221,34 @@ def hinge_norm_closed_form(x, j) -> float:
     return float((np.cumsum(absx) / (1.0 + k / j)).max())
 
 
+def luxemburg_norm_oracle(x: Sequence[float], j: int) -> float:
+    """The plain bisection that ``osb.orlicz.luxemburg_norm`` filters: every
+    step evaluates the hinge sum with ``math.fsum``."""
+    if j < 1:
+        raise DomainError("j must be >= 1")
+    absx = np.abs(np.asarray(x, dtype=np.float64))
+    if absx.size == 0 or float(absx.max()) == 0.0:
+        return 0.0
+    # the norm is homogeneous: rescale tiny vectors by an exact power of two
+    # so that the lower bracket end does not underflow to 0
+    scale = 0
+    if float(absx.max()) * 1e-6 < sys.float_info.min:
+        scale = -math.frexp(float(absx.max()))[1]
+        absx = np.ldexp(absx, scale)
+    kink = 1.0 / j
+    lo = float(absx.max()) * 1e-6
+    hi = float(absx.sum()) + 1.0
+    for _ in range(_MAX_BISECTIONS):
+        if hi - lo <= DEFAULT_NORM_TOL * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        if math.fsum(np.maximum(absx / mid - kink, 0.0)) <= 1.0:
+            hi = mid
+        else:
+            lo = mid
+    return math.ldexp(hi, -scale)
+
+
 def hinge_norm_batch(
     xs: np.ndarray, js: np.ndarray, tol: float = DEFAULT_NORM_TOL
 ) -> np.ndarray:
@@ -230,9 +266,12 @@ def hinge_norm_batch(
     kinks = (1.0 / js)[:, None]
     maxes = absx.max(axis=1)
     nonzero = maxes > 0.0
-    # rows too small for the lower bracket end are rescaled by the exact
-    # power of two that luxemburg_norm uses
+    with np.errstate(over="ignore"):
+        overflows = np.isinf(absx.sum(axis=1)) & np.isfinite(maxes)
+    # rows too small for the lower bracket end, or whose sum overflows, are
+    # rescaled by the exact power of two that luxemburg_norm uses
     scale = np.where(maxes * 1e-6 < np.finfo(np.float64).tiny, -np.frexp(maxes)[1], 0)
+    scale = np.where(overflows, -(absx.shape[1].bit_length() + 1), scale)
     absx = np.ldexp(absx, scale[:, None])
     lo = absx.max(axis=1) * 1e-6
     hi = absx.sum(axis=1) + 1.0
@@ -246,7 +285,8 @@ def hinge_norm_batch(
         below = sums <= 1.0
         hi = np.where(active & below, mid, hi)
         lo = np.where(active & ~below, mid, lo)
-    return np.where(nonzero, np.ldexp(hi, -scale), 0.0)
+    with np.errstate(over="ignore"):  # a norm beyond the float range is inf
+        return np.where(nonzero, np.ldexp(hi, -scale), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -252,6 +252,12 @@ class TestEquality:
         with pytest.raises(DomainError, match="unknown family kind 'foo'"):
             families.MapFamily(2, 2, "foo")
 
+    @pytest.mark.parametrize("n,N", [(2.5, 2), ("2", 2), (True, 2), (2, False),
+                                     (2, 2.0), (np.int64(2), 2)])
+    def test_dimensions_that_are_not_ints_are_domain_errors(self, n, N):
+        with pytest.raises(DomainError, match="n and N must be integers"):
+            families.MapFamily(n, N, "full-mapping")
+
 
 class TestMarginals:
     def test_symmetric_group_uniform(self):

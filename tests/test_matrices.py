@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from osb.corpus import parse_corpus_json
 from osb.errors import DomainError, FormatError
 from osb.matrices import (
     Matrix,
@@ -21,6 +22,7 @@ from oracles import (
     in_ordered_class,
     indicator_matrix,
     values_along,
+    zero_matrix,
 )
 
 
@@ -45,7 +47,7 @@ class TestRearrangement:
         assert m.rearrangement.tolist() == [3, 2, 2, 1]
 
     def test_zero_matrix(self):
-        assert Matrix.zeros(3, 3).rearrangement.tolist() == [0.0] * 9
+        assert zero_matrix(3, 3).rearrangement.tolist() == [0.0] * 9
 
     @given(small_matrices())
     @settings(max_examples=50, deadline=None)
@@ -110,7 +112,7 @@ class TestAveragedMatrix:
         assert out.entries.tolist() == [[2.5, 0], [2.5, 0]]
 
     def test_zero_matrix(self):
-        m = Matrix.zeros(2, 3)
+        m = zero_matrix(2, 3)
         out = averaged_top_matrix(m, order_map(m), 2)
         assert not out.entries.any()
 
@@ -123,7 +125,7 @@ class TestAveragedMatrix:
             m.top_sum(ell * m.cols), abs=1e-9)
 
     def test_ell_out_of_range(self):
-        m = Matrix.zeros(2, 2)
+        m = zero_matrix(2, 2)
         with pytest.raises(DomainError):
             averaged_top_matrix(m, order_map(m), 3)
 
@@ -146,7 +148,7 @@ class TestIndicatorMatrix:
         assert indicator_matrix(h, 3).rearrangement.tolist() == [1, 1, 1, 0]
 
     def test_m_out_of_range(self):
-        h = order_map(Matrix.zeros(2, 2))
+        h = order_map(zero_matrix(2, 2))
         with pytest.raises(DomainError):
             indicator_matrix(h, 5)
 
@@ -177,6 +179,16 @@ class TestFileFormats:
         text = json.dumps({"rows": rows, "cols": cols, "entries": [[1.0]]})
         with pytest.raises(FormatError, match="rows/cols must be integers"):
             parse_matrix_json(text)
+
+    @pytest.mark.parametrize("seed", [1.9, True, False, "5", None])
+    def test_corpus_seed_must_be_an_integer(self, seed):
+        text = json.dumps({"seed": seed, "cells": []})
+        with pytest.raises(FormatError, match="corpus seed must be an integer"):
+            parse_corpus_json(text)
+
+    def test_corpus_seed_defaults_to_zero(self):
+        assert parse_corpus_json('{"seed": 5, "cells": []}').seed == 5
+        assert parse_corpus_json('{"cells": []}').seed == 0
 
     def test_json_rejects_nan(self):
         with pytest.raises(FormatError):

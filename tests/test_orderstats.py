@@ -41,6 +41,7 @@ from oracles import (
     path_values,
     table_coefficients,
     table_tail,
+    zero_matrix,
 )
 
 
@@ -186,7 +187,7 @@ class TestExactExpectation:
 
 class TestMonteCarlo:
     def test_zero_matrix_is_exact(self):
-        r = expected_top_sum_mc(Matrix.zeros(2, 2), symmetric_group(2), 1,
+        r = expected_top_sum_mc(zero_matrix(2, 2), symmetric_group(2), 1,
                                 samples=1000, seed=0)
         assert r.value == 0.0 and r.stderr == 0.0
 
@@ -205,7 +206,7 @@ class TestMonteCarlo:
 
     def test_requires_two_samples(self):
         with pytest.raises(DomainError):
-            expected_top_sum_mc(Matrix.zeros(2, 2), symmetric_group(2), 1, 1, 0)
+            expected_top_sum_mc(zero_matrix(2, 2), symmetric_group(2), 1, 1, 0)
 
 
 class TestHitCounts:

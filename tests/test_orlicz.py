@@ -1,20 +1,33 @@
+import math
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from osb import orlicz
+from osb.corpus import DEFAULT_SEED, default_corpus
 from osb.errors import DomainError, HypothesisError
 from osb.families import explicit_family, full_mapping_family, symmetric_group
 from osb.matrices import Matrix
 from osb.orderstats import expected_top_sum
 from osb.orlicz import (
     DEFAULT_NORM_TOL,
+    _band_edges,
     luxemburg_norm,
     orlicz_upper_bound_check,
     top_sum_sandwich_check,
 )
 
-from oracles import extreme_point_matrices, hinge_norm_batch, hinge_norm_closed_form
+from oracles import (
+    extreme_point_matrices,
+    hinge_norm_batch,
+    hinge_norm_closed_form,
+    luxemburg_norm_oracle,
+    zero_matrix,
+)
 
 vectors = st.lists(st.floats(-20, 20, allow_nan=False), min_size=1, max_size=10)
 
@@ -146,6 +159,134 @@ class TestLuxemburgNorm:
         assert batch.min() > 0.0
 
 
+def corpus_inputs(seed):
+    """Every (entries, ell * N) that the orlicz sweep hands the norm."""
+    return [(a.entries.ravel(), ell * cell.N)
+            for cell in default_corpus(seed=seed)
+            for _, a in cell.matrices for ell in range(1, cell.n + 1)]
+
+
+def generated_vectors(rng, count):
+    """(vector, j) pairs of several shapes, ``count`` of each, none of whose
+    sums overflow."""
+    big = sys.float_info.max
+    kinds = {
+        "uniform": lambda n: rng.uniform(-10, 10, n) * (rng.uniform(0, 1, n) < 0.8),
+        "tied": lambda n: rng.integers(0, 3, n) * rng.choice([0.1, 1 / 3, 1.0, 7.0]),
+        "sparse-integer": lambda n: rng.integers(-5, 6, n) * (rng.uniform(0, 1, n) < 0.3),
+        "cauchy": lambda n: rng.standard_cauchy(n),
+        "log-uniform": lambda n: 10.0 ** rng.uniform(-300, 300, n),
+        "subnormal": lambda n: rng.uniform(0, 1, n) * 2.0**-1050,
+        "near-overflow": lambda n: rng.uniform(0.5, 1, n) * (big / (n + 1)),
+    }
+    out = []
+    for make in kinds.values():
+        for _ in range(count):
+            n = int(rng.integers(1, 41))
+            j = int(rng.choice([1, n, int(rng.integers(1, n + 1)), 3 * n, 10**6]))
+            out.append((make(n), j))
+    return out
+
+
+def hinge_step(absx, mid, kink):
+    """The plain bisection's decision at ``mid``: does the sum round to <= 1?"""
+    return math.fsum(np.maximum(absx / mid - kink, 0.0)) <= 1.0
+
+
+class TestFilteredBisection:
+    """The filtered bisection decides every step as the plain one does."""
+
+    @pytest.mark.parametrize("seed", [DEFAULT_SEED, 20141124])
+    def test_bit_identical_on_default_corpus(self, seed):
+        inputs = corpus_inputs(seed)
+        assert len(inputs) == 5250
+        for x, j in inputs:
+            assert luxemburg_norm(x, j) == luxemburg_norm_oracle(x, j)
+
+    def test_bit_identical_on_generated_vectors(self):
+        inputs = generated_vectors(np.random.default_rng(4242), 3000)
+        assert len(inputs) >= 20000
+        mismatches = [(x, j) for x, j in inputs
+                      if luxemburg_norm(x, j) != luxemburg_norm_oracle(x, j)]
+        assert not mismatches
+
+    def test_bit_identical_on_hinge_ball_extreme_points(self):
+        # the exact norm is 1 and the hinge sum is exactly 1 there
+        for n, N, ell in [(2, 2, 1), (3, 2, 2), (2, 3, 2), (4, 4, 3), (5, 5, 5)]:
+            for p in extreme_point_matrices(n, N, ell):
+                x = p.entries.ravel()
+                assert luxemburg_norm(x, ell * N) == luxemburg_norm_oracle(x, ell * N)
+
+    def test_decisions_at_the_band_edges(self):
+        rng = np.random.default_rng(99)
+        inputs = generated_vectors(rng, 300) + [
+            (p.entries.ravel(), 2 * 3)
+            for p in extreme_point_matrices(3, 3, 2)]
+        checked = 0
+        for x, j in inputs:
+            absx = np.abs(np.asarray(x, dtype=np.float64))
+            if absx.max() * 1e-6 < sys.float_info.min:
+                continue  # the norm rescales these first
+            kink = 1.0 / j
+            below, above = _band_edges(absx, kink)
+            # just outside the band the filter decides, and so must the sum
+            assert hinge_step(absx, np.nextafter(above, math.inf), kink)
+            assert not hinge_step(absx, np.nextafter(below, 0.0), kink)
+            # just inside it the filter defers to the sum
+            for mid in (np.nextafter(above, 0.0), np.nextafter(below, math.inf)):
+                assert below <= mid <= above
+            checked += 1
+        assert checked > 1500
+
+    def test_most_steps_skip_the_hinge_sum(self, monkeypatch):
+        counted = [0]
+        fsum = math.fsum
+
+        def counting_fsum(values):
+            counted[0] += 1
+            return fsum(values)
+
+        inputs = corpus_inputs(DEFAULT_SEED)
+        monkeypatch.setattr(orlicz.math, "fsum", counting_fsum)
+        for x, j in inputs:
+            luxemburg_norm(x, j)
+        assert counted[0] <= 2 * len(inputs)
+
+    def test_overflowing_sum_is_rescaled(self):
+        # sum|x| overflows, so the upper bracket end was inf and so was the
+        # result; the norm is 2e308 / 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = luxemburg_norm([1e308, 1e308], 1)
+            batch = hinge_norm_batch(np.array([[1e308, 1e308]]), np.array([1]))
+        assert got == pytest.approx(1e308 / 1.5, rel=1e-11)
+        assert batch[0] == pytest.approx(got, rel=1e-10)
+
+    def test_overflowing_sum_matches_the_rescaled_oracle(self):
+        rng = np.random.default_rng(7)
+        finite = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 30))
+            x = rng.uniform(0.5, 1, n) * (sys.float_info.max * min(1.0, 4.0 / n))
+            with np.errstate(over="ignore"):
+                if np.isfinite(x.sum()):
+                    continue
+            j = int(rng.integers(1, n + 1))
+            shift = n.bit_length() + 1
+            # exact unless the norm is beyond the float range, then inf
+            want = luxemburg_norm_oracle(np.ldexp(x, -shift), j) * 2.0**shift
+            assert luxemburg_norm(x, j) == want
+            finite += math.isfinite(want)
+        assert finite > 100
+
+    def test_norm_beyond_the_float_range_is_inf(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert luxemburg_norm([1e308] * 4, 1000) == math.inf
+            batch = hinge_norm_batch(np.array([[1e308] * 4]), np.array([1000]))
+        assert batch[0] == math.inf
+
+
 class TestSandwich:
     def test_tight_lower_example(self):
         rep = top_sum_sandwich_check([1, 0, 0, 0], 1)
@@ -208,7 +349,7 @@ class TestUpperBound:
             assert rep.rhs == pytest.approx(1.0, rel=1e-9)       # (2/N) * norm
 
     def test_zero_matrix(self):
-        rep = orlicz_upper_bound_check(Matrix.zeros(2, 2), symmetric_group(2), 1)
+        rep = orlicz_upper_bound_check(zero_matrix(2, 2), symmetric_group(2), 1)
         assert rep.status == "pass" and rep.lhs == 0.0 and rep.rhs == 0.0
 
     def test_random_matrices(self):
@@ -236,7 +377,7 @@ class TestUpperBound:
     def test_hypothesis_failure(self):
         fam = explicit_family([[1, 2]], 2, 2)
         with pytest.raises(HypothesisError):
-            orlicz_upper_bound_check(Matrix.zeros(2, 2), fam, 1)
+            orlicz_upper_bound_check(zero_matrix(2, 2), fam, 1)
 
     def test_mc_fallback(self):
         rng = np.random.default_rng(79)

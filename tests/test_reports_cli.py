@@ -49,7 +49,7 @@ class TestReportLogic:
 
     def test_vacuous_does_not_fail(self):
         r = vacuous_report("c", {}, "empty sweep")
-        assert r.passed and r.status == "vacuous"
+        assert r.status == "vacuous"
 
 
 class TestSerialization:
@@ -125,6 +125,15 @@ class TestCli:
         assert cli.main(["family-check", "--family", f"file:{path}"]) == 2
         err = capsys.readouterr().err
         assert "n and N must be positive integers" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("seed", ["1.9", "true"])
+    def test_corpus_seed_that_is_not_an_integer_is_a_usage_error(
+            self, tmp_path, capsys, seed):
+        path = tmp_path / "corpus.json"
+        path.write_text('{"seed": %s, "cells": []}' % seed)
+        assert cli.main(["verify-main", "--family", "sym", "--corpus", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "corpus seed must be an integer" in err and "Traceback" not in err
 
     def test_usage_error_exit_code(self):
         assert cli.main(["verify-main", "--family", "nope:2"]) == 2
