@@ -14,7 +14,6 @@ from typing import Optional, Sequence
 from .families import (
     FamilySpec,
     family_for_cell,
-    load_family,
     pairwise_constant,
     require_uniform_marginals,
 )
@@ -48,20 +47,10 @@ def lower_constant(c_pair: Fraction) -> float:
 
 
 def _iter_cell_families(corpus: Corpus, spec: FamilySpec):
-    # a file family is read once, on the first cell, and runs on the cells
-    # of its shape
-    loaded = None
     for cell in corpus:
-        if spec.kind == "file":
-            if loaded is None:
-                loaded = load_family(spec.path)
-            shape_fits = (loaded.n, loaded.N) == (cell.n, cell.N)
-            family = loaded if shape_fits else None
-        else:
-            family = family_for_cell(spec, cell.n, cell.N)
-        if family is None:
-            continue
-        yield cell, family
+        family = family_for_cell(spec, cell.n, cell.N)
+        if family is not None:
+            yield cell, family
 
 
 def _ell_values(ell_range: Optional[tuple[int, int]], n: int) -> list[int]:
@@ -225,7 +214,7 @@ def run_lemmas(
             cell_inputs = {"cell": f"{cell.n}x{cell.N}", "id": mid}
             for ell in _ell_values(ell_range, family.n):
                 instance = lemma_suite(
-                    a, family, ell, table=table, cap=cap, extra_inputs=cell_inputs,
+                    a, family, ell, table=table, extra_inputs=cell_inputs,
                 )
                 out.extend(instance.aggregate() if aggregate else instance)
     return out

@@ -4,8 +4,8 @@ sampling, and corpus generation.
 Subcommands: verify-main, verify-lp, lemmas, family-check, sample,
 corpus gen.  Settings resolve with precedence CLI flag > environment
 (OSB_SEED, OSB_ENUM_CAP) > config file (key=value lines) > defaults.
-Exit codes: 0 all non-vacuous checks pass, 1 any failure, 2 usage error,
-3 family-hypothesis failure.
+Exit codes: 0 all non-vacuous checks pass, 1 any failure, 2 usage error
+(including a value beyond the float range), 3 family-hypothesis failure.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .errors import (DomainError, FormatError, HypothesisError, ResourceError,
 from .families import (
     DEFAULT_ENUM_CAP,
     family_certificate,
-    load_family,
     parse_family_spec,
     sample,
     symmetric_group,
@@ -214,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve_family(args):
     spec = parse_family_spec(args.family)
     if spec.kind == "file":
-        return load_family(spec.path)
+        return spec.file_family
     n = args.n or spec.n
     N = args.N or spec.N or n
     if spec.kind == "sym":
@@ -297,6 +296,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_HYPOTHESIS
     except (DomainError, FormatError, ResourceError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except OverflowError as e:  # a value computed from the input left the float range
+        print(f"error: numeric overflow: {e}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -30,12 +30,11 @@ _DIST_PREFIX = {"uniform": "u", "integer": "i", "sparse": "s"}
 class CorpusSpec:
     """One homogeneous slice of a corpus: a shape grid, a count per cell, and
     an entry distribution (uniform [0,1], integer grid 0..9, or sparse with
-    the given density of uniform entries)."""
+    density ``DEFAULT_SPARSE_DENSITY`` of uniform entries)."""
 
     cells: tuple[tuple[int, int], ...] = DEFAULT_GRID
     matrices_per_cell: int = 50
     distribution: str = "uniform"
-    sparse_density: float = DEFAULT_SPARSE_DENSITY
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
@@ -76,7 +75,7 @@ def _generate_matrix(spec: CorpusSpec, n: int, N: int, index: int) -> Matrix:
     else:
         gates = rng.uniforms(key, 0, count)
         values = rng.uniforms(key, count, count)
-        flat = np.where(gates < spec.sparse_density, values, 0.0)
+        flat = np.where(gates < DEFAULT_SPARSE_DENSITY, values, 0.0)
     return Matrix(flat.reshape(n, N))
 
 
@@ -107,11 +106,11 @@ def default_corpus(seed: int = DEFAULT_SEED) -> Corpus:
     )
 
 
-def single_matrix_corpus(a: Matrix, matrix_id: str = "m00") -> Corpus:
-    """Wrap one matrix so campaigns can run on it directly."""
+def single_matrix_corpus(a: Matrix) -> Corpus:
+    """Wrap one matrix, with id m00, so campaigns can run on it directly."""
     return Corpus(
         seed=0,
-        cells=(CorpusCell(n=a.rows, N=a.cols, matrices=((matrix_id, a),)),),
+        cells=(CorpusCell(n=a.rows, N=a.cols, matrices=(("m00", a),)),),
     )
 
 

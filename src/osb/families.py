@@ -193,17 +193,23 @@ def require_enumerable(family: MapFamily, cap: int | None = None):
         )
 
 
+# rows per enumerated block; the cut points are part of the output contract
+MEMBER_BLOCK_ROWS = 65_536
+
+
 def iter_member_arrays(
-    family: MapFamily, chunk: int = 65536, cap: int | None = None
+    family: MapFamily, cap: int | None = None
 ) -> Iterator[np.ndarray]:
     """Stream all members as int64 arrays of shape (B, n), values 1..N.
 
     Iteration order is fixed: lexicographic for built-in kinds, list order for
-    explicit families.  Every block but the last holds ``chunk`` rows.  The
-    order and the cut points are part of the output contract: exact
-    expectations add per-block float sums, whose last bits depend on both.
+    explicit families.  Every block but the last holds ``MEMBER_BLOCK_ROWS``
+    rows.  The order and the cut points are part of the output contract:
+    exact expectations add per-block float sums, whose last bits depend on
+    both.
     """
     require_enumerable(family, cap)
+    chunk = MEMBER_BLOCK_ROWS
     if family.kind == KIND_EXPLICIT:
         arr = family.members
         for lo in range(0, arr.shape[0], chunk):
@@ -230,8 +236,8 @@ def iter_member_arrays(
 
 
 # r = 7 keeps the permutation table at 5040 rows; N**r <= 4096 (or r = 1)
-# keeps a mapping table at a few hundred KB.  Both are far below the default
-# chunk.
+# keeps a mapping table at a few hundred KB.  Both are far below
+# MEMBER_BLOCK_ROWS.
 _SYM_TABLE_WIDTH = 7
 _MAP_TABLE_ROWS = 4096
 
@@ -478,12 +484,10 @@ class FamilySpec:
     N: Optional[int] = None
     path: Optional[str] = None
 
-    def label(self) -> str:
-        if self.kind == "sym":
-            return "sym" if self.n is None else f"sym:{self.n}"
-        if self.kind == "map":
-            return "map" if self.n is None else f"map:{self.n}:{self.N}"
-        return f"file:{self.path}"
+    @cached_property
+    def file_family(self) -> MapFamily:
+        """The family a ``file:`` spec names, read on first use and kept."""
+        return load_family(self.path)
 
 
 def parse_family_spec(text: str) -> FamilySpec:
@@ -518,5 +522,5 @@ def family_for_cell(spec: FamilySpec, n: int, N: int) -> Optional[MapFamily]:
         if spec.n is not None and (spec.n, spec.N) != (n, N):
             return None
         return full_mapping_family(n, N)
-    fam = load_family(spec.path)
+    fam = spec.file_family
     return fam if (fam.n, fam.N) == (n, N) else None

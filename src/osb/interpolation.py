@@ -32,7 +32,6 @@ from .orderstats import (
     _check_dims,
     _paths_for_block,
     expected_top_sum,
-    expected_top_sum_mc,
 )
 from .reports import (
     STATUS_FAIL,
@@ -102,24 +101,14 @@ def k_functional(x: Sequence[float], t: float) -> float:
     return KFunctionalCurve.from_vector(x).value(t)
 
 
-def mixed_k_curve(
-    a: Matrix,
-    family: MapFamily,
-    *,
-    cap: int | None = None,
-    samples: int | None = None,
-    seed: int = 0,
-) -> KFunctionalCurve:
-    """The family average of the per-path K-functional curves.
+def mixed_k_curve(a: Matrix, family: MapFamily) -> KFunctionalCurve:
+    """The family average of the per-path K-functional curves, enumerated
+    exactly.
 
     Averaging commutes with the closed form, so the mixed curve's slopes are
     the expected order statistics of the path values.
     """
-    if samples is None:
-        result = expected_top_sum(a, family, a.rows, cap=cap)
-    else:
-        result = expected_top_sum_mc(a, family, a.rows, samples, seed)
-    return KFunctionalCurve(result.per_k)
+    return KFunctionalCurve(expected_top_sum(a, family, a.rows).per_k)
 
 
 # ---------------------------------------------------------------------------

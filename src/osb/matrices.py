@@ -21,9 +21,10 @@ from .errors import DomainError, FormatError, read_input_text
 
 
 def render_float(x: float) -> str:
-    """Canonical decimal rendering with 17 significant digits (round-trips)."""
+    """Canonical decimal rendering with 17 significant digits (round-trips).
+    A non-finite value raises DomainError."""
     if not math.isfinite(x):
-        raise ValueError(f"non-finite value cannot be rendered: {x!r}")
+        raise DomainError(f"non-finite value cannot be rendered: {x!r}")
     return format(float(x), ".17g")
 
 

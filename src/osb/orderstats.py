@@ -395,10 +395,10 @@ def _lemma35_sides(a: Matrix, table: HitCountTable, p: int, q: int, ell: int):
     return averaged, ((8 * q + 16 * p) * reduced, q * S * d)
 
 
-class LemmaSweep(Sequence[VerificationReport]):
+class LemmaSweep:
     """The suite's reports for one (matrix, family, ell) instance, held as
-    exact columns.  Indexing or iterating builds the per-instance reports in
-    sweep order; ``aggregate`` reduces each check id to its worst report."""
+    exact columns.  Iterating builds the per-instance reports in sweep
+    order; ``aggregate`` reduces each check id to its worst report."""
 
     def __init__(self, base: dict, columns: list[_Column], theta_count: int):
         self._base = base
@@ -428,13 +428,6 @@ class LemmaSweep(Sequence[VerificationReport]):
         for col, i in self._rows():
             yield col.report(i, self._base)
 
-    def __getitem__(self, index):
-        rows = list(self._rows())[index]
-        if isinstance(index, slice):
-            return [col.report(i, self._base) for col, i in rows]
-        col, i = rows
-        return col.report(i, self._base)
-
     def aggregate(self) -> list[VerificationReport]:
         """One report per check id, in check-id order: the first instance of
         least float margin, with the instance and failure counts."""
@@ -447,31 +440,27 @@ def lemma_suite(
     family: MapFamily,
     ell: int,
     *,
-    thetas: Sequence[Fraction] = DEFAULT_THETAS,
     table: HitCountTable | None = None,
-    cap: int | None = None,
-    skip_hypothesis_check: bool = False,
     extra_inputs: dict | None = None,
 ) -> LemmaSweep:
     """Run every tail inequality on one (matrix, family, ell) instance.
 
     Sweeps: m over 1..nN (restricted to m <= ell*N where the statement
-    requires it), theta over ``thetas``, and k over the admissible ranges.
-    Instances with an empty parameter range are reported as vacuous.  Every
-    instance is decided in exact integer arithmetic; reports are built when
-    the returned sequence is read.
+    requires it), theta over ``DEFAULT_THETAS`` (0.1, ..., 0.9), and k over
+    the admissible ranges.  Instances with an empty parameter range are
+    reported as vacuous.  Every instance is decided in exact integer
+    arithmetic; reports are built when the returned sweep is read.
     """
     _check_dims(a, family)
     if not 1 <= ell <= family.n:
         raise DomainError(f"ell={ell} out of range 1..{family.n}")
-    if not skip_hypothesis_check:
-        require_uniform_marginals(family)
+    require_uniform_marginals(family)
     c_pair = pairwise_constant(family).pairwise_bound
     if table is None:
-        table = build_hit_table(family, order_map(a), cap=cap)
+        table = build_hit_table(family, order_map(a))
     base = {
         **(extra_inputs or {}),
         "matrix": a.digest(), "family": family.descriptor(), "ell": ell,
     }
-    columns = _lemma_columns(a, table, c_pair, ell, thetas)
-    return LemmaSweep(base, columns, len(thetas))
+    columns = _lemma_columns(a, table, c_pair, ell, DEFAULT_THETAS)
+    return LemmaSweep(base, columns, len(DEFAULT_THETAS))

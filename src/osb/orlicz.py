@@ -19,11 +19,7 @@ import numpy as np
 from .errors import DomainError
 from .families import MapFamily, pairwise_constant, require_uniform_marginals
 from .matrices import Matrix
-from .orderstats import (
-    OrderStatResult,
-    expected_top_sum,
-    expected_top_sum_mc,
-)
+from .orderstats import expected_top_sum
 from .reports import (
     EXACT_SLACK,
     STATUS_FAIL,
@@ -43,7 +39,8 @@ def luxemburg_norm(x: Sequence[float], j: int) -> float:
     the sum is at least 1e6 - 1/j at its lower end and at most
     sum|x| / (sum|x| + 1) < 1 at its upper end.  Halves until the relative
     width is at most ``DEFAULT_NORM_TOL`` and returns the upper end, so the
-    constraint sum <= 1 holds at the returned value.
+    constraint sum <= 1 holds at the returned value.  An infinite or NaN
+    entry raises DomainError.
 
     A step moves ``hi`` to the midpoint m exactly when the plain hinge sum
     fsum(max(|x_i| / m - k, 0)) rounds to at most 1, k the float 1/j.  Most
@@ -78,6 +75,8 @@ def luxemburg_norm(x: Sequence[float], j: int) -> float:
         raise DomainError("j must be >= 1")
     absx = np.abs(np.asarray(x, dtype=np.float64))
     top = float(absx.max()) if absx.size else 0.0
+    if not math.isfinite(top):  # max is NaN when any entry is
+        raise DomainError("the hinge norm needs finite entries")
     if top == 0.0:
         return 0.0
     # the norm is homogeneous: rescale by an exact power of two a vector so
@@ -86,7 +85,7 @@ def luxemburg_norm(x: Sequence[float], j: int) -> float:
     scale = 0
     if top * 1e-6 < sys.float_info.min:
         scale = -math.frexp(top)[1]
-    elif math.isfinite(top) and top * absx.size > 0.5 * sys.float_info.max:
+    elif top * absx.size > 0.5 * sys.float_info.max:
         with np.errstate(over="ignore"):
             if float(absx.sum()) == math.inf:
                 scale = -(absx.size.bit_length() + 1)
@@ -133,11 +132,17 @@ def _band_edges(absx: np.ndarray, kink: float) -> tuple[float, float]:
 
 
 def top_sum_sandwich_check(x: Sequence[float], j: int) -> VerificationReport:
-    """Check half the top-j sum <= hinge norm <= top-j sum (id lemma4.1)."""
+    """Check half the top-j sum <= hinge norm <= top-j sum (id lemma4.1).
+
+    The check is made in floats, so a vector whose top-j sum is not finite
+    (an entry is, or the sum overflows) is rejected."""
     x = np.asarray(x, dtype=np.float64)
     if not 1 <= j <= x.size:
         raise DomainError(f"j={j} out of range 1..{x.size}")
-    top = float(np.sort(np.abs(x))[::-1][:j].sum())
+    with np.errstate(over="ignore"):
+        top = float(np.sort(np.abs(x))[::-1][:j].sum())
+    if not math.isfinite(top):
+        raise DomainError("the top-j sum is not finite")
     norm = luxemburg_norm(x, j)
     slack = DEFAULT_NORM_TOL * max(1.0, norm) + EXACT_SLACK
     margin = min(norm - 0.5 * top, top - norm)
@@ -151,34 +156,19 @@ def top_sum_sandwich_check(x: Sequence[float], j: int) -> VerificationReport:
 
 
 def orlicz_upper_bound_check(
-    a: Matrix,
-    family: MapFamily,
-    ell: int,
-    *,
-    cap: int | None = None,
-    samples: int | None = None,
-    seed: int = 0,
-    expectation: OrderStatResult | None = None,
+    a: Matrix, family: MapFamily, ell: int
 ) -> VerificationReport:
     """Check E top-ell path sum <= (2/N) * hinge-(ell*N) norm of the entries
-    (id prop4.2/upper)."""
+    (id prop4.2/upper), with the expectation enumerated exactly."""
     require_uniform_marginals(family)
     c_pair = pairwise_constant(family).pairwise_bound
-    if expectation is None:
-        if samples is None:
-            expectation = expected_top_sum(a, family, ell, cap=cap)
-        else:
-            expectation = expected_top_sum_mc(a, family, ell, samples, seed)
+    expectation = expected_top_sum(a, family, ell)
     norm = luxemburg_norm(a.entries.ravel(), ell * family.N)
     inputs = {
         "matrix": a.digest(), "family": family.descriptor(), "ell": ell,
     }
-    if expectation.mode == "mc":
-        inputs["samples"] = expectation.samples
-        inputs["seed"] = seed
     return inequality_report(
         "prop4.2/upper", inputs,
         lhs=expectation.value, rhs=2.0 / family.N * norm,
-        mode=expectation.mode, stderr=expectation.stderr,
         constant=float(c_pair), extra={"norm": norm},
     )

@@ -77,54 +77,25 @@ class VerificationReport:
         return dict(zip(_ROW_KEYS, self._row_values()))
 
 
-def _signed_margin(lhs, rhs, direction):
-    if direction == "le":
-        return rhs - lhs
-    if direction == "ge":
-        return lhs - rhs
-    raise ValueError(f"direction must be 'le' or 'ge', got {direction!r}")
-
-
 def inequality_report(
     check_id: str,
     inputs: Mapping[str, object],
     lhs: float,
     rhs: float,
     *,
-    direction: str = "le",
     constant: float | None = None,
     mode: str = "exact",
     stderr: float | None = None,
     extra: Mapping[str, object] | None = None,
 ) -> VerificationReport:
-    """Check the directed inequality with the mode's slack."""
-    margin = _signed_margin(float(lhs), float(rhs), direction)
+    """Check lhs <= rhs with the mode's slack."""
+    margin = float(rhs) - float(lhs)
     slack = EXACT_SLACK if mode == "exact" else 4.0 * (stderr or 0.0)
     status = STATUS_PASS if margin >= -slack else STATUS_FAIL
     return VerificationReport(
         check_id=check_id, inputs=dict(inputs), lhs=float(lhs), rhs=float(rhs),
-        margin=float(margin), status=status, direction=direction, mode=mode,
+        margin=margin, status=status, mode=mode,
         constant=constant, stderr=stderr, extra=dict(extra or {}),
-    )
-
-
-def exact_inequality_report(
-    check_id: str,
-    inputs: Mapping[str, object],
-    lhs: Fraction,
-    rhs: Fraction,
-    *,
-    direction: str = "le",
-    constant: float | None = None,
-    extra: Mapping[str, object] | None = None,
-) -> VerificationReport:
-    """Like inequality_report, but decided in exact rational arithmetic."""
-    margin = _signed_margin(lhs, rhs, direction)
-    status = STATUS_PASS if margin >= -EXACT_SLACK_FRACTION else STATUS_FAIL
-    return VerificationReport(
-        check_id=check_id, inputs=dict(inputs), lhs=float(lhs), rhs=float(rhs),
-        margin=float(margin), status=status, direction=direction, mode="exact",
-        constant=constant, extra=dict(extra or {}),
     )
 
 

@@ -291,7 +291,32 @@ def hinge_norm_batch(
 
 # ---------------------------------------------------------------------------
 # Hit-count tails, distributions and coefficients read off the package's
-# hit-count table, and the Paley-Zygmund inequality, all as Fractions.
+# hit-count table, the Paley-Zygmund inequality, and the report of an
+# inequality decided in Fractions, which the library's columnar lemma sweep
+# replaced.
+
+
+def _signed_margin(lhs, rhs, direction):
+    if direction == "le":
+        return rhs - lhs
+    if direction == "ge":
+        return lhs - rhs
+    raise ValueError(f"direction must be 'le' or 'ge', got {direction!r}")
+
+
+def exact_inequality_report(check_id, inputs, lhs: Fraction, rhs: Fraction, *,
+                            direction="le", constant=None, extra=None):
+    """The report of lhs <= rhs (or >= for direction "ge"), decided in
+    exact rational arithmetic with the 1e-12 slack."""
+    from osb.reports import EXACT_SLACK_FRACTION, VerificationReport
+
+    margin = _signed_margin(lhs, rhs, direction)
+    status = "pass" if margin >= -EXACT_SLACK_FRACTION else "fail"
+    return VerificationReport(
+        check_id=check_id, inputs=dict(inputs), lhs=float(lhs), rhs=float(rhs),
+        margin=float(margin), status=status, direction=direction, mode="exact",
+        constant=constant, extra=dict(extra or {}),
+    )
 
 
 def table_tail(table, m, k) -> Fraction:
@@ -344,7 +369,7 @@ def paley_zygmund_check(distribution, theta, inputs=None):
     The distribution is a HitCountDistribution or any (value, weight) pairs
     with nonnegative values; weights are normalized by their exact sum.  A zero
     mean makes the inequality vacuous."""
-    from osb.reports import exact_inequality_report, vacuous_report
+    from osb.reports import vacuous_report
 
     theta = Fraction(theta)
     if not 0 < theta < 1:
@@ -439,7 +464,7 @@ def lemma_suite_oracle(a, family, ell, *, thetas=None, table=None, c_pair=None,
     from osb.families import pairwise_constant
     from osb.matrices import order_map
     from osb.orderstats import DEFAULT_THETAS, build_hit_table
-    from osb.reports import exact_inequality_report, vacuous_report
+    from osb.reports import vacuous_report
 
     thetas = DEFAULT_THETAS if thetas is None else thetas
     if c_pair is None:
@@ -547,7 +572,7 @@ def aggregate_oracle(reports, group_inputs):
 
 def _render_float_oracle(x) -> str:
     if not np.isfinite(x):
-        raise ValueError(f"non-finite value cannot be rendered: {x!r}")
+        raise DomainError(f"non-finite value cannot be rendered: {x!r}")
     return format(float(x), ".17g")
 
 

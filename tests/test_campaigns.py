@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from osb import campaigns, families
+from osb import families
 from osb.campaigns import (
     lower_constant,
     run_lemmas,
@@ -16,6 +16,7 @@ from osb.errors import HypothesisError
 from osb.families import (
     FamilySpec,
     family_certificate,
+    family_for_cell,
     full_mapping_family,
     symmetric_group,
 )
@@ -91,11 +92,15 @@ def test_file_family_is_loaded_once_per_campaign(small_corpus, tmp_path,
         calls.append(p)
         return load(p)
 
-    monkeypatch.setattr(campaigns, "load_family", counted)
     monkeypatch.setattr(families, "load_family", counted)
     spec = FamilySpec("file", path=str(path))
     assert len(small_corpus.cells) > 1
     run_verify_main(small_corpus, spec)
+    assert calls == [str(path)]
+    # the spec keeps its family: later campaigns and cells do not read again
+    run_lemmas(small_corpus, spec)
+    assert [family_for_cell(spec, 2, 2) for _ in range(3)] == [spec.file_family] * 3
+    assert family_for_cell(spec, 3, 3) is None
     assert calls == [str(path)]
 
 
@@ -111,10 +116,10 @@ def test_file_family_is_certified_once_per_campaign(small_corpus, tmp_path,
         return compute(family)
 
     monkeypatch.setattr(families, "_compute_pairwise_certificate", counted)
-    spec = FamilySpec("file", path=str(path))
     for run in (run_verify_main, run_lemmas,
                 lambda c, s: run_verify_lp(c, s, [1.5, 3.0])):
         calls.clear()
+        spec = FamilySpec("file", path=str(path))
         assert run(small_corpus, spec)
         assert len(calls) == 1
 

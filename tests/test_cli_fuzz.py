@@ -46,6 +46,7 @@ def files(tmp_path_factory):
     put("cfg-bad-line", "just words\n")
     put("m-grid.json", json.dumps({"rows": 2, "cols": 2, "entries": 7}))
     put("m-huge.json", '{"rows": 1, "cols": 1, "entries": [[1%s]]}' % ("0" * 400))
+    put("m-1e308.csv", "1e308,1e308\n1e308,1e308\n")
     put("m-digits.json", '{"rows": 1, "cols": 1, "entries": [[1%s]]}' % ("0" * 5000))
     put("fam-huge.json", '{"n": 1, "N": 1, "maps": [[1%s]]}' % ("0" * 5000))
     put("corpus-bad.json", '{"cells": 3}')
@@ -186,3 +187,20 @@ def test_edge_command_lines(files, argv):
     code, _, err = _run(argv, {})
     assert code in EXIT_CODES, (argv, code, err)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    # 9**400 overflows on the integer-grid matrices of the default corpus
+    ["verify-lp", "--family", "map:2:2", "--p", "400"],
+    # finite entries whose sums and ratios overflow
+    ["verify-main", "--family", "map:2:2", "--matrix", "m-1e308.csv"],
+    ["verify-lp", "--family", "map:2:2", "--matrix", "m-1e308.csv"],
+    ["lemmas", "--family", "map:2:2", "--matrix", "m-1e308.csv"],
+])
+def test_values_beyond_the_float_range_are_usage_errors(files, argv):
+    argv = [files.get(a, a) for a in argv]
+    code, out, err = _run(argv, {})
+    assert code == 2, (argv, code, err)
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("error: ")], err
+    assert out == ""

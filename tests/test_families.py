@@ -49,9 +49,10 @@ class TestConstruction:
             iter_member_arrays(full_mapping_family(2, 3)))).tolist()))
         assert got == sorted(all_mappings(2, 3))
 
-    def test_chunked_enumeration_is_the_same_multiset(self):
+    def test_chunked_enumeration_is_the_same_multiset(self, monkeypatch):
         fam = full_mapping_family(3, 3)
-        whole = np.vstack(list(iter_member_arrays(fam, chunk=7)))
+        monkeypatch.setattr(families, "MEMBER_BLOCK_ROWS", 7)
+        whole = np.vstack(list(iter_member_arrays(fam)))
         assert whole.shape == (27, 3)
         assert sorted(map(tuple, whole.tolist())) == sorted(all_mappings(3, 3))
 
@@ -83,18 +84,20 @@ class TestMemberBlocks:
         (fam, chunk) for fam in _BLOCK_FAMILIES for chunk in _CHUNKS
         if fam.size <= 50_000 * chunk
     ], ids=lambda x: x.descriptor() if isinstance(x, families.MapFamily) else str(x))
-    def test_blocks_equal_the_oracle_block_for_block(self, fam, chunk):
-        got = iter_member_arrays(fam, chunk=chunk)
+    def test_blocks_equal_the_oracle_block_for_block(self, fam, chunk, monkeypatch):
+        monkeypatch.setattr(families, "MEMBER_BLOCK_ROWS", chunk)
+        got = iter_member_arrays(fam)
         want = oracle_member_blocks(fam, chunk)
         for g, w in itertools.zip_longest(got, want):
             assert g is not None and w is not None
             assert g.shape == w.shape and g.dtype == w.dtype == np.int64
             assert np.array_equal(g, w)
 
-    def test_explicit_blocks_are_list_order_slices(self):
+    def test_explicit_blocks_are_list_order_slices(self, monkeypatch):
         fam = explicit_family(all_permutations(4)[::-1] * 3, 4, 4)
         for chunk in (1, 7, 72):
-            blocks = list(iter_member_arrays(fam, chunk=chunk))
+            monkeypatch.setattr(families, "MEMBER_BLOCK_ROWS", chunk)
+            blocks = list(iter_member_arrays(fam))
             want = list(oracle_member_blocks(fam, chunk))
             assert len(blocks) == len(want)
             assert all(np.array_equal(g, w) for g, w in zip(blocks, want))
@@ -105,10 +108,12 @@ class TestMemberBlocks:
             with pytest.raises(ValueError):
                 table[0, 0] = 99
 
-    def test_a_caller_cannot_corrupt_later_enumerations(self):
+    def test_a_caller_cannot_corrupt_later_enumerations(self, monkeypatch):
         for fam in (symmetric_group(8), full_mapping_family(5, 6)):
-            for block in iter_member_arrays(fam, chunk=5041):
-                block[:] = 0
+            with monkeypatch.context() as m:
+                m.setattr(families, "MEMBER_BLOCK_ROWS", 5041)
+                for block in iter_member_arrays(fam):
+                    block[:] = 0
             for g, w in zip(iter_member_arrays(fam), oracle_member_blocks(fam)):
                 assert np.array_equal(g, w)
 

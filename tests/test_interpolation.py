@@ -98,13 +98,6 @@ class TestMixedKFunctional:
             ])
             assert mixed_k_curve(a, fam).value(t) == pytest.approx(float(direct), abs=1e-12)
 
-    def test_mc_close_to_exact(self):
-        a = random_matrix(3, 3, seed=3)
-        fam = full_mapping_family(3, 3)
-        exact = mixed_k_curve(a, fam).value(1.5)
-        approx = mixed_k_curve(a, fam, samples=200000, seed=1).value(1.5)
-        assert approx == pytest.approx(exact, rel=2e-2)
-
 
 class TestInterpolationNorm:
     def test_single_coordinate_closed_form(self):

@@ -20,11 +20,13 @@ from osb.families import (
     pairwise_constant,
     symmetric_group,
 )
-from osb.matrices import Matrix
-from osb.orderstats import _Column, lemma_suite
-from osb.reports import exact_inequality_report, reports_to_json
+from osb.matrices import Matrix, order_map
+from osb.orderstats import (DEFAULT_THETAS, LemmaSweep, _Column, _lemma_columns,
+                            build_hit_table, lemma_suite)
+from osb.reports import reports_to_json
 
-from oracles import aggregate_oracle, all_permutations, lemma_suite_oracle
+from oracles import (aggregate_oracle, all_permutations, exact_inequality_report,
+                     lemma_suite_oracle)
 
 
 def random_matrix(n, N, seed):
@@ -55,15 +57,28 @@ def test_column_decides_like_exact_report(direction):
     assert [r.status for r in got[:5]] == ["pass", "pass", "fail", "pass", "fail"]
 
 
-def _assert_same_sweep(a, family, ell, **kwargs):
-    sweep = lemma_suite(a, family, ell, extra_inputs={"id": "t"}, **kwargs)
-    kwargs.pop("skip_hypothesis_check", None)
-    oracle = lemma_suite_oracle(a, family, ell, extra_inputs={"id": "t"}, **kwargs)
+def _sweep(a, family, ell, thetas):
+    """What ``lemma_suite`` returns, for any theta grid and with no
+    hypothesis check on the family."""
+    table = build_hit_table(family, order_map(a))
+    c_pair = pairwise_constant(family).pairwise_bound
+    base = {"id": "t", "matrix": a.digest(), "family": family.descriptor(),
+            "ell": ell}
+    return LemmaSweep(base, _lemma_columns(a, table, c_pair, ell, thetas), len(thetas))
+
+
+def _assert_same_sweep(a, family, ell, thetas=None):
+    """The sweep against the oracle; with the default grid the sweep is
+    ``lemma_suite``'s own, and the family must pass its hypothesis check."""
+    if thetas is None:
+        sweep = lemma_suite(a, family, ell, extra_inputs={"id": "t"})
+        assert list(sweep) == list(_sweep(a, family, ell, DEFAULT_THETAS))
+    else:
+        sweep = _sweep(a, family, ell, thetas)
+    oracle = lemma_suite_oracle(a, family, ell, extra_inputs={"id": "t"}, thetas=thetas)
     assert len(sweep) == len(oracle)
     for got, want in zip(sweep, oracle):
         assert got == want, (got, want)
-    assert sweep[0] == oracle[0] and sweep[-1] == oracle[-1]
-    assert sweep[1:4] == oracle[1:4]
     group = {"id": "t", "matrix": a.digest(), "family": family.descriptor(),
              "ell": ell}
     assert sweep.aggregate() == aggregate_oracle(oracle, group)
@@ -116,7 +131,8 @@ def test_unhit_top_position_makes_paley_zygmund_vacuous():
     family = explicit_family([[2, 1], [2, 2], [2, 1]], 2, 2)
     a = Matrix.from_rows([[9, 1], [2, 3]])
     for ell in (1, 2):
-        oracle = _assert_same_sweep(a, family, ell, skip_hypothesis_check=True)
+        # the marginals are not uniform, so lemma_suite would refuse the family
+        oracle = _assert_same_sweep(a, family, ell, thetas=DEFAULT_THETAS)
         statuses = {r.status for r in oracle if r.check_id == "paley-zygmund"}
         assert statuses >= {"vacuous", "pass"}
         assert any(r.status == "fail" for r in oracle)

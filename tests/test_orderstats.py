@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from osb import families
 from osb.errors import DomainError, HypothesisError
 from osb.families import (
     explicit_family,
@@ -52,22 +53,24 @@ def random_matrix(n, N, seed):
 class TestGather:
     """The flat take against the fancy-index gather it replaced."""
 
-    def test_bit_identical_on_signed_zeros_and_subnormals(self):
+    def test_bit_identical_on_signed_zeros_and_subnormals(self, monkeypatch):
+        monkeypatch.setattr(families, "MEMBER_BLOCK_ROWS", 7)
         rng = np.random.default_rng(5)
         specials = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                     np.nextafter(0.0, 1.0) * 3, np.inf, -np.inf, np.nan, 1e308]
         for n, N in [(1, 1), (1, 6), (3, 4), (5, 5)]:
             table = rng.choice(np.array(specials + [0.5, 1.25]), size=(n, N))
-            for block in iter_member_arrays(full_mapping_family(n, N), chunk=7):
+            for block in iter_member_arrays(full_mapping_family(n, N)):
                 got, want = _gather(table, block), oracle_gather(table, block)
                 assert got.shape == want.shape and got.dtype == want.dtype
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
-    def test_paths_and_ranks(self):
+    def test_paths_and_ranks(self, monkeypatch):
+        monkeypatch.setattr(families, "MEMBER_BLOCK_ROWS", 5)
         a = random_matrix(4, 4, 3)
         rank = order_map(a).rank_of
         for fam in (symmetric_group(4), full_mapping_family(4, 4)):
-            blocks = list(iter_member_arrays(fam, chunk=5))
+            blocks = list(iter_member_arrays(fam))
             blocks.append(sample_array(fam, seed=1, count=9))
             for block in blocks:
                 assert np.array_equal(_paths_for_block(a, block).view(np.uint64),

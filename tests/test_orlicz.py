@@ -286,8 +286,26 @@ class TestFilteredBisection:
             batch = hinge_norm_batch(np.array([[1e308] * 4]), np.array([1000]))
         assert batch[0] == math.inf
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_entries_are_rejected(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="finite"):
+                luxemburg_norm([bad, 1.0], 1)
+
 
 class TestSandwich:
+    def test_overflowing_top_sum_is_rejected(self):
+        # the sandwich holds (the norm is 1e308) but its float sides do not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="not finite"):
+                top_sum_sandwich_check([1e308, 1e308], 2)
+            for bad in (math.inf, math.nan):
+                with pytest.raises(DomainError):
+                    top_sum_sandwich_check([bad, 1.0], 1)
+            assert top_sum_sandwich_check([1e308, 1e308], 1).status == "pass"
+
     def test_tight_lower_example(self):
         rep = top_sum_sandwich_check([1, 0, 0, 0], 1)
         assert rep.status == "pass"
@@ -378,11 +396,3 @@ class TestUpperBound:
         fam = explicit_family([[1, 2]], 2, 2)
         with pytest.raises(HypothesisError):
             orlicz_upper_bound_check(zero_matrix(2, 2), fam, 1)
-
-    def test_mc_fallback(self):
-        rng = np.random.default_rng(79)
-        a = Matrix(rng.uniform(0, 1, (3, 3)))
-        fam = full_mapping_family(3, 3)
-        rep = orlicz_upper_bound_check(a, fam, 2, samples=20000, seed=3)
-        assert rep.mode == "mc" and rep.stderr is not None
-        assert rep.status == "pass"
