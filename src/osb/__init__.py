@@ -15,13 +15,11 @@ from .families import (
     MeasureCertificate,
     check_marginals,
     explicit_family,
-    family_certificate,
     family_for_cell,
     full_mapping_family,
     load_family,
     pairwise_constant,
     parse_family_spec,
-    sample,
     sample_array,
     symmetric_group,
 )

@@ -15,6 +15,8 @@ import os
 import sys
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import campaigns
 from .corpus import (
     DEFAULT_SEED,
@@ -28,11 +30,10 @@ from .errors import (DomainError, FormatError, HypothesisError, ResourceError,
                      read_input_text)
 from .families import (
     DEFAULT_ENUM_CAP,
-    family_certificate,
+    check_marginals,
+    family_for_cell,
     parse_family_spec,
-    sample,
-    symmetric_group,
-    full_mapping_family,
+    sample_array,
 )
 from .matrices import load_matrix
 from .reports import (
@@ -211,18 +212,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_family(args):
+    """The family of a family-check or sample run.  ``--n``/``--N`` give the
+    shape of a bare ``sym`` or ``map`` (``N`` defaults to ``n``); a
+    specifier that fixes its own shape rejects them."""
     spec = parse_family_spec(args.family)
-    if spec.kind == "file":
-        return spec.file_family
-    n = args.n or spec.n
-    N = args.N or spec.N or n
-    if spec.kind == "sym":
-        if n is None:
-            raise DomainError("sym needs a size: use sym:n or --n")
-        return symmetric_group(n)
-    if n is None or N is None:
-        raise DomainError("map needs a shape: use map:n:N or --n/--N")
-    return full_mapping_family(n, N)
+    if spec.kind == "file" or spec.n is not None:
+        if (args.n, args.N) != (None, None):
+            raise DomainError(f"--n/--N apply only to a bare sym or map; "
+                              f"{args.family!r} fixes its own shape")
+        if spec.kind == "file":
+            return spec.file_family
+        n, N = spec.n, spec.N
+    elif args.n is None:
+        raise DomainError(f"{spec.kind} needs a shape: use "
+                          f"{'sym:n' if spec.kind == 'sym' else 'map:n:N'} or --n")
+    else:
+        n, N = args.n, args.n if args.N is None else args.N
+    family = family_for_cell(spec, n, N)
+    if family is None:  # a symmetric group needs N == n
+        raise DomainError(f"sym has N == n; got --n {n} --N {N}")
+    return family
 
 
 def _run(args) -> int:
@@ -240,7 +249,7 @@ def _run(args) -> int:
 
     if args.command == "family-check":
         family = _resolve_family(args)
-        cert = family_certificate(family)
+        cert = check_marginals(family)
         _emit(args, canonical_json(cert.to_json_obj()) + "\n")
         if args.summary:
             print(f"family {cert.family}: size {cert.size}, "
@@ -250,8 +259,8 @@ def _run(args) -> int:
 
     if args.command == "sample":
         family = _resolve_family(args)
-        maps = sample(family, seed, args.count)
-        doc = {"n": family.n, "N": family.N, "maps": [list(g) for g in maps]}
+        maps = sample_array(family, seed, args.count).tolist()
+        doc = {"n": family.n, "N": family.N, "maps": maps}
         _emit(args, canonical_json(doc) + "\n")
         return EXIT_PASS
 
@@ -288,16 +297,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _run(args)
+        # an overflow or invalid operation on input values ends the run with
+        # one error line instead of numpy warnings and a wrong report
+        with np.errstate(over="raise", invalid="raise"):
+            return _run(args)
     except HypothesisError as e:
         print(f"hypothesis failure: {e}", file=sys.stderr)
-        if e.certificate is not None:
-            print(canonical_json(e.certificate.to_json_obj()), file=sys.stderr)
+        print(canonical_json(e.certificate.to_json_obj()), file=sys.stderr)
         return EXIT_HYPOTHESIS
     except (DomainError, FormatError, ResourceError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except OverflowError as e:  # a value computed from the input left the float range
+    except (OverflowError, FloatingPointError) as e:  # a value left the float range
         print(f"error: numeric overflow: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -15,9 +15,10 @@ class ResourceError(RuntimeError):
 
 
 class HypothesisError(RuntimeError):
-    """A map family fails the uniform-marginal hypothesis required by a check."""
+    """A map family fails the uniform-marginal hypothesis required by a check;
+    ``certificate`` is the family's measure certificate."""
 
-    def __init__(self, message, certificate=None):
+    def __init__(self, message, certificate):
         super().__init__(message)
         self.certificate = certificate
 

@@ -110,15 +110,11 @@ class MapFamily:
         payload = f"{self.n}:{self.N}:" + ";".join(map(",".join, rows))
         return "explicit:" + hashlib.sha256(payload.encode()).hexdigest()[:8]
 
-    # The certificates are exact and the family is immutable, so each is
-    # computed once per family object, however often it is asked for.
+    # The certificate is exact and the family is immutable, so it is computed
+    # once per family object, however often it is asked for.
     @cached_property
-    def _marginal_certificate(self) -> MeasureCertificate:
-        return _compute_marginal_certificate(self)
-
-    @cached_property
-    def _pairwise_certificate(self) -> MeasureCertificate:
-        return _compute_pairwise_certificate(self)
+    def _certificate(self) -> MeasureCertificate:
+        return _compute_certificate(self)
 
 
 def symmetric_group(n: int) -> MapFamily:
@@ -288,24 +284,23 @@ def _blocks_from_runs(runs, n: int, total: int, chunk: int) -> Iterator[np.ndarr
 class MeasureCertificate:
     """Exact marginal and pairwise-correlation data for a family.
 
+    ``worst_marginal_deviation`` is the largest |P(g(i) = j) - 1/N|, and
     ``pairwise_bound`` is N**2 times the largest probability of fixing two
-    distinct (index, value) pairs; fields not computed by a partial check are
-    None.  All probabilities are exact rationals.
+    distinct (index, value) pairs, attained at ``argmax_pair``; no such pair
+    exists when n = N = 1, and it is None.  All probabilities are exact
+    rationals.
     """
 
     family: str
     size: int
-    marginals_uniform: Optional[bool] = None
-    worst_marginal_deviation: Optional[Fraction] = None
-    pairwise_bound: Optional[Fraction] = None
-    argmax_pair: Optional[tuple[tuple[int, int], tuple[int, int]]] = None
+    marginals_uniform: bool
+    worst_marginal_deviation: Fraction
+    pairwise_bound: Fraction
+    argmax_pair: Optional[tuple[tuple[int, int], tuple[int, int]]]
 
     def to_json_obj(self) -> dict:
         def rational(f):
-            return None if f is None else {
-                "fraction": f"{f.numerator}/{f.denominator}",
-                "real": float(f),
-            }
+            return {"fraction": f"{f.numerator}/{f.denominator}", "real": float(f)}
 
         return {
             "family": self.family,
@@ -319,108 +314,70 @@ class MeasureCertificate:
 
 
 def check_marginals(family: MapFamily) -> MeasureCertificate:
-    """Exact check that every event {g(i) = j} has probability 1/N."""
-    return family._marginal_certificate
-
-
-def _compute_marginal_certificate(family: MapFamily) -> MeasureCertificate:
-    n, N = family.n, family.N
-    if family.kind in (KIND_SYMMETRIC, KIND_FULL_MAPPING):
-        # each value j is attained by exactly |G|/N members at every index
-        return MeasureCertificate(
-            family=family.descriptor(), size=family.size,
-            marginals_uniform=True, worst_marginal_deviation=Fraction(0),
-        )
-    size = family.size
-    target = Fraction(1, N)
-    worst = Fraction(0)
-    uniform = True
-    arr = family.members
-    for i in range(n):
-        counts = np.bincount(arr[:, i], minlength=N + 1)[1:]
-        for j in range(N):
-            dev = abs(Fraction(int(counts[j]), size) - target)
-            if dev > worst:
-                worst = dev
-            if dev != 0:
-                uniform = False
-    return MeasureCertificate(
-        family=family.descriptor(), size=size,
-        marginals_uniform=uniform, worst_marginal_deviation=worst,
-    )
+    """The family's certificate, whose ``marginals_uniform`` says whether
+    every event {g(i) = j} has probability exactly 1/N."""
+    return family._certificate
 
 
 def pairwise_constant(family: MapFamily) -> MeasureCertificate:
-    """Exact smallest constant C with P(g(i1)=j1, g(i2)=j2) <= C / N**2.
+    """The family's certificate, whose ``pairwise_bound`` is the exact
+    smallest constant C with P(g(i1)=j1, g(i2)=j2) <= C / N**2.
 
     Computed as N**2 times the maximal probability over distinct pairs; the
     maximum over an empty pair set (n = N = 1) is 0.
     """
-    return family._pairwise_certificate
+    return family._certificate
 
 
-def _compute_pairwise_certificate(family: MapFamily) -> MeasureCertificate:
-    n, N = family.n, family.N
-    if family.kind in (KIND_SYMMETRIC, KIND_FULL_MAPPING):
+def _compute_certificate(family: MapFamily) -> MeasureCertificate:
+    n, N, size = family.n, family.N, family.size
+    if family.kind != KIND_EXPLICIT:
+        # each value j is attained by exactly |G|/N members at every index
+        worst = Fraction(0)
         if n == 1:
             # pairs (1,j1),(1,j2) with j1 != j2 have probability 0
-            bound = Fraction(0)
-            argmax = None if N == 1 else ((1, 1), (1, 2))
+            bound, argmax = Fraction(0), None if N == 1 else ((1, 1), (1, 2))
         elif family.kind == KIND_SYMMETRIC:
             # exactly (n-2)! permutations fix two compatible values
-            bound = Fraction(n, n - 1)
-            argmax = ((1, 1), (2, 2))
+            bound, argmax = Fraction(n, n - 1), ((1, 1), (2, 2))
         else:
-            bound = Fraction(1)
-            argmax = ((1, 1), (2, 1))
-        return MeasureCertificate(
-            family=family.descriptor(), size=family.size,
-            pairwise_bound=bound, argmax_pair=argmax,
-        )
-
-    size = family.size
-    arr = family.members
-    best_count = 0
-    argmax = None
-    for i1 in range(n):
-        for i2 in range(n):
-            if i1 == i2:
-                continue
-            codes = (arr[:, i1] - 1) * N + (arr[:, i2] - 1)
-            counts = np.bincount(codes, minlength=N * N)
-            top = int(counts.argmax())
-            if int(counts[top]) > best_count:
-                best_count = int(counts[top])
-                argmax = ((i1 + 1, top // N + 1), (i2 + 1, top % N + 1))
-    if argmax is None and N > 1:
-        argmax = ((1, 1), (1, 2))  # probability-0 pair; no two indices exist
+            bound, argmax = Fraction(1), ((1, 1), (2, 1))
+    else:
+        arr = family.members
+        # counts[i, j - 1] members map i to j; |count/size - 1/N| is
+        # |count*N - size| / (N*size)
+        codes = arr - 1 + N * np.arange(n)
+        counts = np.bincount(codes.ravel(), minlength=n * N).reshape(n, N)
+        worst = Fraction(int(np.abs(counts * N - size).max()), N * size)
+        best_count, argmax = 0, None
+        for i1 in range(n):
+            for i2 in range(n):
+                if i1 == i2:
+                    continue
+                codes = (arr[:, i1] - 1) * N + (arr[:, i2] - 1)
+                pair_counts = np.bincount(codes, minlength=N * N)
+                top = int(pair_counts.argmax())
+                if int(pair_counts[top]) > best_count:
+                    best_count = int(pair_counts[top])
+                    argmax = ((i1 + 1, top // N + 1), (i2 + 1, top % N + 1))
+        if argmax is None and N > 1:
+            argmax = ((1, 1), (1, 2))  # probability-0 pair; no two indices exist
+        bound = Fraction(N * N * best_count, size)
     return MeasureCertificate(
-        family=family.descriptor(), size=size,
-        pairwise_bound=Fraction(N * N * best_count, size), argmax_pair=argmax,
-    )
-
-
-def family_certificate(family: MapFamily) -> MeasureCertificate:
-    """Marginal and pairwise certificates combined."""
-    marg = check_marginals(family)
-    pair = pairwise_constant(family)
-    return MeasureCertificate(
-        family=family.descriptor(), size=family.size,
-        marginals_uniform=marg.marginals_uniform,
-        worst_marginal_deviation=marg.worst_marginal_deviation,
-        pairwise_bound=pair.pairwise_bound, argmax_pair=pair.argmax_pair,
+        family=family.descriptor(), size=size, marginals_uniform=worst == 0,
+        worst_marginal_deviation=worst, pairwise_bound=bound, argmax_pair=argmax,
     )
 
 
 def require_uniform_marginals(family: MapFamily):
-    """Raise HypothesisError, with the family's full certificate attached,
-    unless every event {g(i) = j} has probability exactly 1/N."""
+    """Raise HypothesisError, with the family's certificate attached, unless
+    every event {g(i) = j} has probability exactly 1/N."""
     cert = check_marginals(family)
     if not cert.marginals_uniform:
         raise HypothesisError(
             f"family {family.descriptor()} violates the uniform-marginal "
             f"hypothesis (worst deviation {cert.worst_marginal_deviation})",
-            certificate=family_certificate(family),
+            certificate=cert,
         )
 
 
@@ -464,12 +421,6 @@ def sample_array(
         perm[rows, i] = perm[rows, j]
         perm[rows, j] = vi
     return perm
-
-
-def sample(family: MapFamily, seed: int, count: int) -> list[tuple[int, ...]]:
-    """``count`` i.i.d. uniform draws from the family, reproducible from seed."""
-    arr = sample_array(family, seed, count)
-    return [tuple(int(v) for v in row) for row in arr]
 
 
 # ---------------------------------------------------------------------------

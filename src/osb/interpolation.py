@@ -44,6 +44,7 @@ from .reports import (
 _GL_POINTS = 32
 _GL_NODES, _GL_WEIGHTS = leggauss(_GL_POINTS)
 _MC_CHUNK = 65536
+_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True)
@@ -174,7 +175,18 @@ def expected_lp_norm(
         paths = _paths_for_block(a, block)
         if p == 1.0:
             return paths.sum(axis=1)
-        return (paths**p).sum(axis=1) ** (1.0 / p)
+        with np.errstate(over="ignore", under="ignore"):
+            sums = (paths**p).sum(axis=1)
+            norms = sums ** (1.0 / p)
+            # a row whose power sum left the normal range is scaled by its
+            # largest entry first; an all-zero row keeps its norm of 0
+            bad = np.flatnonzero(~((sums >= _TINY) & (sums < np.inf)))
+            if bad.size:
+                rows = paths[bad]
+                top = rows.max(axis=1, keepdims=True)
+                scaled = np.divide(rows, top, out=np.zeros_like(rows), where=top > 0)
+                norms[bad] = top[:, 0] * (scaled**p).sum(axis=1) ** (1.0 / p)
+        return norms
 
     if samples is None:
         totals = [
@@ -201,11 +213,15 @@ def head_tail_bound(a: Matrix, p: float) -> float:
     N = a.cols
     head = math.fsum(s[:N]) / N
     tail_terms = s[N:]
-    if tail_terms.size:
-        tail = (math.fsum(tail_terms**p) / N) ** (1.0 / p)
-    else:
-        tail = 0.0
-    return head + tail
+    if not tail_terms.size or tail_terms[0] == 0.0:
+        return head
+    with np.errstate(over="ignore", under="ignore"):
+        powers = tail_terms**p
+        if not _TINY <= powers.sum() < math.inf:
+            # scaled by the largest tail entry, the first of the rearrangement
+            top = tail_terms[0]
+            return head + top * (math.fsum((tail_terms / top) ** p) / N) ** (1.0 / p)
+    return head + (math.fsum(powers) / N) ** (1.0 / p)
 
 
 def verify_lp_bounds(

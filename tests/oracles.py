@@ -59,6 +59,29 @@ def brute_expected_lp(rows, maps, p) -> float:
     return total / len(maps)
 
 
+def scaled_expected_lp(rows, maps, p) -> float:
+    """The average lp path norm with each path scaled by its largest entry
+    before the power, summed with math.fsum, so no power leaves the float
+    range however large p is."""
+    norms = []
+    for g in maps:
+        path = [abs(rows[i][g[i] - 1]) for i in range(len(rows))]
+        top = max(path)
+        if top > 0:
+            norms.append(top * math.fsum((v / top) ** p for v in path) ** (1.0 / p))
+    return math.fsum(norms) / len(maps)
+
+
+def scaled_head_tail_bound(rows, p) -> float:
+    """head_tail_bound with the tail scaled by its largest entry."""
+    N = len(rows[0])
+    s = sorted((abs(v) for row in rows for v in row), reverse=True)
+    head, tail = math.fsum(s[:N]) / N, s[N:]
+    if not tail or tail[0] == 0:
+        return head
+    return head + tail[0] * (math.fsum((v / tail[0]) ** p for v in tail) / N) ** (1.0 / p)
+
+
 def path_values(a, g) -> np.ndarray:
     """The path (a[1,g(1)], ..., a[n,g(n)]) as a float array."""
     if len(g) != a.rows:
@@ -74,6 +97,12 @@ def path_top_sum(a, g, ell) -> float:
     if not 1 <= ell <= a.rows:
         raise DomainError(f"ell={ell} out of range 1..{a.rows}")
     return float(np.sort(path_values(a, g))[a.rows - ell:].sum())
+
+
+def brute_worst_marginal_deviation(maps, n, N) -> Fraction:
+    """The largest |P(g(i) = j) - 1/N|, one Fraction per (i, j)."""
+    return max(abs(Fraction(sum(1 for g in maps if g[i] == j), len(maps)) - Fraction(1, N))
+               for i in range(n) for j in range(1, N + 1))
 
 
 def brute_pairwise_constant(maps, n, N) -> Fraction:

@@ -15,9 +15,10 @@ from osb.corpus import single_matrix_corpus
 from osb.errors import HypothesisError
 from osb.families import (
     FamilySpec,
-    family_certificate,
+    check_marginals,
     family_for_cell,
     full_mapping_family,
+    pairwise_constant,
     symmetric_group,
 )
 from osb.matrices import Matrix, order_map, reduce_to_top
@@ -109,13 +110,13 @@ def test_file_family_is_certified_once_per_campaign(small_corpus, tmp_path,
     path = tmp_path / "fam.json"
     path.write_text(json.dumps({"n": 2, "N": 2, "maps": [[1, 2], [2, 1]]}))
     calls = []
-    compute = families._compute_pairwise_certificate
+    compute = families._compute_certificate
 
     def counted(family):
         calls.append(family.descriptor())
         return compute(family)
 
-    monkeypatch.setattr(families, "_compute_pairwise_certificate", counted)
+    monkeypatch.setattr(families, "_compute_certificate", counted)
     for run in (run_verify_main, run_lemmas,
                 lambda c, s: run_verify_lp(c, s, [1.5, 3.0])):
         calls.clear()
@@ -132,7 +133,9 @@ def test_ell_range_is_clamped(small_corpus):
 
 
 def test_family_check_combines_both_certificates():
-    cert = family_certificate(symmetric_group(3))
+    family = symmetric_group(3)
+    cert = check_marginals(family)
+    assert cert is pairwise_constant(family)
     assert cert.marginals_uniform is True
     assert float(cert.pairwise_bound) == 1.5
     assert cert.argmax_pair is not None

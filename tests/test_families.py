@@ -19,7 +19,6 @@ from osb.families import (
     pairwise_constant,
     parse_family_spec,
     require_uniform_marginals,
-    sample,
     sample_array,
     symmetric_group,
 )
@@ -28,6 +27,7 @@ from oracles import (
     all_mappings,
     all_permutations,
     brute_pairwise_constant,
+    brute_worst_marginal_deviation,
     oracle_member_blocks,
 )
 
@@ -283,6 +283,17 @@ class TestMarginals:
         fam = explicit_family(all_permutations(3), 3, 3)
         assert check_marginals(fam).marginals_uniform
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_explicit_deviation_against_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        n, N = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        maps = rng.integers(1, N + 1, size=(int(rng.integers(1, 9)), n)).tolist()
+        cert = check_marginals(explicit_family(maps, n, N))
+        want = brute_worst_marginal_deviation(maps, n, N)
+        assert cert.worst_marginal_deviation == want
+        assert cert.marginals_uniform is (want == 0)
+        assert cert.pairwise_bound == brute_pairwise_constant(maps, n, N)
+
     def test_guard_attaches_full_certificate(self):
         require_uniform_marginals(explicit_family(all_permutations(3), 3, 3))
         with pytest.raises(HypothesisError, match="uniform-marginal") as err:
@@ -341,35 +352,30 @@ class TestPairwiseConstant:
 class TestCertificateCache:
     def test_each_certificate_is_computed_once_per_family(self, monkeypatch):
         calls = []
+        compute = families._compute_certificate
 
-        def counted(name):
-            compute = getattr(families, name)
+        def counted(family):
+            calls.append(family.descriptor())
+            return compute(family)
 
-            def wrapper(family):
-                calls.append(name)
-                return compute(family)
-            return wrapper
-
-        for name in ("_compute_marginal_certificate",
-                     "_compute_pairwise_certificate"):
-            monkeypatch.setattr(families, name, counted(name))
+        monkeypatch.setattr(families, "_compute_certificate", counted)
         fam = explicit_family(all_permutations(3) * 2, 3, 3)
         for _ in range(3):
             require_uniform_marginals(fam)
             assert check_marginals(fam) is check_marginals(fam)
             assert pairwise_constant(fam) is pairwise_constant(fam)
-        assert sorted(calls) == ["_compute_marginal_certificate",
-                                 "_compute_pairwise_certificate"]
+            assert check_marginals(fam) is pairwise_constant(fam)
+        assert len(calls) == 1
         twin = explicit_family(all_permutations(3) * 2, 3, 3)
-        assert twin == fam and "_pairwise_certificate" not in vars(twin)
+        assert twin == fam and "_certificate" not in vars(twin)
         assert pairwise_constant(twin) == pairwise_constant(fam)
         assert check_marginals(twin) == check_marginals(fam)
-        assert len(calls) == 4
+        assert len(calls) == 2
 
 
 class TestSampling:
     def test_permutation_draws_are_valid(self):
-        for g in sample(symmetric_group(4), seed=3, count=25):
+        for g in sample_array(symmetric_group(4), seed=3, count=25):
             assert sorted(g) == [1, 2, 3, 4]
 
     def test_mapping_draws_are_in_range(self):
@@ -389,14 +395,9 @@ class TestSampling:
         assert (whole == parts).all()
         assert not (whole == sample_array(fam, seed=12, count=64)).all()
 
-    def test_list_and_array_agree(self):
-        fam = symmetric_group(3)
-        arr = sample_array(fam, seed=5, count=20)
-        assert [tuple(r) for r in arr.tolist()] == sample(fam, seed=5, count=20)
-
     def test_singleton_family_is_constant(self):
         fam = explicit_family([[2, 1]], 2, 2)
-        assert sample(fam, seed=0, count=5) == [(2, 1)] * 5
+        assert sample_array(fam, seed=0, count=5).tolist() == [[2, 1]] * 5
 
     def test_empirical_marginals_within_clt_bound(self):
         fam = full_mapping_family(2, 3)
@@ -410,7 +411,7 @@ class TestSampling:
 
     def test_count_validation(self):
         with pytest.raises(DomainError):
-            sample(symmetric_group(2), seed=0, count=0)
+            sample_array(symmetric_group(2), seed=0, count=0)
 
 
 class TestFamilySpec:

@@ -18,7 +18,7 @@ from osb.interpolation import (
 )
 from osb.matrices import Matrix
 from oracles import (all_mappings, all_permutations, brute_expected_lp, k_functional_oracle,
-                     path_values, zero_matrix)
+                     path_values, scaled_expected_lp, scaled_head_tail_bound, zero_matrix)
 
 
 def random_matrix(n, N, seed):
@@ -197,6 +197,55 @@ class TestHeadTailBound:
         a = Matrix.from_rows([[4, 3], [2, 1]])
         got = head_tail_bound(a, 2.0)
         assert got == pytest.approx((4 + 3) / 2 + math.sqrt((4 + 1) / 2))
+
+
+class TestLargeP:
+    # 0.1**400 underflows to 0 and 9**400 overflows; a path or tail whose
+    # power sum leaves the normal float range is scaled by its largest entry
+    SMALL = [[0.1, 0.05], [0.08, 0.1]]
+    GRID = [[9.0, 3.0, 0.0], [1.0, 9.0, 2.0]]
+
+    @pytest.mark.parametrize("rows,p", [
+        (SMALL, 400.0), (SMALL, 1000.0), (GRID, 400.0), (GRID, 1000.0),
+        ([[1e-160, 0.0], [0.0, 1e-160]], 2.0),  # subnormal power sums
+    ])
+    def test_matches_scaled_oracle(self, rows, p):
+        a = Matrix.from_rows(rows)
+        n, N = a.rows, a.cols
+        fam = full_mapping_family(n, N)
+        want = scaled_expected_lp(rows, all_mappings(n, N), p)
+        got = expected_lp_norm(a, fam, p).value
+        assert got > 0 and got == pytest.approx(want, rel=1e-14, abs=0)
+        assert head_tail_bound(a, p) == pytest.approx(
+            scaled_head_tail_bound(rows, p), rel=1e-14, abs=0)
+
+    def test_small_matrix_passes_at_p_400(self):
+        a = Matrix.from_rows(self.SMALL)
+        upper, lower = verify_lp_bounds(a, symmetric_group(2), 400.0)
+        assert upper.status == lower.status == "pass"
+        assert upper.lhs == pytest.approx(
+            scaled_expected_lp(self.SMALL, all_permutations(2), 400.0), rel=1e-14, abs=0)
+        assert 0.4 < lower.lhs <= 1.0
+
+    def test_mc_scales_the_same_rows(self):
+        a = Matrix.from_rows(self.GRID)
+        fam = full_mapping_family(2, 3)
+        exact = expected_lp_norm(a, fam, 400.0).value
+        r = expected_lp_norm(a, fam, 400.0, samples=20000, seed=3)
+        assert abs(r.value - exact) <= 4 * r.stderr
+
+    def test_normal_power_sums_keep_their_bits(self):
+        # zero paths and in-range power sums take the plain formula
+        a = Matrix.from_rows([[0.0, 0.7, 0.2], [0.0, 0.3, 0.9]])
+        fam = full_mapping_family(2, 3)
+        paths = np.vstack([path_values(a, g) for g in all_mappings(2, 3)])
+        for p in (1.5, 2.0, 3.0):
+            want = math.fsum((paths**p).sum(axis=1) ** (1.0 / p)) / fam.size
+            assert expected_lp_norm(a, fam, p).value == want
+            tail = a.rearrangement[3:]
+            assert head_tail_bound(a, p) == (
+                math.fsum(a.rearrangement[:3]) / 3
+                + (math.fsum(tail**p) / 3) ** (1.0 / p))
 
 
 class TestVerifyLpBounds:

@@ -220,6 +220,21 @@ class TestCli:
         cli.main(["sample", "--family", "map:2:3", "--seed", "4", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("family,want", [
+        ("sym:4", '{"N":4,"maps":[[3,1,4,2],[2,4,1,3],[2,3,4,1],[1,2,3,4]],"n":4}'),
+        ("map:2:3", '{"N":3,"maps":[[1,1],[1,1],[2,2],[3,3]],"n":2}'),
+        ("file", '{"N":3,"maps":[[1,2],[3,3],[1,2],[2,1]],"n":2}'),
+    ])
+    def test_sample_output_bytes_are_pinned(self, tmp_path, family, want):
+        if family == "file":
+            path = tmp_path / "fam.json"
+            path.write_text('{"n": 2, "N": 3, "maps": [[1, 2], [3, 3], [2, 1]]}')
+            family = f"file:{path}"
+        out = tmp_path / "maps.json"
+        assert cli.main(["sample", "--family", family, "--count", "4",
+                         "--seed", "7", "--out", str(out)]) == 0
+        assert out.read_bytes() == (want + "\n").encode()
+
     def test_corpus_gen_reproducible(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert cli.main(["corpus", "gen", "--seed", "5", "--out", str(a)]) == 0
