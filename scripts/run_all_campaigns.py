@@ -7,7 +7,9 @@ Writes one JSON report file per (campaign, family kind) into OUT (default
 ./reports), prints a summary block and a ``sha256 <hex>  <file>`` line per
 file, and exits nonzero if any non-vacuous check fails.  Two runs write the
 same bytes when ``grep sha256`` of their logs match.  The orlicz jobs are the
-hinge-norm sweep: prop4.2/upper and lemma4.1 for every matrix and ell.
+hinge-norm sweep: prop4.2/upper and lemma4.1 for every matrix and ell.  The
+``-mc`` jobs run verify-main and verify-lp by Monte Carlo at 4096 draws and
+seed 5, so the hashes cover the estimators' bits too.
 """
 
 import argparse
@@ -23,6 +25,9 @@ from osb.orlicz import orlicz_upper_bound_check, top_sum_sandwich_check
 from osb.reports import all_passed, format_summary, reports_to_json, summarize
 
 P_LIST = [1.0, 1.5, 2.0, 3.0]
+# the Monte Carlo jobs' fixed draw count and seed
+MC_SAMPLES = 4096
+MC_SEED = 5
 
 
 def run_orlicz(corpus, kind: str) -> list:
@@ -59,6 +64,14 @@ def main() -> int:
         ("lemmas-sym", lambda: run_lemmas(corpus, FamilySpec("sym"))),
         ("orlicz-map", lambda: run_orlicz(corpus, "map")),
         ("orlicz-sym", lambda: run_orlicz(corpus, "sym")),
+        ("verify-main-map-mc", lambda: run_verify_main(
+            corpus, FamilySpec("map"), samples=MC_SAMPLES, seed=MC_SEED)),
+        ("verify-main-sym-mc", lambda: run_verify_main(
+            corpus, FamilySpec("sym"), samples=MC_SAMPLES, seed=MC_SEED)),
+        ("verify-lp-map-mc", lambda: run_verify_lp(
+            corpus, FamilySpec("map"), P_LIST, samples=MC_SAMPLES, seed=MC_SEED)),
+        ("verify-lp-sym-mc", lambda: run_verify_lp(
+            corpus, FamilySpec("sym"), P_LIST, samples=MC_SAMPLES, seed=MC_SEED)),
     ]
     ok = True
     for name, job in jobs:

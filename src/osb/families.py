@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -231,9 +231,9 @@ def iter_member_arrays(
     yield from _blocks_from_runs(runs, n, family.size, chunk)
 
 
-# r = 7 keeps the permutation table at 5040 rows; N**r <= 4096 (or r = 1)
-# keeps a mapping table at a few hundred KB.  Both are far below
-# MEMBER_BLOCK_ROWS.
+# r = 7 keeps a permutation table (the enumeration's, or the sampler's shuffle
+# table) at 5040 rows; N**r <= 4096 (or r = 1) keeps a mapping table at a few
+# hundred KB.  All are far below MEMBER_BLOCK_ROWS.
 _SYM_TABLE_WIDTH = 7
 _MAP_TABLE_ROWS = 4096
 
@@ -412,15 +412,46 @@ def sample_array(
     if family.kind == KIND_EXPLICIT:
         idx = (w[:, 0] % np.uint64(family.size)).astype(np.int64)
         return family.members[idx]
+    if n > _SYM_TABLE_WIDTH:
+        return _fisher_yates((w[:, t] % np.uint64(n - t) for t in range(n - 1)),
+                             n, count)
+    # the swap choices, read as digits of radices n, n-1, ..., 2, index the
+    # table of the permutations those swaps produce
+    code = w[:, 0] % np.uint64(n)
+    for t in range(1, n - 1):
+        code *= np.uint64(n - t)
+        code += w[:, t] % np.uint64(n - t)
+    return _shuffle_table(n).take(code.astype(np.intp), axis=0)
+
+
+def _fisher_yates(choices: Iterable[np.ndarray], n: int, count: int) -> np.ndarray:
+    """Durstenfeld's sweep on ``count`` rows of 1..n: step t swaps position
+    n-1-t with the position its choice names, in 0..n-1-t."""
     perm = np.tile(np.arange(1, n + 1, dtype=np.int64), (count, 1))
     rows = np.arange(count)
-    for t in range(n - 1):
+    for t, choice in enumerate(choices):
         i = n - 1 - t
-        j = (w[:, t] % np.uint64(i + 1)).astype(np.int64)
+        j = choice.astype(np.int64)
         vi = perm[rows, i].copy()
         perm[rows, i] = perm[rows, j]
         perm[rows, j] = vi
     return perm
+
+
+@lru_cache(maxsize=None)
+def _shuffle_table(n: int) -> np.ndarray:
+    """Row c is the sweep's permutation for the choices whose mixed-radix
+    code (radices n, n-1, ..., 2, first choice most significant) is c;
+    read-only, n! rows (n <= _SYM_TABLE_WIDTH)."""
+    size = math.factorial(n)
+    code = np.arange(size, dtype=np.int64)
+    choices = []
+    for radix in range(2, n + 1):
+        choices.append(code % radix)
+        code //= radix
+    table = _fisher_yates(reversed(choices), n, size)
+    table.setflags(write=False)
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from .matrices import Matrix
 from .orderstats import (
     RunningMoments,
     _check_dims,
+    _gather,
     _paths_for_block,
     expected_top_sum,
 )
@@ -171,18 +172,22 @@ def expected_lp_norm(
     if not math.isfinite(p) or p < 1.0:
         raise DomainError("p must be finite and >= 1")
 
+    # a power is a function of the entry alone, so the entries are raised
+    # once and gathered by path: the same values as raising every path
+    with np.errstate(over="ignore", under="ignore"):
+        powered = a.entries**p
+
     def block_norms(block: np.ndarray) -> np.ndarray:
-        paths = _paths_for_block(a, block)
         if p == 1.0:
-            return paths.sum(axis=1)
+            return _paths_for_block(a, block).sum(axis=1)
         with np.errstate(over="ignore", under="ignore"):
-            sums = (paths**p).sum(axis=1)
+            sums = _gather(powered, block).sum(axis=1)
             norms = sums ** (1.0 / p)
             # a row whose power sum left the normal range is scaled by its
             # largest entry first; an all-zero row keeps its norm of 0
             bad = np.flatnonzero(~((sums >= _TINY) & (sums < np.inf)))
             if bad.size:
-                rows = paths[bad]
+                rows = _paths_for_block(a, block[bad])
                 top = rows.max(axis=1, keepdims=True)
                 scaled = np.divide(rows, top, out=np.zeros_like(rows), where=top > 0)
                 norms[bad] = top[:, 0] * (scaled**p).sum(axis=1) ** (1.0 / p)

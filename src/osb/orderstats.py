@@ -71,6 +71,64 @@ def _paths_for_block(a: Matrix, block: np.ndarray) -> np.ndarray:
     return _gather(a.entries, block)
 
 
+# Largest comparator count run as a network; above it a row sort is faster.
+# Measured with numpy 2.4 on one core, on blocks of 65,536 and 100,000 rows
+# of uniform doubles (medians of 15-25 calls), as network time over sort
+# time: 0.3-0.6 at 8-15 comparators, 0.4-0.9 at 18-22 (the most for
+# ell = n = 7), and 0.6-1.2 from 25 (n = 8, ell = 5 or 6) on.
+_NETWORK_COMPARATORS = 24
+# The network's Python-level calls cost about 15-40 us a block whatever its
+# size, so smaller blocks (the default corpus's families but map:5:5) are
+# sorted: at 2,048 rows it took 0.1-0.25x the sort's time for ell = 1 and
+# 0.4-0.8x for ell >= 2 (n <= 6), 1.1x at ell = n = 7; at 3,125, 0.4-1.0x.
+_NETWORK_MIN_ROWS = 2048
+# Rows per round of the network: its n + 1 columns of this many doubles stay
+# in a core's cache between comparators.
+_NETWORK_ROWS = 16384
+
+
+def _top_values(paths: np.ndarray, ell: int) -> np.ndarray:
+    """The ell largest values of each row, in nonincreasing order, as a
+    (rows, ell) array.
+
+    Above the crossover, or for fewer than _NETWORK_MIN_ROWS rows, this is a
+    view of the sorted rows.  Otherwise pass k of a partial bubble network
+    carries the largest of columns k..n-1 into column k with
+    np.maximum/np.minimum on contiguous columns, in rounds of _NETWORK_ROWS
+    rows: (n-1) + (n-2) + ... comparators over min(ell, n-1) passes, the
+    last of which (for ell < n) keeps only the maxima; for ell = 1 that is
+    one running maximum.  The network's values equal the sorted rows', and
+    it returns them C-contiguous: on that layout sums over either axis add
+    in the same order as on the sorted rows' view, so their bits are the
+    same too.
+    """
+    rows, n = paths.shape
+    passes = min(ell, n - 1)
+    if (rows < _NETWORK_MIN_ROWS
+            or passes * (2 * n - 1 - passes) // 2 > _NETWORK_COMPARATORS):
+        return np.sort(paths, axis=1)[:, ::-1][:, :ell]
+    if ell == 1:
+        top = paths[:, 0].copy()
+        for i in range(1, n):
+            np.maximum(top, paths[:, i], out=top)
+        return top[:, None]
+    top = np.empty((rows, ell))
+    for lo in range(0, rows, _NETWORK_ROWS):
+        part = paths[lo : lo + _NETWORK_ROWS]
+        cols = [part[:, i].copy() for i in range(n)]
+        spare = np.empty_like(cols[0])
+        for k in range(passes):
+            for i in range(n - 1, k, -1):
+                if k == ell - 1:
+                    np.maximum(cols[i - 1], cols[i], out=cols[i - 1])
+                    continue
+                np.maximum(cols[i - 1], cols[i], out=spare)
+                np.minimum(cols[i - 1], cols[i], out=cols[i])
+                cols[i - 1], spare = spare, cols[i - 1]
+        np.stack(cols[:ell], axis=1, out=top[lo : lo + _NETWORK_ROWS])
+    return top
+
+
 class RunningMoments:
     """Count/mean/M2 accumulator combined chunk by chunk.
 
@@ -111,9 +169,7 @@ def expected_top_sum(
         raise DomainError(f"ell={ell} out of range 1..{a.rows}")
     sums = np.zeros(ell)
     for block in iter_member_arrays(family, cap=cap):
-        paths = _paths_for_block(a, block)
-        top = np.sort(paths, axis=1)[:, ::-1][:, :ell]
-        sums += top.sum(axis=0)
+        sums += _top_values(_paths_for_block(a, block), ell).sum(axis=0)
     per_k = tuple(float(s) / family.size for s in sums)
     return OrderStatResult(value=math.fsum(per_k), per_k=per_k, mode="exact")
 
@@ -131,8 +187,7 @@ def expected_top_sum_mc(
     moments = RunningMoments()
     for start in range(0, samples, _MC_CHUNK):
         block = sample_array(family, seed, min(_MC_CHUNK, samples - start), start)
-        paths = _paths_for_block(a, block)
-        top = np.sort(paths, axis=1)[:, ::-1][:, :ell]
+        top = _top_values(_paths_for_block(a, block), ell)
         sums += top.sum(axis=0)
         moments.add(top.sum(axis=1))
     per_k = tuple(float(s) / samples for s in sums)
@@ -162,10 +217,19 @@ class HitCountTable:
     hist: np.ndarray
 
     @cached_property
-    def _counts_ge(self) -> np.ndarray:
-        counts = np.cumsum(self.hist, axis=1)
-        counts.setflags(write=False)
-        return counts
+    def _tails(self) -> np.ndarray:
+        """tails[k, m] = #(X_m >= k) for k = 0..n+1, as Python ints."""
+        tails = np.zeros((self.n + 2, self.n * self.N + 1), dtype=object)
+        tails[0] = self.size
+        tails[1: self.n + 1] = np.cumsum(self.hist[1:], axis=1).astype(object)
+        tails.setflags(write=False)
+        return tails
+
+    @cached_property
+    def _shared_columns(self) -> dict:
+        # (C, thetas) -> the lemma columns that depend on no ell and no
+        # matrix entry, built by the first sweep that asks for them
+        return {}
 
     def coefficient_counts(self, ell: int) -> list[int]:
         """Numerators over the family size of the exact weights f with
@@ -290,20 +354,15 @@ def _ceil_div(num, den):
     return -((-num) // den)
 
 
-def _lemma_columns(
-    a: Matrix, table: HitCountTable, c_pair: Fraction, ell: int,
-    thetas: Sequence[Fraction],
+def _theta_columns(
+    table: HitCountTable, c_pair: Fraction, thetas: Sequence[Fraction],
 ) -> list[_Column]:
-    """The suite's columns in sweep order: lemma3.1, lemma3.2,
-    paley-zygmund, lemma3.3a, lemma3.3b, lemma3.4, lemma3.5, lemma3.6."""
+    """The lemma3.1, lemma3.2 and paley-zygmund columns."""
     n, N, S = table.n, table.N, table.size
-    nN, top = n * N, ell * N
+    nN = n * N
     p, q = c_pair.numerator, c_pair.denominator
     constant = float(c_pair)
-    # tails[k, m] = #(X_m >= k) for k = 0..n+1
-    tails = np.zeros((n + 2, nN + 1), dtype=object)
-    tails[0] = S
-    tails[1: n + 1] = table._counts_ge[1:].astype(object)
+    tails = table._tails
     m_idx = np.arange(1, nN + 1)
     ms = m_idx.astype(object)
     hit1 = tails[1, 1:]
@@ -339,6 +398,29 @@ def _lemma_columns(
         ((tb - ta) ** 2 * grid_M * grid_M, tb * tb * S * np.where(live, grid_Q, 1)),
         live=live, note="E Z = 0; inequality is vacuous",
         extra=lambda i: {"mean": M[i // T] / S, "second_moment": Q[i // T] / S}))
+    return cols
+
+
+def _lemma_columns(
+    a: Matrix, table: HitCountTable, c_pair: Fraction, ell: int,
+    thetas: Sequence[Fraction],
+) -> list[_Column]:
+    """The suite's columns in sweep order: lemma3.1, lemma3.2,
+    paley-zygmund, lemma3.3a, lemma3.3b, lemma3.4, lemma3.5, lemma3.6.
+    The first three depend only on the table, C and the thetas, so every ell
+    swept on one table shares them."""
+    key = (c_pair, tuple(thetas))
+    shared = table._shared_columns.get(key)
+    if shared is None:
+        shared = table._shared_columns[key] = _theta_columns(table, c_pair, thetas)
+    n, N, S = table.n, table.N, table.size
+    nN, top = n * N, ell * N
+    p, q = c_pair.numerator, c_pair.denominator
+    constant = float(c_pair)
+    tails = table._tails
+    ms = np.arange(1, nN + 1).astype(object)
+    hit1 = tails[1, 1:]
+    cols = list(shared)
 
     # min(m/2N, 1/2C) * P(X_{ell N} >= 1)
     small = (ms * p <= N * q).astype(bool)

@@ -20,6 +20,7 @@ from .matrices import render_float
 
 EXACT_SLACK = 1e-12
 EXACT_SLACK_FRACTION = Fraction(1, 10**12)
+_UNIT_ROUNDOFF = 2.0**-53
 
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
@@ -39,9 +40,10 @@ class VerificationReport:
 
     ``direction`` is "le" for lhs <= rhs and "ge" for lhs >= rhs; ``margin``
     is the signed distance into the passing region, so a check passes iff
-    margin >= -slack, where slack is 1e-12 in exact mode and 4*stderr in
-    Monte Carlo mode.  ``extra`` carries auxiliary recorded values (ratios,
-    norms) that do not enter the pass/fail decision.
+    margin >= -slack, where slack is 1e-12 in exact mode and 4*stderr, with
+    a floor from the rounding of the mean, in Monte Carlo mode (see
+    ``inequality_report``).  ``extra`` carries auxiliary recorded values
+    (ratios, norms) that do not enter the pass/fail decision.
     """
 
     check_id: str
@@ -88,9 +90,40 @@ def inequality_report(
     stderr: float | None = None,
     extra: Mapping[str, object] | None = None,
 ) -> VerificationReport:
-    """Check lhs <= rhs with the mode's slack."""
+    """Check lhs <= rhs with the mode's slack.
+
+    The exact slack is EXACT_SLACK.  In Monte Carlo mode one side is the
+    mean of S = inputs["samples"] nonnegative draws, and the slack is
+    max(4 * stderr, g * max(|lhs|, |rhs|)) with g = gamma(6 S), a bound on
+    the rounding of that mean (0 when the inputs name no draw count): where
+    every draw is equal the stderr is about 0, and a slack of 4 * stderr
+    alone would fail on the mean's last bits.
+
+    Here gamma(k) = k u / (1 - k u) with u = 2**-53.  Adding nonnegative
+    terms in any order has relative error at most gamma(terms - 1), and
+    products of (1 + gamma) factors add their k's (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., sections 3.1 and 4.2):
+
+    - the top-ell estimator adds each column over all S draws, divides by S
+      and adds the ell quotients with fsum: gamma(S + 1);
+    - the lp estimator takes each chunk's numpy mean, gamma(b) for b draws,
+      and folds it in as m += (mu - m) * b / T over J = ceil(S / 65536)
+      chunks.  The first fold rounds twice.  In a later fold b <= T - b, so
+      |mu - m| * b / T is at most the exact fold of the two nonnegative
+      means, and its four roundings add gamma(4): gamma(S + 4 J) in all.
+
+    Both are relative to the exact mean of the draws; as S + 4 J <= 3 S
+    and gamma(k) / (1 - gamma(k)) <= gamma(2 k), gamma(6 S) bounds the error
+    relative to the computed side.  MC ``lhs``, ``rhs`` and ``margin`` are
+    as computed; only the status uses this floor.
+    """
     margin = float(rhs) - float(lhs)
-    slack = EXACT_SLACK if mode == "exact" else 4.0 * (stderr or 0.0)
+    if mode == "exact":
+        slack = EXACT_SLACK
+    else:
+        k = 6.0 * inputs.get("samples", 0) * _UNIT_ROUNDOFF
+        scale = max(abs(float(lhs)), abs(float(rhs)))
+        slack = max(4.0 * (stderr or 0.0), k / (1.0 - k) * scale)
     status = STATUS_PASS if margin >= -slack else STATUS_FAIL
     return VerificationReport(
         check_id=check_id, inputs=dict(inputs), lhs=float(lhs), rhs=float(rhs),

@@ -1,8 +1,10 @@
 """Independent brute-force oracles used to freeze and cross-check expected
 values.  These deliberately avoid the package's computation paths: plain
 itertools enumeration, exact Fractions, closed forms, direct minimization,
-and the member generators and path gather that the table-driven ones
-replaced, and the plain hinge-norm bisection that the filtered one replaced.
+the member generators and path gather that the table-driven ones replaced,
+the swap-loop shuffle and the row sort that the table-driven shuffle and the
+top-ell network replaced, and the plain hinge-norm bisection that the
+filtered one replaced.
 Three helpers are not oracles in that sense: the vectorized hinge-norm
 bisection, which the acceptance criteria run over many vectors at once; the
 lemma-suite oracle, which reads the package's hit-count table but
@@ -221,6 +223,36 @@ def oracle_member_blocks(family, chunk=65536):
 def oracle_gather(table, block):
     """table[i, block[:, i] - 1] for every row of the block, by fancy index."""
     return table[np.arange(table.shape[0])[None, :], block - 1]
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo kernels as computed before the table-driven shuffle and the
+# top-ell network
+
+
+def oracle_sample_permutations(family, seed, count, start=0):
+    """``sample_array`` on a symmetric group: the Fisher-Yates swap loop,
+    step t swapping position n-1-t with position w[:, t] mod (n - t)."""
+    from osb import rng
+    from osb.families import _sample_key
+
+    n = family.n
+    w = rng.words(_sample_key(family, seed), start * n, count * n).reshape(count, n)
+    perm = np.tile(np.arange(1, n + 1, dtype=np.int64), (count, 1))
+    rows = np.arange(count)
+    for t in range(n - 1):
+        i = n - 1 - t
+        j = (w[:, t] % np.uint64(i + 1)).astype(np.int64)
+        vi = perm[rows, i].copy()
+        perm[rows, i] = perm[rows, j]
+        perm[rows, j] = vi
+    return perm
+
+
+def oracle_top_values(paths, ell):
+    """The ell largest values of each row, nonincreasing: the sorted rows'
+    reversed view, which the estimators summed."""
+    return np.sort(paths, axis=1)[:, ::-1][:, :ell]
 
 
 def k_functional_oracle(x, t, grid_points=10000) -> float:

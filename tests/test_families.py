@@ -29,6 +29,7 @@ from oracles import (
     brute_pairwise_constant,
     brute_worst_marginal_deviation,
     oracle_member_blocks,
+    oracle_sample_permutations,
 )
 
 
@@ -412,6 +413,22 @@ class TestSampling:
     def test_count_validation(self):
         with pytest.raises(DomainError):
             sample_array(symmetric_group(2), seed=0, count=0)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_permutations_match_the_swap_loop(self, n):
+        # n <= 7 reads the shuffle table, n > 7 runs the loop
+        fam = symmetric_group(n)
+        for seed, count, start in [(0, 1, 0), (3, 5000, 0), (9, 777, 12345)]:
+            got = sample_array(fam, seed, count, start)
+            assert got.dtype == np.int64 and got.flags.writeable
+            assert np.array_equal(got, oracle_sample_permutations(fam, seed, count, start))
+
+    @pytest.mark.parametrize("n", range(1, families._SYM_TABLE_WIDTH + 1))
+    def test_shuffle_table_lists_each_permutation_once(self, n):
+        table = families._shuffle_table(n)
+        assert table.shape == (math.factorial(n), n) and not table.flags.writeable
+        assert len({tuple(row) for row in table.tolist()}) == table.shape[0]
+        assert (np.sort(table, axis=1) == np.arange(1, n + 1)).all()
 
 
 class TestFamilySpec:

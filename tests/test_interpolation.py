@@ -235,7 +235,8 @@ class TestLargeP:
         assert abs(r.value - exact) <= 4 * r.stderr
 
     def test_normal_power_sums_keep_their_bits(self):
-        # zero paths and in-range power sums take the plain formula
+        # zero paths and in-range power sums take the plain formula, whose
+        # powers of the path values equal the entries' powers gathered
         a = Matrix.from_rows([[0.0, 0.7, 0.2], [0.0, 0.3, 0.9]])
         fam = full_mapping_family(2, 3)
         paths = np.vstack([path_values(a, g) for g in all_mappings(2, 3)])
@@ -246,6 +247,14 @@ class TestLargeP:
             assert head_tail_bound(a, p) == (
                 math.fsum(a.rearrangement[:3]) / 3
                 + (math.fsum(tail**p) / 3) ** (1.0 / p))
+        rng = np.random.default_rng(8)
+        for n, N in [(1, 1), (3, 4), (4, 3), (5, 5)]:
+            a = Matrix(rng.uniform(0, 1, (n, N)) * 10.0 ** rng.integers(-9, 9, (n, N)))
+            fam = full_mapping_family(n, N)
+            paths = np.vstack([path_values(a, g) for g in all_mappings(n, N)])
+            for p in (1.5, 2.0, 2.5, 3.0, 7.0):
+                want = math.fsum((paths**p).sum(axis=1) ** (1.0 / p)) / fam.size
+                assert expected_lp_norm(a, fam, p).value == want
 
 
 class TestVerifyLpBounds:

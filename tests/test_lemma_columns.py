@@ -20,6 +20,7 @@ from osb.families import (
     pairwise_constant,
     symmetric_group,
 )
+from osb import orderstats
 from osb.matrices import Matrix, order_map
 from osb.orderstats import (DEFAULT_THETAS, LemmaSweep, _Column, _lemma_columns,
                             build_hit_table, lemma_suite)
@@ -124,6 +125,25 @@ def test_custom_thetas_match_oracle(thetas):
     for family in (symmetric_group(3), full_mapping_family(3, 3)):
         for ell in (1, 2):
             _assert_same_sweep(a, family, ell, thetas=thetas)
+
+
+def test_theta_columns_are_built_once_per_table(monkeypatch):
+    """Every ell swept on one table shares lemma3.1, lemma3.2 and
+    paley-zygmund; the reports are those of a fresh table per ell."""
+    built = []
+    real = orderstats._theta_columns
+    monkeypatch.setattr(orderstats, "_theta_columns",
+                        lambda *args: built.append(args) or real(*args))
+    a, family = random_matrix(4, 4, seed=3), symmetric_group(4)
+    table = build_hit_table(family, order_map(a))
+    shared = [list(lemma_suite(a, family, ell, table=table)) for ell in range(1, 5)]
+    assert len(built) == 1
+    fresh = [list(lemma_suite(a, family, ell)) for ell in range(1, 5)]
+    assert len(built) == 5
+    assert shared == fresh
+    # another theta grid on the same table is another set of columns
+    _sweep(a, family, 2, (Fraction(1, 2),))
+    assert len(built) == 6
 
 
 def test_unhit_top_position_makes_paley_zygmund_vacuous():

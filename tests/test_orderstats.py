@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from osb import families
+from osb import families, orderstats
 from osb.errors import DomainError, HypothesisError
 from osb.families import (
     explicit_family,
@@ -16,9 +17,11 @@ from osb.families import (
     symmetric_group,
 )
 from osb.matrices import Matrix, order_map
+from osb.interpolation import expected_lp_norm
 from osb.orderstats import (
     _gather,
     _paths_for_block,
+    _top_values,
     build_hit_table,
     expected_top_sum,
     expected_top_sum_mc,
@@ -37,6 +40,7 @@ from oracles import (
     indicator_expectation,
     indicator_matrix,
     oracle_gather,
+    oracle_top_values,
     paley_zygmund_check,
     path_top_sum,
     path_values,
@@ -78,6 +82,41 @@ class TestGather:
                 got = _gather(rank, block)
                 assert got.dtype == np.int64
                 assert np.array_equal(got, oracle_gather(rank, block))
+
+
+class TestTopValues:
+    """The top-ell network against the sorted rows' view it replaced."""
+
+    @staticmethod
+    def _paths(n, seed):
+        # ties, zeros, subnormals and magnitudes from 1e-310 to 1e299
+        rng = np.random.default_rng(seed)
+        pool = np.array([0.0, 5e-324, 1.5e-323, 2.2250738585072014e-308,
+                         0.25, 0.5, 0.5, 1.0, 1e300])
+        return np.vstack([
+            rng.choice(pool, size=(400, n)),
+            rng.uniform(0, 1, (400, n)) * 10.0 ** rng.integers(-310, 300, (400, n)),
+            rng.integers(0, 3, (400, n)).astype(np.float64),
+        ])
+
+    @pytest.mark.parametrize("comparators", [0, orderstats._NETWORK_COMPARATORS, 100])
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_same_bits_as_sorted_rows(self, n, comparators, monkeypatch):
+        # 0 sends every (n, ell) with a comparator to the sort, 100 none;
+        # rounds of 97 rows leave a short last round
+        monkeypatch.setattr(orderstats, "_NETWORK_COMPARATORS", comparators)
+        monkeypatch.setattr(orderstats, "_NETWORK_MIN_ROWS", 0)
+        monkeypatch.setattr(orderstats, "_NETWORK_ROWS", 97)
+        paths = self._paths(n, seed=n)
+        for ell in range(1, n + 1):
+            got, want = _top_values(paths, ell), oracle_top_values(paths, ell)
+            assert got.shape == want.shape
+            passes = min(ell, n - 1)
+            if passes * (2 * n - 1 - passes) // 2 <= comparators:  # the network
+                assert got.flags.c_contiguous
+            for g, w in [(got, want), (got.sum(axis=0), want.sum(axis=0)),
+                         (got.sum(axis=1), want.sum(axis=1))]:
+                assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
 
 
 class TestPathValues:
@@ -210,6 +249,50 @@ class TestMonteCarlo:
     def test_requires_two_samples(self):
         with pytest.raises(DomainError):
             expected_top_sum_mc(zero_matrix(2, 2), symmetric_group(2), 1, 1, 0)
+
+    # criterion 9's cases at 1e5 draws and seeds 0 and 7: the hash of every
+    # bit of the top-sum estimate (value, per_k, stderr) and of the lp
+    # estimate at p = 1.5, 2 and 3 (value, stderr), as first recorded
+    PINNED = {
+        "2x2/sym/u00": ("690f45ad33e4066a", "7823f1b9cd4674ca"),
+        "2x2/sym/u01": ("1006220fa1ac562e", "db98b877f1878cb6"),
+        "3x3/sym/u00": ("5b29e4e8e8b270f3", "db7f9fa84fb4ae77"),
+        "3x3/sym/u01": ("687abfd0b65015db", "1a5fbb67c9b5bfe5"),
+        "4x4/sym/u00": ("a4dda8d09c685468", "577bc27b6af8bb50"),
+        "4x4/sym/u01": ("76f41c55578c1271", "1e88f6cc76b17e42"),
+        "5x5/sym/u00": ("57de910982e25a18", "6437d0d80e75f2e5"),
+        "5x5/sym/u01": ("8eed47a820793a7b", "5b556a313fba4410"),
+        "2x2/map/u00": ("871d86cabc5b9627", "8c1dabfc237f6db1"),
+        "2x2/map/u01": ("09dabdbe2fca3933", "887e8c31283809c7"),
+        "3x3/map/u00": ("ed1725f8c87131f6", "16fd912d16b8d5c6"),
+        "3x3/map/u01": ("b4d6129554374b10", "744c02f32b0597a4"),
+        "2x3/map/u00": ("d6f1600f61052de1", "791e369f9d657432"),
+        "2x3/map/u01": ("ed72ca699ffa153b", "80f56a4df7288387"),
+        "3x2/map/u00": ("e8bb7b21c8829401", "e467c4e2a7b3e269"),
+        "3x2/map/u01": ("8eaa20fc0e5fbe0b", "8cbe9f5621aad830"),
+        "4x5/map/u00": ("ec291d40461b6437", "b5d73841388eb71e"),
+        "4x5/map/u01": ("f317ead5bc479445", "4583548d021d4e76"),
+        "5x4/map/u00": ("e4479ea9d3b9f604", "d289de7accab64e6"),
+        "5x4/map/u01": ("bd7ac56d2edade86", "742e387e22d948ee"),
+    }
+
+    def test_estimates_keep_their_bits(self, corpus):
+        cells = {(c.n, c.N): dict(c.matrices) for c in corpus}
+        for label, digests in self.PINNED.items():
+            shape, kind, mid = label.split("/")
+            n, N = map(int, shape.split("x"))
+            fam = symmetric_group(n) if kind == "sym" else full_mapping_family(n, N)
+            a = cells[(n, N)][mid]
+            for seed, digest in zip((0, 7), digests):
+                r = expected_top_sum_mc(a, fam, (n + 1) // 2, 100_000, seed)
+                parts = [f"top {r.value.hex()} {' '.join(v.hex() for v in r.per_k)} "
+                         f"{r.stderr.hex()}"]
+                for p in (1.5, 2.0, 3.0):
+                    e = expected_lp_norm(a, fam, p, samples=100_000, seed=seed)
+                    parts.append(f"lp{p:g} {e.value.hex()} {e.stderr.hex()}")
+                line = "; ".join(parts)
+                got = hashlib.sha256(line.encode()).hexdigest()[:16]
+                assert got == digest, (label, seed, line)
 
 
 class TestHitCounts:

@@ -30,6 +30,26 @@ class TestReportLogic:
         r = inequality_report("c", {}, 1.1, 1.0, mode="mc", stderr=0.02)
         assert r.status == "fail"
 
+    def test_mc_slack_has_a_rounding_floor(self):
+        # equal draws: stderr is about 0, and the mean is off by a few ulps
+        lhs, rhs, stderr = 1.0 + 4 * 2.0**-52, 1.0, 1e-18
+        assert inequality_report("c", {"samples": 4096}, lhs, rhs,
+                                 mode="mc", stderr=stderr).status == "pass"
+        assert inequality_report("c", {}, lhs, rhs,
+                                 mode="mc", stderr=stderr).status == "fail"
+        # the floor is gamma(6 * 4096), about 2.7e-12 relative
+        r = inequality_report("c", {"samples": 4096}, 1.0 + 1e-11, 1.0,
+                              mode="mc", stderr=stderr)
+        assert r.status == "fail" and r.margin == 1.0 - (1.0 + 1e-11)
+
+    @pytest.mark.parametrize("family", ["sym:1", "map:3:1"])
+    def test_mc_lp_passes_where_every_path_is_constant(self, family, capsys):
+        # every path of a sym 1x1 or map nx1 cell has the same norm
+        argv = ["verify-lp", "--family", family, "--seed", "5", "--summary"]
+        assert cli.main(argv) == 0
+        assert cli.main(argv + ["--mc-samples", "4096"]) == 0
+        assert "fail: 0" in capsys.readouterr().out
+
     def test_exact_fraction_margin(self):
         r = exact_inequality_report("c", {}, Fraction(1, 3), Fraction(1, 3))
         assert r.status == "pass" and r.margin == 0.0
@@ -224,6 +244,12 @@ class TestCli:
         ("sym:4", '{"N":4,"maps":[[3,1,4,2],[2,4,1,3],[2,3,4,1],[1,2,3,4]],"n":4}'),
         ("map:2:3", '{"N":3,"maps":[[1,1],[1,1],[2,2],[3,3]],"n":2}'),
         ("file", '{"N":3,"maps":[[1,2],[3,3],[1,2],[2,1]],"n":2}'),
+        # the shuffle table's edges (n = 1 and 7) and the swap loop (n = 8)
+        ("sym:1", '{"N":1,"maps":[[1],[1],[1],[1]],"n":1}'),
+        ("sym:7", '{"N":7,"maps":[[1,7,6,5,4,2,3],[6,5,7,2,4,3,1],'
+                  '[5,7,4,1,3,6,2],[6,2,4,1,3,5,7]],"n":7}'),
+        ("sym:8", '{"N":8,"maps":[[8,7,6,3,1,2,5,4],[2,3,5,8,1,4,6,7],'
+                  '[1,7,8,5,4,3,2,6],[3,4,8,7,2,5,6,1]],"n":8}'),
     ])
     def test_sample_output_bytes_are_pinned(self, tmp_path, family, want):
         if family == "file":
