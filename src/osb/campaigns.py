@@ -7,7 +7,6 @@ marginal hypothesis abort the campaign with their certificate attached.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -19,12 +18,7 @@ from .families import (
 )
 from .corpus import Corpus
 from .matrices import order_map, reduce_to_top
-from .orderstats import (
-    build_hit_table,
-    expected_top_sum,
-    expected_top_sum_mc,
-    lemma_suite,
-)
+from .orderstats import _top_sums, build_hit_table, lemma_suite
 from .interpolation import verify_lp_bounds
 from .reports import (
     STATUS_FAIL,
@@ -79,69 +73,58 @@ def run_verify_main(
         c * (1/N) * top(ell*N)  <=  E top-ell path sum  <=  (2/N) * top(ell*N)
 
     with c = 1/(32 (1+2C)^2) for the family's exact pairwise constant C.
+    Every ell of a matrix comes from one pass: an exact pass enumerates the
+    family once with ell = n top blocks; a Monte Carlo pass (``samples``
+    draws at ``seed``) draws once with blocks as wide as the largest ell.
     With ``reduce_top`` the lower check zeroes all entries outside the ell*N
-    largest first (legitimate for lower bounds; off by default).
+    largest first (legitimate for lower bounds; off by default), which is
+    one more pass per ell on the reduced matrix.
     """
     out: list[VerificationReport] = []
+    labels = {} if samples is None else {"samples": samples, "seed": seed}
     for cell, family in _iter_cell_families(corpus, spec):
         require_uniform_marginals(family)
         c_pair = pairwise_constant(family).pairwise_bound
         c_low = lower_constant(c_pair)
         example = EXAMPLE_CONSTANTS.get(family.kind)
         N = family.N
+        ells = _ell_values(ell_range, family.n)
+        if not ells:
+            continue
+        # an exact ell = 1 is the first column of the ell = n pass
+        width = family.n if samples is None else max(ells)
         for mid, a in cell.matrices:
-            ells = _ell_values(ell_range, family.n)
-            if not ells:
-                continue
-            mc_mode = samples is not None
-            if not mc_mode:
-                full = expected_top_sum(a, family, family.n, cap=cap)
+            results = _top_sums(a, family, ells, width=width, cap=cap,
+                                samples=samples, seed=seed)
             order = order_map(a) if reduce_top else None
-            for ell in ells:
-                if mc_mode:
-                    res = expected_top_sum_mc(a, family, ell, samples, seed)
-                    expect, stderr, mode = res.value, res.stderr, "mc"
-                else:
-                    expect = math.fsum(full.per_k[:ell])
-                    stderr, mode = None, "exact"
+            for ell, res in zip(ells, results):
                 top_avg = a.top_sum(ell * N) / N
                 inputs = {
                     "cell": f"{cell.n}x{cell.N}", "id": mid,
                     "matrix": a.digest(), "family": family.descriptor(),
-                    "ell": ell,
+                    "ell": ell, **labels,
                 }
-                if mc_mode:
-                    inputs["samples"] = samples
-                    inputs["seed"] = seed
                 if reduce_top:
-                    reduced = reduce_to_top(a, order, ell)
-                    if mc_mode:
-                        low_res = expected_top_sum_mc(
-                            reduced, family, ell, samples, seed)
-                        low_expect, low_stderr = low_res.value, low_res.stderr
-                    else:
-                        low_expect = expected_top_sum(
-                            reduced, family, ell, cap=cap).value
-                        low_stderr = None
+                    low = _top_sums(reduce_to_top(a, order, ell), family, (ell,),
+                                    width=ell, cap=cap, samples=samples, seed=seed)[0]
                     low_inputs = {**inputs, "reduced": True}
                 else:
-                    low_expect, low_stderr = expect, stderr
-                    low_inputs = inputs
+                    low, low_inputs = res, inputs
                 out.append(inequality_report(
                     "thm1.1/lower", low_inputs,
-                    lhs=c_low * top_avg, rhs=low_expect,
-                    constant=c_low, mode=mode, stderr=low_stderr,
+                    lhs=c_low * top_avg, rhs=low.value,
+                    constant=c_low, mode=res.mode, stderr=low.stderr,
                 ))
                 out.append(inequality_report(
                     "thm1.1/upper", inputs,
-                    lhs=expect, rhs=2.0 * top_avg,
-                    constant=2.0, mode=mode, stderr=stderr,
+                    lhs=res.value, rhs=2.0 * top_avg,
+                    constant=2.0, mode=res.mode, stderr=res.stderr,
                 ))
                 if example is not None:
                     out.append(inequality_report(
                         "thm1.1/example-lower", low_inputs,
-                        lhs=example * top_avg, rhs=low_expect,
-                        constant=example, mode=mode, stderr=low_stderr,
+                        lhs=example * top_avg, rhs=low.value,
+                        constant=example, mode=res.mode, stderr=low.stderr,
                     ))
     return out
 

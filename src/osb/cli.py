@@ -54,7 +54,7 @@ EXIT_HYPOTHESIS = 3
 def _read_config(path: Optional[str]) -> dict[str, str]:
     if path is None:
         path = os.environ.get("OSB_CONFIG")
-    if path is None or not os.path.exists(path):
+    if not path:
         return {}
     settings = {}
     for line in read_input_text(path).split("\n"):
@@ -87,16 +87,20 @@ def _resolve_int(cli_value, env_name: str, config: dict, key: str, default: int)
 
 
 def _parse_ell_range(text: Optional[str]) -> Optional[tuple[int, int]]:
+    """A..B or a single integer; a range that selects no ell >= 1 is an
+    error, and one that does is clamped to each family's 1..n later."""
     if text is None:
         return None
     try:
         if ".." in text:
-            lo, hi = text.split("..", 1)
-            return int(lo), int(hi)
-        value = int(text)
-        return value, value
+            lo, hi = (int(v) for v in text.split("..", 1))
+        else:
+            lo = hi = int(text)
     except ValueError:
         raise DomainError(f"bad ell range {text!r}; expected A..B or a single integer")
+    if hi < max(lo, 1):
+        raise DomainError(f"ell range {text!r} selects no ell >= 1")
+    return lo, hi
 
 
 def _parse_p_list(text: str) -> list[float]:

@@ -19,16 +19,11 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError
-from .families import (
-    MapFamily,
-    iter_member_arrays,
-    pairwise_constant,
-    require_uniform_marginals,
-    sample_array,
-)
+from .families import MapFamily, pairwise_constant, require_uniform_marginals
 from .matrices import Matrix
 from .orderstats import (
     RunningMoments,
+    _blocks,
     _check_dims,
     _gather,
     _paths_for_block,
@@ -193,16 +188,12 @@ def expected_lp_norm(
                 norms[bad] = top[:, 0] * (scaled**p).sum(axis=1) ** (1.0 / p)
         return norms
 
+    blocks = _blocks(family, _MC_CHUNK, cap=cap, samples=samples, seed=seed)
     if samples is None:
-        totals = [
-            math.fsum(block_norms(b)) for b in iter_member_arrays(family, cap=cap)
-        ]
+        totals = [math.fsum(block_norms(b)) for b in blocks]
         return ScalarExpectation(value=math.fsum(totals) / family.size, mode="exact")
-    if samples < 2:
-        raise DomainError("samples must be >= 2")
     moments = RunningMoments()
-    for start in range(0, samples, _MC_CHUNK):
-        block = sample_array(family, seed, min(_MC_CHUNK, samples - start), start)
+    for block in blocks:
         moments.add(block_norms(block))
     return ScalarExpectation(
         value=moments.mean, mode="mc", samples=samples, stderr=moments.stderr()

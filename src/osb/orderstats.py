@@ -28,7 +28,6 @@ from .families import (
 )
 from .matrices import Matrix, OrderMap, order_map
 from .reports import (
-    EXACT_SLACK_FRACTION,
     STATUS_FAIL,
     STATUS_PASS,
     VerificationReport,
@@ -160,41 +159,69 @@ class RunningMoments:
         return math.sqrt(self._m2 / (self.count - 1)) / math.sqrt(self.count)
 
 
-def expected_top_sum(
-    a: Matrix, family: MapFamily, ell: int, cap: int | None = None
-) -> OrderStatResult:
-    """Exact average of the top-ell path sum over the whole family."""
+def _blocks(family: MapFamily, chunk: int, *, cap: int | None = None,
+            samples: int | None = None, seed: int = 0):
+    """The member blocks of an exact pass, or, with ``samples``, the seeded
+    draw chunks of a Monte Carlo one: ``chunk`` rows each, the last shorter."""
+    if samples is None:
+        yield from iter_member_arrays(family, cap=cap)
+        return
+    if samples < 2:
+        raise DomainError("samples must be >= 2")
+    for start in range(0, samples, chunk):
+        yield sample_array(family, seed, min(chunk, samples - start), start)
+
+
+def _top_sums(
+    a: Matrix, family: MapFamily, ells: Sequence[int], *, width: int,
+    cap: int | None = None, samples: int | None = None, seed: int = 0,
+) -> list[OrderStatResult]:
+    """E top-ell path sum for each ell in ``ells`` from one pass over the
+    family (exact) or over ``samples`` seeded draws (Monte Carlo).
+
+    Each block gives one ``width``-wide top block (width >= max(ells)).
+    Its column sums add row by row, so ell >= 2 takes the first ell of them
+    and gets the bits of its own ell-wide block.  A 1-wide block sums its
+    one column pairwise instead, so a Monte Carlo ell = 1 from a wider block
+    sums a contiguous copy of column 0; an exact ell = 1 keeps the row-by-row
+    column sum of the ell = n pass that campaigns run.
+    """
     _check_dims(a, family)
-    if not 1 <= ell <= a.rows:
-        raise DomainError(f"ell={ell} out of range 1..{a.rows}")
-    sums = np.zeros(ell)
-    for block in iter_member_arrays(family, cap=cap):
-        sums += _top_values(_paths_for_block(a, block), ell).sum(axis=0)
-    per_k = tuple(float(s) / family.size for s in sums)
-    return OrderStatResult(value=math.fsum(per_k), per_k=per_k, mode="exact")
+    for ell in ells:
+        if not 1 <= ell <= a.rows:
+            raise DomainError(f"ell={ell} out of range 1..{a.rows}")
+    mc = samples is not None
+    lone = mc and width > 1 and 1 in ells
+    sums, first = np.zeros(width), 0.0
+    moments = {ell: RunningMoments() for ell in ells} if mc else {}
+    for block in _blocks(family, _MC_CHUNK, cap=cap, samples=samples, seed=seed):
+        top = _top_values(_paths_for_block(a, block), width)
+        sums += top.sum(axis=0)
+        if lone:
+            first += top[:, 0].copy().sum()
+        for ell, acc in moments.items():
+            acc.add(top[:, :ell].sum(axis=1))
+    count = family.size if samples is None else samples
+    per_k = [float(s) / count for s in sums]
+    out = []
+    for ell in ells:
+        ks = tuple([float(first) / count] if ell == 1 and lone else per_k[:ell])
+        out.append(OrderStatResult(
+            value=math.fsum(ks), per_k=ks, mode="mc" if mc else "exact",
+            samples=samples, stderr=moments[ell].stderr() if mc else None))
+    return out
+
+
+def expected_top_sum(a: Matrix, family: MapFamily, ell: int) -> OrderStatResult:
+    """Exact average of the top-ell path sum over the whole family."""
+    return _top_sums(a, family, (ell,), width=ell)[0]
 
 
 def expected_top_sum_mc(
     a: Matrix, family: MapFamily, ell: int, samples: int, seed: int
 ) -> OrderStatResult:
     """Monte Carlo estimate of the same expectation from seeded draws."""
-    _check_dims(a, family)
-    if not 1 <= ell <= a.rows:
-        raise DomainError(f"ell={ell} out of range 1..{a.rows}")
-    if samples < 2:
-        raise DomainError("samples must be >= 2")
-    sums = np.zeros(ell)
-    moments = RunningMoments()
-    for start in range(0, samples, _MC_CHUNK):
-        block = sample_array(family, seed, min(_MC_CHUNK, samples - start), start)
-        top = _top_values(_paths_for_block(a, block), ell)
-        sums += top.sum(axis=0)
-        moments.add(top.sum(axis=1))
-    per_k = tuple(float(s) / samples for s in sums)
-    return OrderStatResult(
-        value=math.fsum(per_k), per_k=per_k, mode="mc",
-        samples=samples, stderr=moments.stderr(),
-    )
+    return _top_sums(a, family, (ell,), width=ell, samples=samples, seed=seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +254,8 @@ class HitCountTable:
 
     @cached_property
     def _shared_columns(self) -> dict:
-        # (C, thetas) -> the lemma columns that depend on no ell and no
-        # matrix entry, built by the first sweep that asks for them
+        # C -> the lemma columns that depend on no ell and no matrix entry,
+        # built by the first sweep that asks for them
         return {}
 
     def coefficient_counts(self, ell: int) -> list[int]:
@@ -287,7 +314,7 @@ class _Column:
     one int for all of them, with positive denominators.  Rows where ``live``
     is False are vacuous with ``note``.  The float margin of a row is the
     correctly rounded quotient of its exact margin, as float(Fraction) gives,
-    and a row fails iff its exact margin is below -EXACT_SLACK.
+    and a row fails iff its exact margin is negative.
     """
 
     check_id: str
@@ -307,8 +334,7 @@ class _Column:
             num = -num
         den = ld * rd
         self.margins = (num / den).astype(np.float64)
-        slack = EXACT_SLACK_FRACTION
-        self.failed = (num * slack.denominator < -den * slack.numerator).astype(bool)
+        self.failed = (num < 0).astype(bool)
         if self.live is None:
             self.live = np.ones(len(num), dtype=bool)
 
@@ -354,9 +380,7 @@ def _ceil_div(num, den):
     return -((-num) // den)
 
 
-def _theta_columns(
-    table: HitCountTable, c_pair: Fraction, thetas: Sequence[Fraction],
-) -> list[_Column]:
+def _theta_columns(table: HitCountTable, c_pair: Fraction) -> list[_Column]:
     """The lemma3.1, lemma3.2 and paley-zygmund columns."""
     n, N, S = table.n, table.N, table.size
     nN = n * N
@@ -368,13 +392,13 @@ def _theta_columns(
     hit1 = tails[1, 1:]
 
     # the (m, theta) grid, m outer
-    T = len(thetas)
-    fracs = [Fraction(t) for t in thetas]
-    ta = np.tile(np.array([f.numerator for f in fracs], dtype=object), nN)
-    tb = np.tile(np.array([f.denominator for f in fracs], dtype=object), nN)
+    T = len(DEFAULT_THETAS)
+    ta = np.tile(np.array([t.numerator for t in DEFAULT_THETAS], dtype=object), nN)
+    tb = np.tile(np.array([t.denominator for t in DEFAULT_THETAS], dtype=object), nN)
     grid_m_idx = np.repeat(m_idx, T)
     grid_m = grid_m_idx.astype(object)
-    grid_params = {"m": grid_m.tolist(), "theta": [float(t) for t in thetas] * nN}
+    grid_params = {"m": grid_m.tolist(),
+                   "theta": [float(t) for t in DEFAULT_THETAS] * nN}
 
     cols = [_Column(
         "lemma3.1", "ge", {"m": ms.tolist()}, (hit1, S),
@@ -403,16 +427,14 @@ def _theta_columns(
 
 def _lemma_columns(
     a: Matrix, table: HitCountTable, c_pair: Fraction, ell: int,
-    thetas: Sequence[Fraction],
 ) -> list[_Column]:
     """The suite's columns in sweep order: lemma3.1, lemma3.2,
     paley-zygmund, lemma3.3a, lemma3.3b, lemma3.4, lemma3.5, lemma3.6.
-    The first three depend only on the table, C and the thetas, so every ell
-    swept on one table shares them."""
-    key = (c_pair, tuple(thetas))
-    shared = table._shared_columns.get(key)
+    The first three depend only on the table and C, so every ell swept on
+    one table shares them."""
+    shared = table._shared_columns.get(c_pair)
     if shared is None:
-        shared = table._shared_columns[key] = _theta_columns(table, c_pair, thetas)
+        shared = table._shared_columns[c_pair] = _theta_columns(table, c_pair)
     n, N, S = table.n, table.N, table.size
     nN, top = n * N, ell * N
     p, q = c_pair.numerator, c_pair.denominator
@@ -482,17 +504,16 @@ class LemmaSweep:
     exact columns.  Iterating builds the per-instance reports in sweep
     order; ``aggregate`` reduces each check id to its worst report."""
 
-    def __init__(self, base: dict, columns: list[_Column], theta_count: int):
+    def __init__(self, base: dict, columns: list[_Column]):
         self._base = base
         self._columns = columns
-        self._theta_count = theta_count
 
     def _rows(self):
         """(column, row) pairs in sweep order: for each m, lemma3.1, then
         lemma3.2 and paley-zygmund for each theta, then lemma3.3a; then every
         row of each remaining column."""
         c31, c32, cpz, c33a, *rest = self._columns
-        T = self._theta_count
+        T = len(DEFAULT_THETAS)
         for i in range(len(c31)):
             yield c31, i
             for j in range(i * T, (i + 1) * T):
@@ -544,5 +565,4 @@ def lemma_suite(
         **(extra_inputs or {}),
         "matrix": a.digest(), "family": family.descriptor(), "ell": ell,
     }
-    columns = _lemma_columns(a, table, c_pair, ell, DEFAULT_THETAS)
-    return LemmaSweep(base, columns, len(DEFAULT_THETAS))
+    return LemmaSweep(base, _lemma_columns(a, table, c_pair, ell))

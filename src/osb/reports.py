@@ -19,7 +19,6 @@ from typing import Optional
 from .matrices import render_float
 
 EXACT_SLACK = 1e-12
-EXACT_SLACK_FRACTION = Fraction(1, 10**12)
 _UNIT_ROUNDOFF = 2.0**-53
 
 STATUS_PASS = "pass"

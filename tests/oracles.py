@@ -5,10 +5,12 @@ the member generators and path gather that the table-driven ones replaced,
 the swap-loop shuffle and the row sort that the table-driven shuffle and the
 top-ell network replaced, and the plain hinge-norm bisection that the
 filtered one replaced.
-Three helpers are not oracles in that sense: the vectorized hinge-norm
+Four helpers are not oracles in that sense: the vectorized hinge-norm
 bisection, which the acceptance criteria run over many vectors at once; the
-lemma-suite oracle, which reads the package's hit-count table but
-decides every instance with its own Fractions; and, at the end, the recursive
+per-ell top-sum estimators that the one-pass estimator replaced, which run on
+the package's gather and top-ell kernel; the lemma-suite oracle, which reads
+the package's hit-count table but decides every instance with its own
+Fractions; and, at the end, the recursive
 canonical serializer and the report renderings that the single-pass ones
 replaced.  The matrix builders (indicators and averages on an ordering's
 largest positions, extreme points of the hinge ball, the zero matrix) make
@@ -255,6 +257,51 @@ def oracle_top_values(paths, ell):
     return np.sort(paths, axis=1)[:, ::-1][:, :ell]
 
 
+# ---------------------------------------------------------------------------
+# The top-sum estimators as one pass per ell, before one pass served every
+# ell: their bodies as they were, on the package's gather and top-ell kernel
+
+
+def oracle_expected_top_sum(a, family, ell, cap=None):
+    """Exact average of the top-ell path sum over the whole family."""
+    from osb.families import iter_member_arrays
+    from osb.orderstats import OrderStatResult, _check_dims, _paths_for_block, _top_values
+
+    _check_dims(a, family)
+    if not 1 <= ell <= a.rows:
+        raise DomainError(f"ell={ell} out of range 1..{a.rows}")
+    sums = np.zeros(ell)
+    for block in iter_member_arrays(family, cap=cap):
+        sums += _top_values(_paths_for_block(a, block), ell).sum(axis=0)
+    per_k = tuple(float(s) / family.size for s in sums)
+    return OrderStatResult(value=math.fsum(per_k), per_k=per_k, mode="exact")
+
+
+def oracle_expected_top_sum_mc(a, family, ell, samples, seed):
+    """Monte Carlo estimate of the same expectation from seeded draws."""
+    from osb.families import sample_array
+    from osb.orderstats import (_MC_CHUNK, OrderStatResult, RunningMoments, _check_dims,
+                                _paths_for_block, _top_values)
+
+    _check_dims(a, family)
+    if not 1 <= ell <= a.rows:
+        raise DomainError(f"ell={ell} out of range 1..{a.rows}")
+    if samples < 2:
+        raise DomainError("samples must be >= 2")
+    sums = np.zeros(ell)
+    moments = RunningMoments()
+    for start in range(0, samples, _MC_CHUNK):
+        block = sample_array(family, seed, min(_MC_CHUNK, samples - start), start)
+        top = _top_values(_paths_for_block(a, block), ell)
+        sums += top.sum(axis=0)
+        moments.add(top.sum(axis=1))
+    per_k = tuple(float(s) / samples for s in sums)
+    return OrderStatResult(
+        value=math.fsum(per_k), per_k=per_k, mode="mc",
+        samples=samples, stderr=moments.stderr(),
+    )
+
+
 def k_functional_oracle(x, t, grid_points=10000) -> float:
     """Minimum decomposition cost: clip at threshold c, pay the clipped mass
     in the sum norm and t per unit of cap.  The cost is piecewise linear in
@@ -368,11 +415,11 @@ def _signed_margin(lhs, rhs, direction):
 def exact_inequality_report(check_id, inputs, lhs: Fraction, rhs: Fraction, *,
                             direction="le", constant=None, extra=None):
     """The report of lhs <= rhs (or >= for direction "ge"), decided in
-    exact rational arithmetic with the 1e-12 slack."""
-    from osb.reports import EXACT_SLACK_FRACTION, VerificationReport
+    exact rational arithmetic: it fails iff the exact margin is negative."""
+    from osb.reports import VerificationReport
 
     margin = _signed_margin(lhs, rhs, direction)
-    status = "pass" if margin >= -EXACT_SLACK_FRACTION else "fail"
+    status = "pass" if margin >= 0 else "fail"
     return VerificationReport(
         check_id=check_id, inputs=dict(inputs), lhs=float(lhs), rhs=float(rhs),
         margin=float(margin), status=status, direction=direction, mode="exact",
@@ -517,7 +564,7 @@ def check_lemma36(table, c_pair: Fraction, ell: int, k: int):
     return table_tail(table, ell * table.N, k), Fraction(1, 1) / (2 + 4 * c_pair)
 
 
-def lemma_suite_oracle(a, family, ell, *, thetas=None, table=None, c_pair=None,
+def lemma_suite_oracle(a, family, ell, *, table=None, c_pair=None,
                        extra_inputs=None):
     """Every tail inequality on one (matrix, family, ell) instance, one
     Fraction-decided report per swept instance, in sweep order.  No
@@ -527,7 +574,6 @@ def lemma_suite_oracle(a, family, ell, *, thetas=None, table=None, c_pair=None,
     from osb.orderstats import DEFAULT_THETAS, build_hit_table
     from osb.reports import vacuous_report
 
-    thetas = DEFAULT_THETAS if thetas is None else thetas
     if c_pair is None:
         c_pair = pairwise_constant(family).pairwise_bound
     order = order_map(a)
@@ -548,7 +594,7 @@ def lemma_suite_oracle(a, family, ell, *, thetas=None, table=None, c_pair=None,
             "lemma3.1", {**base, "m": m}, lhs=prob, rhs=bound,
             direction="ge", constant=constant))
         dist = hit_count_distribution(family, order, m, table=table)
-        for theta in thetas:
+        for theta in DEFAULT_THETAS:
             prob, bound = check_lemma32(table, c_pair, m, Fraction(theta))
             out.append(exact_inequality_report(
                 "lemma3.2", {**base, "m": m, "theta": float(theta)},

@@ -180,6 +180,8 @@ def test_fuzzed_command_lines_keep_the_exit_code_contract(files):
     ["lemmas", "--family", "map:2:2", "--ell", "2..1"],
     ["verify-lp", "--family", "map:2:2", "--p", "nan"],
     ["family-check", "--family", "sym", "--n", "0"],
+    ["verify-main", "--family", "map:2:2", "--ell", "2..1"],
+    ["verify-main", "--family", "map:2:2", "--ell", "0..0"],
 ])
 def test_edge_command_lines(files, argv):
     if argv[0] != "sample":
@@ -187,6 +189,8 @@ def test_edge_command_lines(files, argv):
     code, _, err = _run(argv, {})
     assert code in EXIT_CODES, (argv, code, err)
     assert "Traceback" not in err
+    if {"2..1", "0..0"} & set(argv):  # a range that selects no ell
+        assert code == 2 and err.startswith("error: ell range"), (argv, code, err)
 
 
 @pytest.mark.parametrize("argv", [

@@ -22,8 +22,8 @@ from osb.families import (
 )
 from osb import orderstats
 from osb.matrices import Matrix, order_map
-from osb.orderstats import (DEFAULT_THETAS, LemmaSweep, _Column, _lemma_columns,
-                            build_hit_table, lemma_suite)
+from osb.orderstats import (LemmaSweep, _Column, _lemma_columns, build_hit_table,
+                            lemma_suite)
 from osb.reports import reports_to_json
 
 from oracles import (aggregate_oracle, all_permutations, exact_inequality_report,
@@ -36,14 +36,18 @@ def random_matrix(n, N, seed):
 
 @pytest.mark.parametrize("direction", ["ge", "le"])
 def test_column_decides_like_exact_report(direction):
-    """Margins at and around the 1e-12 slack, and sides whose quotients need
-    correct rounding, decided as the Fraction report decides them."""
+    """Margins at zero, just below it (where the 1e-12 slack once passed
+    them) and just above it, and sides whose quotients need correct rounding,
+    decided as the Fraction report decides them: a row fails iff its exact
+    margin is negative."""
     third = Fraction(1, 3)
     eps = Fraction(1, 10**12)
+    tiny = Fraction(1, 10**30)
     sign = 1 if direction == "ge" else -1
     pairs = [(third, third), (third - sign * eps, third),
-             (third - sign * (eps + Fraction(1, 10**30)), third),
+             (third - sign * (eps + tiny), third),
              (third - sign * eps / 2, third), (third - sign * 2 * eps, third),
+             (third - sign * tiny, third), (third + sign * tiny, third),
              (Fraction(2**60 + 1, 3 * 2**60), Fraction(1, 7))]
     col = _Column(
         "c", direction, {"i": list(range(len(pairs)))},
@@ -55,28 +59,26 @@ def test_column_decides_like_exact_report(direction):
     want = [exact_inequality_report("c", {"i": i}, lhs, rhs, direction=direction)
             for i, (lhs, rhs) in enumerate(pairs)]
     assert got == want
-    assert [r.status for r in got[:5]] == ["pass", "pass", "fail", "pass", "fail"]
+    assert [r.status for r in got[:7]] == ["pass", "fail", "fail", "fail", "fail",
+                                           "fail", "pass"]
 
 
-def _sweep(a, family, ell, thetas):
-    """What ``lemma_suite`` returns, for any theta grid and with no
-    hypothesis check on the family."""
+def _sweep(a, family, ell):
+    """What ``lemma_suite`` returns, with no hypothesis check on the family."""
     table = build_hit_table(family, order_map(a))
     c_pair = pairwise_constant(family).pairwise_bound
     base = {"id": "t", "matrix": a.digest(), "family": family.descriptor(),
             "ell": ell}
-    return LemmaSweep(base, _lemma_columns(a, table, c_pair, ell, thetas), len(thetas))
+    return LemmaSweep(base, _lemma_columns(a, table, c_pair, ell))
 
 
-def _assert_same_sweep(a, family, ell, thetas=None):
-    """The sweep against the oracle; with the default grid the sweep is
-    ``lemma_suite``'s own, and the family must pass its hypothesis check."""
-    if thetas is None:
-        sweep = lemma_suite(a, family, ell, extra_inputs={"id": "t"})
-        assert list(sweep) == list(_sweep(a, family, ell, DEFAULT_THETAS))
-    else:
-        sweep = _sweep(a, family, ell, thetas)
-    oracle = lemma_suite_oracle(a, family, ell, extra_inputs={"id": "t"}, thetas=thetas)
+def _assert_same_sweep(a, family, ell, *, uniform=True):
+    """The sweep against the oracle; for a family that passes its hypothesis
+    check (``uniform``) the sweep is ``lemma_suite``'s own."""
+    sweep = _sweep(a, family, ell)
+    if uniform:
+        assert list(lemma_suite(a, family, ell, extra_inputs={"id": "t"})) == list(sweep)
+    oracle = lemma_suite_oracle(a, family, ell, extra_inputs={"id": "t"})
     assert len(sweep) == len(oracle)
     for got, want in zip(sweep, oracle):
         assert got == want, (got, want)
@@ -119,14 +121,6 @@ def test_explicit_family_with_duplicates_and_fractional_constant():
         _assert_same_sweep(a, family, ell)
 
 
-@pytest.mark.parametrize("thetas", [(), (Fraction(1, 3), 0.25, Fraction(7, 8))])
-def test_custom_thetas_match_oracle(thetas):
-    a = random_matrix(3, 3, seed=9)
-    for family in (symmetric_group(3), full_mapping_family(3, 3)):
-        for ell in (1, 2):
-            _assert_same_sweep(a, family, ell, thetas=thetas)
-
-
 def test_theta_columns_are_built_once_per_table(monkeypatch):
     """Every ell swept on one table shares lemma3.1, lemma3.2 and
     paley-zygmund; the reports are those of a fresh table per ell."""
@@ -141,8 +135,8 @@ def test_theta_columns_are_built_once_per_table(monkeypatch):
     fresh = [list(lemma_suite(a, family, ell)) for ell in range(1, 5)]
     assert len(built) == 5
     assert shared == fresh
-    # another theta grid on the same table is another set of columns
-    _sweep(a, family, 2, (Fraction(1, 2),))
+    # another C on the same table is another set of columns
+    orderstats._lemma_columns(a, table, Fraction(1, 2), 2)
     assert len(built) == 6
 
 
@@ -152,7 +146,7 @@ def test_unhit_top_position_makes_paley_zygmund_vacuous():
     a = Matrix.from_rows([[9, 1], [2, 3]])
     for ell in (1, 2):
         # the marginals are not uniform, so lemma_suite would refuse the family
-        oracle = _assert_same_sweep(a, family, ell, thetas=DEFAULT_THETAS)
+        oracle = _assert_same_sweep(a, family, ell, uniform=False)
         statuses = {r.status for r in oracle if r.check_id == "paley-zygmund"}
         assert statuses >= {"vacuous", "pass"}
         assert any(r.status == "fail" for r in oracle)

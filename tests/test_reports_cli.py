@@ -55,7 +55,7 @@ class TestReportLogic:
         assert r.status == "pass" and r.margin == 0.0
         r = exact_inequality_report(
             "c", {}, Fraction(1, 3) + Fraction(1, 10**13), Fraction(1, 3))
-        assert r.status == "pass"  # inside the 1e-12 slack
+        assert r.status == "fail"  # an exact decision has no slack
         r = exact_inequality_report(
             "c", {}, Fraction(1, 3) + Fraction(1, 10**11), Fraction(1, 3))
         assert r.status == "fail"
@@ -288,6 +288,21 @@ class TestCli:
         cli.main(["sample", "--family", "map:2:2", "--config", str(cfg),
                   "--out", str(c)])
         assert c.read_bytes() != a.read_bytes()
+
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_missing_config_file_is_usage_error(self, source, tmp_path,
+                                                monkeypatch, capsys):
+        missing = str(tmp_path / "absent.conf")
+        argv = ["corpus", "gen"]
+        if source == "flag":
+            argv += ["--config", missing]
+        else:
+            monkeypatch.setenv("OSB_CONFIG", missing)
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and missing in captured.err
+        assert len(captured.err.splitlines()) == 1
 
     def test_campaign_reports_reproducible(self, matrix_file, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
