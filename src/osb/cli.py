@@ -292,6 +292,11 @@ def _run(args) -> int:
     else:  # pragma: no cover - argparse restricts commands
         raise DomainError(f"unknown command {args.command}")
     if not reports:
+        ns = [family.n for cell in corpus if cell.matrices
+              and (family := family_for_cell(spec, cell.n, cell.N)) is not None]
+        if ns:  # only an --ell range above every applicable n empties the list
+            raise DomainError(f"ell range {args.ell!r} selects no ell of an "
+                              f"applicable family (largest n is {max(ns)})")
         print("no applicable (cell, family) pairs; nothing checked",
               file=sys.stderr)
     return _finish_reports(args, reports)

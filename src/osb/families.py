@@ -408,7 +408,11 @@ def sample_array(
     key = _sample_key(family, seed)
     w = rng.words(key, start * n, count * n).reshape(count, n)
     if family.kind == KIND_FULL_MAPPING:
-        return (w % np.uint64(N)).astype(np.int64) + 1
+        # in place: the remainders are below N < 2**63, so int64 reads them
+        np.remainder(w, np.uint64(N), out=w)
+        draws = w.view(np.int64)
+        draws += 1
+        return draws
     if family.kind == KIND_EXPLICIT:
         idx = (w[:, 0] % np.uint64(family.size)).astype(np.int64)
         return family.members[idx]

@@ -27,6 +27,7 @@ from .orderstats import (
     _check_dims,
     _gather,
     _paths_for_block,
+    _draw_stats,
     expected_top_sum,
 )
 from .reports import (
@@ -192,9 +193,11 @@ def expected_lp_norm(
     if samples is None:
         totals = [math.fsum(block_norms(b)) for b in blocks]
         return ScalarExpectation(value=math.fsum(totals) / family.size, mode="exact")
+    # on a small family each draw's norm is looked up (see _draw_stats)
+    draw_norms = _draw_stats(family, samples, lambda block: {"norm": block_norms(block)})
     moments = RunningMoments()
     for block in blocks:
-        moments.add(block_norms(block))
+        moments.add(draw_norms(block)["norm"])
     return ScalarExpectation(
         value=moments.mean, mode="mc", samples=samples, stderr=moments.stderr()
     )

@@ -20,7 +20,12 @@ import numpy as np
 
 from .errors import DomainError
 from .families import (
+    KIND_FULL_MAPPING,
+    KIND_SYMMETRIC,
+    MEMBER_BLOCK_ROWS,
     MapFamily,
+    _mapping_table,
+    _permutation_table,
     iter_member_arrays,
     pairwise_constant,
     require_uniform_marginals,
@@ -172,6 +177,57 @@ def _blocks(family: MapFamily, chunk: int, *, cap: int | None = None,
         yield sample_array(family, seed, min(chunk, samples - start), start)
 
 
+def _member_lookup(family: MapFamily, samples: int | None):
+    """The family's members and the base-N weights N**(n-1), ..., 1, for a
+    Monte Carlo pass with at least as many draws as there are maps
+    {1..n} -> {1..N} and members, and at most MEMBER_BLOCK_ROWS of either;
+    otherwise None.  A row g is the (g @ weights - sum(weights))-th of the
+    N**n maps in lexicographic order.  Only the members are tabulated: a
+    path that no member takes could overflow where no member's path does."""
+    n, N = family.n, family.N
+    if samples is None or max(N**n, family.size) > min(samples, MEMBER_BLOCK_ROWS):
+        return None
+    if family.kind == KIND_SYMMETRIC:
+        members = _permutation_table(n) + 1
+    elif family.kind == KIND_FULL_MAPPING:
+        members = _mapping_table(N, n)
+    else:
+        members = family.members
+    return members, N ** np.arange(n - 1, -1, -1, dtype=np.int64)
+
+
+def _draw_stats(family: MapFamily, samples: int | None, stats):
+    """``stats``, a function from a block of maps to a dict of arrays with
+    one row per map, or, when ``_member_lookup`` applies, a function that
+    looks those rows up in tables of ``stats(members)`` computed once.
+
+    Every looked-up row is the row ``stats`` computes for the same map, so
+    the values keep their bits.  The tables are computed with overflow and
+    invalid operations ignored and used only when every value is finite;
+    otherwise each draw is computed as it comes, under the caller's error
+    state, and fails or returns as it always did."""
+    lookup = _member_lookup(family, samples)
+    if lookup is None:
+        return stats
+    members, weights = lookup
+    offset = int(weights.sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = stats(members)
+    if not all(np.isfinite(v).all() for v in values.values()):
+        return stats
+    index = members @ weights - offset
+    tables = {}
+    for key, v in values.items():
+        tables[key] = np.zeros((family.N**family.n,) + v.shape[1:])
+        tables[key][index] = v
+
+    def looked_up(block: np.ndarray) -> dict:
+        idx = block @ weights - offset
+        return {key: table.take(idx, axis=0) for key, table in tables.items()}
+
+    return looked_up
+
+
 def _top_sums(
     a: Matrix, family: MapFamily, ells: Sequence[int], *, width: int,
     cap: int | None = None, samples: int | None = None, seed: int = 0,
@@ -184,7 +240,9 @@ def _top_sums(
     and gets the bits of its own ell-wide block.  A 1-wide block sums its
     one column pairwise instead, so a Monte Carlo ell = 1 from a wider block
     sums a contiguous copy of column 0; an exact ell = 1 keeps the row-by-row
-    column sum of the ell = n pass that campaigns run.
+    column sum of the ell = n pass that campaigns run.  On a small family a
+    Monte Carlo pass looks each draw's top block and row sums up (see
+    ``_draw_stats``).
     """
     _check_dims(a, family)
     for ell in ells:
@@ -194,13 +252,24 @@ def _top_sums(
     lone = mc and width > 1 and 1 in ells
     sums, first = np.zeros(width), 0.0
     moments = {ell: RunningMoments() for ell in ells} if mc else {}
-    for block in _blocks(family, _MC_CHUNK, cap=cap, samples=samples, seed=seed):
+
+    def block_stats(block: np.ndarray) -> dict:
         top = _top_values(_paths_for_block(a, block), width)
-        sums += top.sum(axis=0)
+        stats = {"top": top}
         if lone:
-            first += top[:, 0].copy().sum()
+            stats["first"] = top[:, 0].copy()
+        for ell in moments:
+            stats[ell] = top[:, :ell].sum(axis=1)
+        return stats
+
+    block_stats = _draw_stats(family, samples, block_stats)
+    for block in _blocks(family, _MC_CHUNK, cap=cap, samples=samples, seed=seed):
+        stats = block_stats(block)
+        sums += stats["top"].sum(axis=0)
+        if lone:
+            first += stats["first"].sum()
         for ell, acc in moments.items():
-            acc.add(top[:, :ell].sum(axis=1))
+            acc.add(stats[ell])
     count = family.size if samples is None else samples
     per_k = [float(s) / count for s in sums]
     out = []

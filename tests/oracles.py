@@ -3,7 +3,8 @@ values.  These deliberately avoid the package's computation paths: plain
 itertools enumeration, exact Fractions, closed forms, direct minimization,
 the member generators and path gather that the table-driven ones replaced,
 the swap-loop shuffle and the row sort that the table-driven shuffle and the
-top-ell network replaced, and the plain hinge-norm bisection that the
+top-ell network replaced, the one-pass mixer and remainder that the
+piecewise mixer and the in-place remainder replaced, and the plain hinge-norm bisection that the
 filtered one replaced.
 Four helpers are not oracles in that sense: the vectorized hinge-norm
 bisection, which the acceptance criteria run over many vectors at once; the
@@ -228,8 +229,8 @@ def oracle_gather(table, block):
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo kernels as computed before the table-driven shuffle and the
-# top-ell network
+# Monte Carlo kernels as computed before the table-driven shuffle, the
+# top-ell network, the piecewise mixer and the in-place remainder
 
 
 def oracle_sample_permutations(family, seed, count, start=0):
@@ -249,6 +250,33 @@ def oracle_sample_permutations(family, seed, count, start=0):
         perm[rows, i] = perm[rows, j]
         perm[rows, j] = vi
     return perm
+
+
+def oracle_words(key, start, count):
+    """``rng.words`` as one pass over the whole range: the splitmix64 mixer
+    on the counters start + 1 .. start + count, eleven whole-array steps."""
+    from osb import rng
+
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= np.uint64(rng._GAMMA)
+    z += np.uint64(key & rng._MASK)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(rng._MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(rng._MIX2)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def oracle_sample_mappings(family, seed, count, start=0):
+    """``sample_array`` on a full-mapping family: each word's remainder
+    mod N, converted to int64, plus 1."""
+    from osb import rng
+    from osb.families import _sample_key
+
+    n, N = family.n, family.N
+    w = rng.words(_sample_key(family, seed), start * n, count * n).reshape(count, n)
+    return (w % np.uint64(N)).astype(np.int64) + 1
 
 
 def oracle_top_values(paths, ell):

@@ -182,6 +182,11 @@ def test_fuzzed_command_lines_keep_the_exit_code_contract(files):
     ["family-check", "--family", "sym", "--n", "0"],
     ["verify-main", "--family", "map:2:2", "--ell", "2..1"],
     ["verify-main", "--family", "map:2:2", "--ell", "0..0"],
+    # ranges above the n of every applicable family, and a family that fits
+    # no cell of the corpus
+    ["verify-main", "--family", "map:2:2", "--ell", "3"],
+    ["lemmas", "--family", "sym", "--ell", "7..9"],
+    ["verify-main", "--family", "map:9:9"],
 ])
 def test_edge_command_lines(files, argv):
     if argv[0] != "sample":
@@ -189,8 +194,12 @@ def test_edge_command_lines(files, argv):
     code, _, err = _run(argv, {})
     assert code in EXIT_CODES, (argv, code, err)
     assert "Traceback" not in err
-    if {"2..1", "0..0"} & set(argv):  # a range that selects no ell
+    ell = argv[argv.index("--ell") + 1] if "--ell" in argv else None
+    if ell in ("2..1", "0..0", "3", "7..9"):  # a range that selects no ell
         assert code == 2 and err.startswith("error: ell range"), (argv, code, err)
+        assert len(err.splitlines()) == 1, err
+    if "map:9:9" in argv:
+        assert code == 0 and "nothing checked" in err, (argv, code, err)
 
 
 @pytest.mark.parametrize("argv", [

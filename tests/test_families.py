@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from osb import families
+from osb import families, rng
 from osb.errors import DomainError, FormatError, HypothesisError, ResourceError
 from osb.families import (
     FamilySpec,
@@ -29,7 +29,9 @@ from oracles import (
     brute_pairwise_constant,
     brute_worst_marginal_deviation,
     oracle_member_blocks,
+    oracle_sample_mappings,
     oracle_sample_permutations,
+    oracle_words,
 )
 
 
@@ -423,12 +425,36 @@ class TestSampling:
             assert got.dtype == np.int64 and got.flags.writeable
             assert np.array_equal(got, oracle_sample_permutations(fam, seed, count, start))
 
+    @pytest.mark.parametrize("n,N", [(1, 1), (3, 7), (5, 4), (2, 3), (8, 2)])
+    def test_mappings_match_the_one_shot_remainder(self, n, N):
+        fam = full_mapping_family(n, N)
+        for seed, count, start in [(0, 1, 0), (3, 5000, 0), (9, 777, 12345)]:
+            got = sample_array(fam, seed, count, start)
+            assert got.dtype == np.int64 and got.flags.writeable
+            assert got.flags.c_contiguous and got.shape == (count, n)
+            assert np.array_equal(got, oracle_sample_mappings(fam, seed, count, start))
+
     @pytest.mark.parametrize("n", range(1, families._SYM_TABLE_WIDTH + 1))
     def test_shuffle_table_lists_each_permutation_once(self, n):
         table = families._shuffle_table(n)
         assert table.shape == (math.factorial(n), n) and not table.flags.writeable
         assert len({tuple(row) for row in table.tolist()}) == table.shape[0]
         assert (np.sort(table, axis=1) == np.arange(1, n + 1)).all()
+
+
+class TestWords:
+    # one piece less a word, one piece, one piece and a word, and a tail
+    @pytest.mark.parametrize("count", [1, 16383, 16384, 16385, 3 * 16384 + 7])
+    def test_pieces_give_the_one_pass_words(self, count):
+        for key in (0, rng.derive_key(7, 101), 2**64 - 1):
+            for start in (0, 2**64 - 1 - count):  # the last counter is 2**64 - 1
+                got = rng.words(key, start, count)
+                assert got.dtype == np.uint64 and got.shape == (count,)
+                assert np.array_equal(got, oracle_words(key, start, count))
+
+    def test_a_counter_past_64_bits_raises(self):
+        with pytest.raises(OverflowError):
+            rng.words(5, 2**64 - 3, 3)
 
 
 class TestFamilySpec:

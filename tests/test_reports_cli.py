@@ -250,6 +250,11 @@ class TestCli:
                   '[5,7,4,1,3,6,2],[6,2,4,1,3,5,7]],"n":7}'),
         ("sym:8", '{"N":8,"maps":[[8,7,6,3,1,2,5,4],[2,3,5,8,1,4,6,7],'
                   '[1,7,8,5,4,3,2,6],[3,4,8,7,2,5,6,1]],"n":8}'),
+        # the in-place remainder of the mapping draws, N = 1 included
+        ("map:1:1", '{"N":1,"maps":[[1],[1],[1],[1]],"n":1}'),
+        ("map:3:7", '{"N":7,"maps":[[6,5,1],[6,5,3],[6,1,2],[6,7,2]],"n":3}'),
+        ("map:5:4", '{"N":4,"maps":[[4,1,1,3,4],[3,2,3,1,3],[1,4,3,2,2],'
+                    '[3,2,4,4,1]],"n":5}'),
     ])
     def test_sample_output_bytes_are_pinned(self, tmp_path, family, want):
         if family == "file":

@@ -4,7 +4,9 @@
 enumerated block or draw chunk.  Each estimate must keep the bits of the
 per-ell estimators in ``oracles.py``: its own ell-wide pass, except an exact
 ell = 1 from a wider pass, which is the first column of that pass (the
-``verify-main`` campaign's ell = n pass).
+``verify-main`` campaign's ell = n pass).  On small families a Monte Carlo
+estimate looks each draw's values up; the same estimate with every draw
+computed is its oracle.
 """
 
 import math
@@ -15,7 +17,15 @@ import pytest
 from osb import orderstats
 from osb.campaigns import run_verify_main
 from osb.corpus import CorpusSpec, generate_corpus
-from osb.families import FamilySpec, family_for_cell, full_mapping_family, symmetric_group
+from osb.families import (
+    FamilySpec,
+    explicit_family,
+    family_for_cell,
+    full_mapping_family,
+    sample_array,
+    symmetric_group,
+)
+from osb.interpolation import expected_lp_norm
 from osb.matrices import Matrix, order_map, reduce_to_top
 from osb.orderstats import (
     _MC_CHUNK,
@@ -25,6 +35,7 @@ from osb.orderstats import (
     expected_top_sum,
     expected_top_sum_mc,
 )
+from osb.reports import reports_to_json
 
 from oracles import oracle_expected_top_sum, oracle_expected_top_sum_mc
 
@@ -179,3 +190,137 @@ def test_mc_campaign_draws_each_chunk_once_per_matrix(monkeypatch):
     run_verify_main(corpus, MAP, samples=samples, seed=1)
     matrices = sum(len(cell.matrices) for cell in corpus)
     assert len(draws) == math.ceil(samples / _MC_CHUNK) * matrices
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo on a family with N**n <= min(samples, MEMBER_BLOCK_ROWS) looks
+# each draw's values up in tables computed once from the members; computing
+# every draw, as on larger families, is its oracle.
+
+
+def _per_draw_estimates(monkeypatch, estimate):
+    """``estimate()`` with the member lookup switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(orderstats, "_member_lookup", lambda family, samples: None)
+        return estimate()
+
+
+def _lp_bits(e):
+    return (e.value.hex(), e.stderr.hex(), e.mode, e.samples)
+
+
+LOOKUP_FAMILIES = [
+    *(symmetric_group(n) for n in range(1, 7)),
+    full_mapping_family(8, 2),
+    full_mapping_family(16, 2),                  # N**n = 65,536
+    full_mapping_family(8, 4),                   # N**n = 65,536; ell = 8 row sums
+    explicit_family([[1, 2, 3], [3, 3, 1], [1, 2, 3], [2, 1, 2], [1, 2, 3]], 3, 3),
+    explicit_family([[1, 2], [2, 2], [3, 1]] * 4, 2, 3),  # 12 members, N**n = 9
+]
+
+
+def _lookup_bound(family):
+    """The fewest draws that the lookup applies to: N**n, or the member
+    count of an explicit family with more members."""
+    return max(family.N ** family.n, family.size)
+
+
+def _lookup_samples(family):
+    """Draw counts at the lookup's bound and one below it, where each draw
+    is computed, and over more than two chunks."""
+    bound = _lookup_bound(family)
+    return [s for s in (max(bound, 2), bound - 1, 2 * _MC_CHUNK + 5) if s >= 2]
+
+
+@pytest.mark.parametrize("family", LOOKUP_FAMILIES, ids=lambda f: f.descriptor())
+def test_looked_up_draws_keep_the_bits_of_computed_draws(family, monkeypatch):
+    n, seed = family.n, 5
+    requests = [(tuple(range(1, n + 1)), n), ((1,), 1), ((1, n), n), ((n,), n)]
+    for samples in _lookup_samples(family):
+        looked_up = orderstats._member_lookup(family, samples) is not None
+        assert looked_up == (_lookup_bound(family) <= samples)
+        for a in _matrices(n, family.N):
+            for ells, width in requests:
+                def top():
+                    return _top_sums(a, family, ells, width=width, samples=samples,
+                                     seed=seed)
+                got, want = top(), _per_draw_estimates(monkeypatch, top)
+                assert [_bits(r) for r in got] == [_bits(r) for r in want], \
+                    (samples, ells, width)
+            for p in (1.0, 1.5, 400.0):  # p = 400 scales most rows
+                def lp():
+                    return expected_lp_norm(a, family, p, samples=samples, seed=seed)
+                assert _lp_bits(lp()) == _lp_bits(_per_draw_estimates(monkeypatch, lp)), \
+                    (samples, p)
+
+
+@pytest.mark.parametrize("reduce_top", [False, True], ids=["plain", "reduce"])
+def test_mc_campaign_keeps_its_bytes_with_the_lookup(reduce_top, monkeypatch):
+    corpus = _campaign_corpus()
+
+    def campaign():
+        return reports_to_json(run_verify_main(corpus, MAP, reduce_top=reduce_top,
+                                               samples=3000, seed=2))
+
+    assert campaign() == _per_draw_estimates(monkeypatch, campaign)
+
+
+def _outcome(estimate, state):
+    """What an estimate gives with overflow and invalid operations raised,
+    as on the command line, or ignored."""
+    try:
+        with np.errstate(over=state, invalid=state):
+            r = estimate()
+    except FloatingPointError as e:
+        return "raises", str(e)
+    return "returns", r.value.hex(), r.stderr.hex()
+
+
+@pytest.mark.parametrize("state", ["raise", "ignore"])
+def test_non_finite_member_values_compute_every_draw(state, monkeypatch):
+    # the top-3 sums and p = 1 norms of the paths overflow, and so do the
+    # p = 2 norms of their scaled rows
+    family, samples = full_mapping_family(3, 2), 100
+    a = Matrix(np.array([[9.0, 8.0], [7.0, 6.0], [5.0, 4.0]]) * 1e307)
+    assert orderstats._member_lookup(family, samples) is not None
+    estimates = [
+        lambda: expected_top_sum_mc(a, family, 3, samples, 1),
+        lambda: _top_sums(a, family, (1, 3), width=3, samples=samples, seed=1)[1],
+        lambda: expected_lp_norm(a, family, 1.0, samples=samples, seed=1),
+        lambda: expected_lp_norm(a, family, 2.0, samples=samples, seed=1),
+    ]
+    outcomes = [_outcome(e, state) for e in estimates]
+    assert outcomes == [_outcome(lambda: _per_draw_estimates(monkeypatch, e), state)
+                        for e in estimates]
+    assert {o[0] for o in outcomes} == {"raises" if state == "raise" else "returns"}
+
+
+def test_tables_with_a_non_finite_value_are_not_used():
+    family = full_mapping_family(2, 2)
+    for bad in (np.inf, np.nan):
+        def stats(block, bad=bad):
+            return {"v": np.where(block[:, 0] == 2, bad, 1.0)}
+        assert orderstats._draw_stats(family, 10, stats) is stats
+
+    def ones(block):
+        return {"v": np.ones(len(block))}
+
+    lookup = orderstats._draw_stats(family, 10, ones)
+    assert lookup is not ones
+    assert lookup(sample_array(family, 0, 10))["v"].tolist() == [1.0] * 10
+
+
+@pytest.mark.parametrize("samples", [65536, 65537, 2 * _MC_CHUNK + 5])
+def test_mc_lp_norm_draws_each_chunk_once(samples, monkeypatch):
+    family = full_mapping_family(3, 3)
+    assert orderstats._member_lookup(family, samples) is not None
+    draws = []
+    real = orderstats.sample_array
+
+    def counting(*args, **kwargs):
+        draws.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(orderstats, "sample_array", counting)
+    expected_lp_norm(_matrices(3, 3)[0], family, 2.0, samples=samples, seed=3)
+    assert len(draws) == math.ceil(samples / 65536)
