@@ -387,12 +387,33 @@ def require_uniform_marginals(family: MapFamily):
 # Draw d of the stream owns words [d*n, (d+1)*n); permutations use a
 # Fisher-Yates sweep, mappings one word per coordinate, explicit families one
 # word as a member index.  The result is a pure function of (seed, d), so any
-# partitioning of a draw range reproduces the serial sequence.
+# partitioning of a draw range reproduces the serial sequence.  A sampler
+# that reads one word of each draw, such as swap t or the member index, asks
+# for that column alone: the words from d*n + t with stride n.
 
 
 def _sample_key(family: MapFamily, seed: int) -> int:
     code = _KIND_CODES[family.kind]
     return rng.derive_key(seed, _SAMPLE_STREAM, code, family.n, family.N, family.size)
+
+
+def _remainder(w: np.ndarray, r: int) -> np.ndarray:
+    """``w % r`` in place on contiguous uint64 words, computed as
+    ``w - (w // r) * r``: numpy divides by a scalar through a multiplication
+    by its inverse (Granlund and Montgomery, PLDI 1994), but its remainder
+    divides each word.  Pieces of 16,384 words keep the quotient buffer in a
+    core's cache; a strided column loses the fast division, so ``w`` must be
+    contiguous."""
+    piece = 16384
+    r = np.uint64(r)
+    quotient = np.empty(min(w.size, piece), dtype=np.uint64)
+    for lo in range(0, w.size, piece):
+        z = w[lo : lo + piece]
+        q = quotient[: z.size]
+        np.floor_divide(z, r, out=q)
+        q *= r
+        z -= q
+    return w
 
 
 def sample_array(
@@ -406,26 +427,30 @@ def sample_array(
         raise DomainError(f"draws {start}..{start + count - 1} run past the "
                           "64-bit word counter of the sample stream")
     key = _sample_key(family, seed)
-    w = rng.words(key, start * n, count * n).reshape(count, n)
+
+    def column(t: int, r: int) -> np.ndarray:
+        # word t of every draw, mod r; the remainders are below 2**63, so
+        # int64 reads them
+        return _remainder(rng.words(key, start * n + t, count, n), r).view(np.int64)
+
     if family.kind == KIND_FULL_MAPPING:
-        # in place: the remainders are below N < 2**63, so int64 reads them
-        np.remainder(w, np.uint64(N), out=w)
-        draws = w.view(np.int64)
+        w = _remainder(rng.words(key, start * n, count * n), N)
+        draws = w.view(np.int64).reshape(count, n)
         draws += 1
         return draws
     if family.kind == KIND_EXPLICIT:
-        idx = (w[:, 0] % np.uint64(family.size)).astype(np.int64)
-        return family.members[idx]
+        return family.members[column(0, family.size)]
+    choices = (column(t, n - t) for t in range(n - 1))
     if n > _SYM_TABLE_WIDTH:
-        return _fisher_yates((w[:, t] % np.uint64(n - t) for t in range(n - 1)),
-                             n, count)
+        return _fisher_yates(choices, n, count)
     # the swap choices, read as digits of radices n, n-1, ..., 2, index the
-    # table of the permutations those swaps produce
-    code = w[:, 0] % np.uint64(n)
-    for t in range(1, n - 1):
-        code *= np.uint64(n - t)
-        code += w[:, t] % np.uint64(n - t)
-    return _shuffle_table(n).take(code.astype(np.intp), axis=0)
+    # table of the permutations those swaps produce; word n - 1 of a draw is
+    # never read
+    code = np.zeros(count, dtype=np.int64)
+    for radix, choice in zip(range(n, 1, -1), choices):
+        code *= radix
+        code += choice
+    return _shuffle_table(n).take(code, axis=0)
 
 
 def _fisher_yates(choices: Iterable[np.ndarray], n: int, count: int) -> np.ndarray:

@@ -35,24 +35,30 @@ def derive_key(seed: int, *tags: int) -> int:
     return key
 
 
-def words(key: int, start: int, count: int) -> np.ndarray:
-    """Words ``start .. start+count-1`` of the stream, as uint64.
+def words(key: int, start: int, count: int, stride: int = 1) -> np.ndarray:
+    """Words ``start, start+stride, ..., start+(count-1)*stride`` of the
+    stream, as uint64; ``stride`` >= 1.
 
-    Word i mixes (start + 1 + i) * gamma + key.  The mixer runs in place on
-    pieces of 16,384 words, which with their one spare buffer stay in a
-    core's cache; the words are those of one pass over the whole range.
+    Word i mixes (start + 1 + i*stride) * gamma + key, so a stride of w
+    from start + t gives column t of the words taken w to a row.  The mixer
+    runs in place on pieces of 16,384 words, which with their one spare
+    buffer stay in a core's cache; the words are those of one pass over the
+    whole range.
     """
-    if start + 1 < 0 or start + count >= 2**64:  # counters 0 .. 2**64 - 1
-        raise OverflowError(f"words {start}..{start + count - 1} leave the "
-                            "64-bit word counter")
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    if start + 1 < 0 or start + 1 + (count - 1) * stride >= 2**64:
+        raise OverflowError(f"words {start}..{start + (count - 1) * stride} "
+                            "leave the 64-bit word counter")
     piece = 16384
     out = np.empty(count, dtype=np.uint64)
-    steps = np.arange(min(count, piece), dtype=np.uint64) * np.uint64(_GAMMA)
+    steps = np.arange(min(count, piece), dtype=np.uint64)
+    steps *= np.uint64(stride * _GAMMA & _MASK)
     spare = np.empty_like(steps)
     for lo in range(0, count, piece):
         z = out[lo : lo + piece]
         t = spare[: z.size]
-        base = ((start + 1 + lo) * _GAMMA + key) & _MASK
+        base = ((start + 1 + lo * stride) * _GAMMA + key) & _MASK
         np.add(steps[: z.size], np.uint64(base), out=z)
         np.right_shift(z, np.uint64(30), out=t)
         z ^= t

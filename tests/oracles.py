@@ -230,7 +230,8 @@ def oracle_gather(table, block):
 
 # ---------------------------------------------------------------------------
 # Monte Carlo kernels as computed before the table-driven shuffle, the
-# top-ell network, the piecewise mixer and the in-place remainder
+# top-ell network, the piecewise mixer, the in-place remainder and the
+# column-wise sampler
 
 
 def oracle_sample_permutations(family, seed, count, start=0):
@@ -277,6 +278,56 @@ def oracle_sample_mappings(family, seed, count, start=0):
     n, N = family.n, family.N
     w = rng.words(_sample_key(family, seed), start * n, count * n).reshape(count, n)
     return (w % np.uint64(N)).astype(np.int64) + 1
+
+
+def oracle_sample_array(family, seed, count, start=0):
+    """``sample_array`` before the sampler drew one word column at a time:
+    all n words of each draw in one call, each remainder by numpy's ``%``."""
+    from osb import rng
+    from osb.families import (_SYM_TABLE_WIDTH, KIND_EXPLICIT, KIND_FULL_MAPPING,
+                              _fisher_yates, _sample_key, _shuffle_table)
+
+    n, N = family.n, family.N
+    w = rng.words(_sample_key(family, seed), start * n, count * n).reshape(count, n)
+    if family.kind == KIND_FULL_MAPPING:
+        np.remainder(w, np.uint64(N), out=w)
+        draws = w.view(np.int64)
+        draws += 1
+        return draws
+    if family.kind == KIND_EXPLICIT:
+        idx = (w[:, 0] % np.uint64(family.size)).astype(np.int64)
+        return family.members[idx]
+    if n > _SYM_TABLE_WIDTH:
+        return _fisher_yates((w[:, t] % np.uint64(n - t) for t in range(n - 1)),
+                             n, count)
+    code = w[:, 0] % np.uint64(n)
+    for t in range(1, n - 1):
+        code *= np.uint64(n - t)
+        code += w[:, t] % np.uint64(n - t)
+    return _shuffle_table(n).take(code.astype(np.intp), axis=0)
+
+
+class OracleRunningMoments:
+    """``RunningMoments`` before it scaled an overflowing M2: the parallel
+    variance formula on the raw deviations."""
+
+    def __init__(self):
+        self.count = 0
+        self.mean = 0.0
+        self._m2 = 0.0
+
+    def add(self, values):
+        b = int(values.size)
+        b_mean = float(values.mean())
+        b_m2 = float(((values - b_mean) ** 2).sum())
+        delta = b_mean - self.mean
+        total = self.count + b
+        self.mean += delta * b / total
+        self._m2 += b_m2 + delta * delta * self.count * b / total
+        self.count = total
+
+    def stderr(self):
+        return math.sqrt(self._m2 / (self.count - 1)) / math.sqrt(self.count)
 
 
 def oracle_top_values(paths, ell):

@@ -8,6 +8,7 @@ runs in milliseconds.  Nothing is run in a subprocess.
 import contextlib
 import io
 import json
+import math
 import os
 from unittest import mock
 
@@ -214,6 +215,19 @@ def test_values_beyond_the_float_range_are_usage_errors(files, argv):
     assert code == 2, (argv, code, err)
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
     assert out == ""
+
+
+@pytest.mark.parametrize("command", ["verify-main", "verify-lp"])
+def test_monte_carlo_near_1e200_keeps_a_finite_stderr(tmp_path, command):
+    # squared deviations overflow although the estimate and its standard
+    # error are finite
+    matrix = tmp_path / "m.csv"
+    matrix.write_text("1e200,2e200\n3e200,1.5e200\n")
+    code, out, err = _run([command, "--family", "map:2:2", "--matrix", str(matrix),
+                           "--mc-samples", "1000"], {})
+    assert code == 0, err
+    stderrs = [r["stderr"] for r in json.loads(out)["reports"] if r["mode"] == "mc"]
+    assert stderrs and all(math.isfinite(s) and s > 0 for s in stderrs)
 
 
 def test_large_p_on_integer_grid_matrices_is_reported():

@@ -29,6 +29,7 @@ from oracles import (
     brute_pairwise_constant,
     brute_worst_marginal_deviation,
     oracle_member_blocks,
+    oracle_sample_array,
     oracle_sample_mappings,
     oracle_sample_permutations,
     oracle_words,
@@ -434,6 +435,60 @@ class TestSampling:
             assert got.flags.c_contiguous and got.shape == (count, n)
             assert np.array_equal(got, oracle_sample_mappings(fam, seed, count, start))
 
+    @pytest.mark.parametrize("family", [
+        *(symmetric_group(n) for n in range(1, 11)),
+        full_mapping_family(1, 1),
+        full_mapping_family(5, 4),
+        full_mapping_family(70, 2),
+        explicit_family([[1, 2, 3], [3, 3, 1], [1, 2, 3], [2, 1, 2], [1, 2, 3]], 3, 3),
+    ], ids=lambda f: f.descriptor())
+    def test_column_draws_match_the_whole_row_draws(self, family):
+        # one draw, one piece of words and a word, and a tail past a chunk
+        for start in (0, 5, 131072):
+            for count in (1, 16385, 70001):
+                got = sample_array(family, 11, count, start)
+                assert got.dtype == np.int64 and got.shape == (count, family.n)
+                assert np.array_equal(got, oracle_sample_array(family, 11, count, start))
+
+    def test_draws_at_a_nonzero_start_are_pinned(self):
+        # recorded before the sampler drew one word column at a time
+        fam = explicit_family([[1, 2, 3], [3, 3, 1], [1, 2, 3], [2, 1, 2], [1, 2, 3]], 3, 3)
+        assert sample_array(fam, 7, 4, 5).tolist() == [
+            [1, 2, 3], [3, 3, 1], [1, 2, 3], [1, 2, 3]]
+        assert sample_array(fam, 7, 4, 131072).tolist() == [
+            [1, 2, 3], [1, 2, 3], [2, 1, 2], [1, 2, 3]]
+        assert sample_array(symmetric_group(5), 7, 4, 5).tolist() == [
+            [1, 2, 4, 5, 3], [3, 4, 1, 5, 2], [2, 3, 1, 5, 4], [2, 3, 5, 1, 4]]
+        assert sample_array(symmetric_group(5), 7, 4, 131072).tolist() == [
+            [2, 1, 4, 5, 3], [4, 5, 3, 2, 1], [2, 1, 3, 4, 5], [1, 2, 5, 4, 3]]
+
+    # divisors of every size up to 2**16, the sizes of built-in and file
+    # families, and divisors near 2**63 and 2**64
+    REMAINDER_DIVISORS = [
+        *range(1, 65537),
+        *(math.factorial(n) for n in range(8, 21)),
+        3**20, 10**12 + 39, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1,
+    ]
+
+    def test_remainders_by_division_match_the_remainder(self):
+        gen = np.random.default_rng(5)
+        rand = gen.integers(0, 2**64, size=8, dtype=np.uint64, endpoint=False)
+        top = 2**64 - 1
+        for r in self.REMAINDER_DIVISORS:
+            words = np.array([0, 1, r - 1, r, min(r + 1, top), 2 * r % 2**64,
+                              r * (top // r), top, top - 1], dtype=np.uint64)
+            words = np.concatenate([words, rand])
+            got = families._remainder(words.copy(), r)
+            assert np.array_equal(got, words % np.uint64(r)), r
+
+    @pytest.mark.parametrize("size", [16383, 16384, 16385, 3 * 16384 + 7])
+    def test_remainders_by_division_run_in_place_over_pieces(self, size):
+        words = rng.words(rng.derive_key(3, 101), 0, size)
+        for r in (1, 2, 3, 7, 120, 5040, 2**32 + 15, 2**63 + 5):
+            w = words.copy()
+            assert families._remainder(w, r) is w
+            assert np.array_equal(w, words % np.uint64(r)), r
+
     @pytest.mark.parametrize("n", range(1, families._SYM_TABLE_WIDTH + 1))
     def test_shuffle_table_lists_each_permutation_once(self, n):
         table = families._shuffle_table(n)
@@ -455,6 +510,32 @@ class TestWords:
     def test_a_counter_past_64_bits_raises(self):
         with pytest.raises(OverflowError):
             rng.words(5, 2**64 - 3, 3)
+
+    @pytest.mark.parametrize("count", [1, 16383, 16384, 16385, 3 * 16384 + 7])
+    def test_strided_words_are_columns_of_the_one_pass_words(self, count):
+        key = rng.derive_key(7, 101)
+        for stride in range(1, 10):
+            # start 0, and the range whose last counter is 2**64 - 1
+            for start in (0, 2**64 - 1 - count * stride):
+                rows = oracle_words(key, start, count * stride)
+                for t in range(stride):
+                    got = rng.words(key, start + t, count, stride)
+                    assert got.dtype == np.uint64 and got.flags.c_contiguous
+                    assert np.array_equal(got, rows[t::stride]), (stride, start, t)
+
+    @pytest.mark.parametrize("stride", [2, 3, 9])
+    def test_a_strided_counter_past_64_bits_raises(self, stride):
+        # the last counter is start + 1 + (count - 1) * stride
+        start = 2**64 - 1 - 1 - 4 * stride
+        assert rng.words(5, start, 5, stride).shape == (5,)
+        with pytest.raises(OverflowError):
+            rng.words(5, start + 1, 5, stride)
+        with pytest.raises(OverflowError):
+            rng.words(5, start, 6, stride)
+
+    def test_a_stride_below_one_is_rejected(self):
+        with pytest.raises(ValueError):
+            rng.words(5, 0, 3, 0)
 
 
 class TestFamilySpec:

@@ -19,6 +19,7 @@ from osb.families import (
 from osb.matrices import Matrix, order_map
 from osb.interpolation import expected_lp_norm
 from osb.orderstats import (
+    RunningMoments,
     _gather,
     _paths_for_block,
     _top_values,
@@ -29,6 +30,7 @@ from osb.orderstats import (
 )
 
 from oracles import (
+    OracleRunningMoments,
     all_mappings,
     all_permutations,
     averaged_top_matrix,
@@ -249,6 +251,41 @@ class TestMonteCarlo:
     def test_requires_two_samples(self):
         with pytest.raises(DomainError):
             expected_top_sum_mc(zero_matrix(2, 2), symmetric_group(2), 1, 1, 0)
+
+    @staticmethod
+    def _moments(cls, chunks):
+        m = cls()
+        for chunk in chunks:
+            m.add(chunk)
+        return m
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-3, 1.0, 1e3, 1e150])
+    def test_moments_keep_the_bits_of_the_plain_formula(self, scale):
+        gen = np.random.default_rng(4)
+        chunks = [gen.uniform(-1, 3, size) * scale for size in (1, 2, 1000, 131072, 7)]
+        got, want = (self._moments(c, chunks) for c in (RunningMoments, OracleRunningMoments))
+        assert (got.mean.hex(), got.stderr().hex()) == (want.mean.hex(), want.stderr().hex())
+
+    # chunks whose own M2 overflows, and chunks of M2 near 1.4e308 whose
+    # total overflows; the arithmetic is the plain formula's on the values
+    # over a power of two, which rounds nothing
+    @pytest.mark.parametrize("chunks", [
+        [np.array([1e200, 3e200, 2e200, 1.5e200] * 250)] * 3,
+        [np.random.default_rng(2).uniform(1, 3, 1000) * 1e200,
+         np.random.default_rng(3).uniform(-3, 1, 70) * 1e200],
+        [np.array([1.2e153, -1.2e153] * 50)] * 2,
+        [np.array([1.0, 2.0]), np.array([1.2e153, -1.2e153] * 50), np.array([1e200])],
+    ])
+    def test_an_overflowing_m2_is_scaled_by_a_power_of_two(self, chunks):
+        with np.errstate(over="raise", invalid="raise"):
+            got = self._moments(RunningMoments, chunks)
+        assert math.isfinite(got.stderr()) and got.stderr() > 0
+        with np.errstate(over="ignore"):
+            assert not math.isfinite(self._moments(OracleRunningMoments, chunks).stderr())
+        k = 2.0**600
+        want = self._moments(OracleRunningMoments, [c / k for c in chunks])
+        assert got.mean.hex() == (want.mean * k).hex()
+        assert got.stderr().hex() == (want.stderr() * k).hex()
 
     # criterion 9's cases at 1e5 draws and seeds 0 and 7: the hash of every
     # bit of the top-sum estimate (value, per_k, stderr) and of the lp

@@ -255,11 +255,21 @@ class TestCli:
         ("map:3:7", '{"N":7,"maps":[[6,5,1],[6,5,3],[6,1,2],[6,7,2]],"n":3}'),
         ("map:5:4", '{"N":4,"maps":[[4,1,1,3,4],[3,2,3,1,3],[1,4,3,2,2],'
                     '[3,2,4,4,1]],"n":5}'),
+        # the column-wise sampler: swap codes, and member indices of a file
+        # family with repeated members
+        ("sym:5", '{"N":5,"maps":[[4,2,1,3,5],[1,4,5,3,2],[2,5,3,1,4],'
+                  '[4,5,1,3,2]],"n":5}'),
+        ("file-repeats", '{"N":3,"maps":[[2,1,2],[1,2,3],[1,2,3],[1,2,3]],"n":3}'),
     ])
     def test_sample_output_bytes_are_pinned(self, tmp_path, family, want):
-        if family == "file":
+        files = {
+            "file": '{"n": 2, "N": 3, "maps": [[1, 2], [3, 3], [2, 1]]}',
+            "file-repeats": '{"n": 3, "N": 3, "maps": [[1, 2, 3], [3, 3, 1], '
+                            '[1, 2, 3], [2, 1, 2], [1, 2, 3]]}',
+        }
+        if family in files:
             path = tmp_path / "fam.json"
-            path.write_text('{"n": 2, "N": 3, "maps": [[1, 2], [3, 3], [2, 1]]}')
+            path.write_text(files[family])
             family = f"file:{path}"
         out = tmp_path / "maps.json"
         assert cli.main(["sample", "--family", family, "--count", "4",

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from osb import orderstats
+from osb import orderstats, rng
 from osb.campaigns import run_verify_main
 from osb.corpus import CorpusSpec, generate_corpus
 from osb.families import (
@@ -324,3 +324,64 @@ def test_mc_lp_norm_draws_each_chunk_once(samples, monkeypatch):
     monkeypatch.setattr(orderstats, "sample_array", counting)
     expected_lp_norm(_matrices(3, 3)[0], family, 2.0, samples=samples, seed=3)
     assert len(draws) == math.ceil(samples / 65536)
+
+
+@pytest.mark.parametrize("family", [full_mapping_family(3, 3), symmetric_group(5)],
+                         ids=lambda f: f.descriptor())
+@pytest.mark.parametrize("samples", [65536, _MC_CHUNK + 1, 2 * _MC_CHUNK + 5])
+def test_mc_top_sums_draw_rows_from_words_each_chunk(family, samples, monkeypatch):
+    # the lookup still draws each chunk's rows from the sampler's words
+    assert orderstats._member_lookup(family, samples) is not None
+    draws, words = [], []
+    real_sample, real_words = orderstats.sample_array, rng.words
+
+    def counting_sample(*args, **kwargs):
+        draws.append(args)
+        return real_sample(*args, **kwargs)
+
+    def counting_words(*args, **kwargs):
+        words.append(args)
+        return real_words(*args, **kwargs)
+
+    monkeypatch.setattr(orderstats, "sample_array", counting_sample)
+    monkeypatch.setattr(rng, "words", counting_words)
+    a = _matrices(family.n, family.N)[0]
+    expected_top_sum_mc(a, family, 2, samples, 3)
+    assert len(draws) == math.ceil(samples / _MC_CHUNK)
+    assert len(words) >= len(draws)
+
+
+def _awkward_values(rows, width, gen):
+    """Values with ties, zeros of both signs, subnormals and magnitudes
+    1e-300 to 1e300 mixed in one column; column 0 is -0.0 alone."""
+    pool = np.array([0.0, -0.0, 1.0, 1.0, -1.0, 0.1, 3.5, 5e-324, -5e-324,
+                     2.0**-1060, 2.2250738585072014e-308, 1e-300, -1e-300,
+                     1e300, -1e300, 7e299])
+    values = gen.choice(pool, size=(rows, width))
+    values[:, 0] = -0.0
+    return values
+
+
+@pytest.mark.parametrize("width", range(2, 12))
+def test_looked_up_column_sums_keep_the_running_sums_of_the_block_sums(width):
+    # the lookup adds each column by its running sum, in the order
+    # sum(axis=0) adds a C-contiguous block; only an all -0.0 column's sum
+    # differs, and a total started at +0.0 absorbs it
+    family = full_mapping_family(2, 3)
+    values = _awkward_values(family.size, width, np.random.default_rng(width))
+    weights = np.array([3, 1])
+
+    def stats(block):
+        return {"top": values[block @ weights - 4]}
+
+    lookup = orderstats._draw_stats(family, 100_000, stats)
+    assert lookup is not stats
+    looked_up, summed = np.zeros(width), np.zeros(width)
+    for start, count in [(0, 1), (1, 2), (3, 16385), (16388, 100_000)]:
+        block = sample_array(family, width, count, start)
+        got, want = lookup(block)["top"], stats(block)["top"]
+        assert want.flags.c_contiguous and got.shape == (width,)
+        looked_up += got
+        summed += want.sum(axis=0)
+        assert [v.hex() for v in looked_up] == [v.hex() for v in summed], (start, count)
+    assert summed[0].hex() == "0x0.0p+0"
