@@ -11,6 +11,7 @@ Exit codes: 0 all non-vacuous checks pass, 1 any failure, 2 usage error
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -108,8 +109,13 @@ def _parse_p_list(text: str) -> list[float]:
         values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise DomainError(f"bad p list {text!r}; expected comma-separated numbers")
+    if not all(math.isfinite(p) for p in values):
+        raise DomainError("p must be finite and >= 1")
     if not values or any(p < 1 for p in values):
         raise DomainError("p values must be >= 1")
+    repeated = [p for i, p in enumerate(values) if p in values[:i]]
+    if repeated:
+        raise DomainError(f"p list {text!r} repeats p = {repeated[0]:g}")
     return values
 
 
@@ -272,6 +278,7 @@ def _run(args) -> int:
     if args.command == "lemmas" and samples is not None:
         raise DomainError("lemmas has no Monte Carlo mode; drop --mc-samples")
     spec = parse_family_spec(args.family)
+    p_list = _parse_p_list(args.p) if args.command == "verify-lp" else None
     corpus = _load_inputs(args)
     if args.command == "verify-main":
         reports = campaigns.run_verify_main(
@@ -280,8 +287,7 @@ def _run(args) -> int:
         )
     elif args.command == "verify-lp":
         reports = campaigns.run_verify_lp(
-            corpus, spec, _parse_p_list(args.p),
-            cap=cap, samples=samples, seed=seed,
+            corpus, spec, p_list, cap=cap, samples=samples, seed=seed,
         )
     elif args.command == "lemmas":
         aggregate = not (args.per_instance or args.matrix)

@@ -349,17 +349,23 @@ def _compute_certificate(family: MapFamily) -> MeasureCertificate:
         codes = arr - 1 + N * np.arange(n)
         counts = np.bincount(codes.ravel(), minlength=n * N).reshape(n, N)
         worst = Fraction(int(np.abs(counts * N - size).max()), N * size)
+        # one count per i1 of every (i2, j1, j2), i2 outermost, in the same
+        # array: with the i2 = i1 counts zeroed, argmax gives the first
+        # maximal pair, as every other i2 holds a positive count
+        codes += (N * N - N) * np.arange(n)
         best_count, argmax = 0, None
         for i1 in range(n):
-            for i2 in range(n):
-                if i1 == i2:
-                    continue
-                codes = (arr[:, i1] - 1) * N + (arr[:, i2] - 1)
-                pair_counts = np.bincount(codes, minlength=N * N)
-                top = int(pair_counts.argmax())
-                if int(pair_counts[top]) > best_count:
-                    best_count = int(pair_counts[top])
-                    argmax = ((i1 + 1, top // N + 1), (i2 + 1, top % N + 1))
+            first = (arr[:, i1 : i1 + 1] - 1) * N
+            codes += first
+            pair_counts = np.bincount(codes.ravel(), minlength=n * N * N)
+            codes -= first
+            pair_counts[i1 * N * N : (i1 + 1) * N * N] = 0
+            top = int(pair_counts.argmax())
+            if int(pair_counts[top]) > best_count:
+                best_count = int(pair_counts[top])
+                i2, code = divmod(top, N * N)
+                argmax = ((i1 + 1, code // N + 1), (i2 + 1, code % N + 1))
+        del codes  # not held while the descriptor is built
         if argmax is None and N > 1:
             argmax = ((1, 1), (1, 2))  # probability-0 pair; no two indices exist
         bound = Fraction(N * N * best_count, size)

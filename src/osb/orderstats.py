@@ -65,10 +65,14 @@ class OrderStatResult:
     stderr: Optional[float] = None
 
 
+def _gather_index(shape: tuple[int, int], block: np.ndarray) -> np.ndarray:
+    """The flat positions of table[i, block[:, i] - 1] in a table of this shape."""
+    return block + (np.arange(shape[0]) * shape[1] - 1)
+
+
 def _gather(table: np.ndarray, block: np.ndarray) -> np.ndarray:
     """table[i, block[:, i] - 1] for every row of the block, as one flat take."""
-    n, N = table.shape
-    return table.ravel().take(block + (np.arange(n) * N - 1))
+    return table.ravel().take(_gather_index(table.shape, block))
 
 
 def _paths_for_block(a: Matrix, block: np.ndarray) -> np.ndarray:

@@ -3,13 +3,16 @@ values.  These deliberately avoid the package's computation paths: plain
 itertools enumeration, exact Fractions, closed forms, direct minimization,
 the member generators and path gather that the table-driven ones replaced,
 the swap-loop shuffle and the row sort that the table-driven shuffle and the
-top-ell network replaced, the one-pass mixer and remainder that the
+top-ell network replaced, the per-index-pair loop of the explicit pairwise
+certificate that one count per first index replaced, the one-pass mixer and remainder that the
 piecewise mixer and the in-place remainder replaced, and the plain hinge-norm bisection that the
 filtered one replaced.
-Four helpers are not oracles in that sense: the vectorized hinge-norm
+Five helpers are not oracles in that sense: the vectorized hinge-norm
 bisection, which the acceptance criteria run over many vectors at once; the
 per-ell top-sum estimators that the one-pass estimator replaced, which run on
-the package's gather and top-ell kernel; the lemma-suite oracle, which reads
+the package's gather and top-ell kernel; the per-p lp estimator that the
+one-pass estimator replaced, which runs on the package's block source, draw
+lookup and accumulator; the lemma-suite oracle, which reads
 the package's hit-count table but decides every instance with its own
 Fractions; and, at the end, the recursive
 canonical serializer and the report renderings that the single-pass ones
@@ -122,6 +125,26 @@ def brute_pairwise_constant(maps, n, N) -> Fraction:
             count = sum(1 for g in maps if g[i1 - 1] == j1 and g[i2 - 1] == j2)
             best = max(best, count)
     return Fraction(N * N * best, len(maps))
+
+
+def oracle_pairwise_argmax(members, n, N):
+    """(largest pair count, argmax_pair) of an explicit family's certificate
+    as one bincount per ordered index pair (i1, i2), i1 != i2: the first
+    maximal ((i1, j1), (i2, j2)) in (i1, i2, j1, j2) order, or None when
+    there is no pair of indices."""
+    arr = np.asarray(members, dtype=np.int64)
+    best_count, argmax = 0, None
+    for i1 in range(n):
+        for i2 in range(n):
+            if i1 == i2:
+                continue
+            codes = (arr[:, i1] - 1) * N + (arr[:, i2] - 1)
+            pair_counts = np.bincount(codes, minlength=N * N)
+            top = int(pair_counts.argmax())
+            if int(pair_counts[top]) > best_count:
+                best_count = int(pair_counts[top])
+                argmax = ((i1 + 1, top // N + 1), (i2 + 1, top % N + 1))
+    return best_count, argmax
 
 
 def brute_hit_tail(maps, positions, k) -> Fraction:
@@ -334,6 +357,51 @@ def oracle_top_values(paths, ell):
     """The ell largest values of each row, nonincreasing: the sorted rows'
     reversed view, which the estimators summed."""
     return np.sort(paths, axis=1)[:, ::-1][:, :ell]
+
+
+# ---------------------------------------------------------------------------
+# The lp estimator as one pass per p, before one pass served every p: its
+# body as it was, on the package's block source, draw lookup and accumulator
+
+
+def oracle_expected_lp_norm(a, family, p, *, cap=None, samples=None, seed=0):
+    """Average of the lp norm of the path values, exact or Monte Carlo, for
+    one p: block norms summed with math.fsum, or fed to one accumulator."""
+    from osb.interpolation import _MC_CHUNK, _TINY, ScalarExpectation
+    from osb.orderstats import (RunningMoments, _blocks, _check_dims, _draw_stats,
+                                _gather, _paths_for_block)
+
+    _check_dims(a, family)
+    if not math.isfinite(p) or p < 1.0:
+        raise DomainError("p must be finite and >= 1")
+    with np.errstate(over="ignore", under="ignore"):
+        powered = a.entries**p
+
+    def block_norms(block):
+        if p == 1.0:
+            return _paths_for_block(a, block).sum(axis=1)
+        with np.errstate(over="ignore", under="ignore"):
+            sums = _gather(powered, block).sum(axis=1)
+            norms = sums ** (1.0 / p)
+            bad = np.flatnonzero(~((sums >= _TINY) & (sums < np.inf)))
+            if bad.size:
+                rows = _paths_for_block(a, block[bad])
+                top = rows.max(axis=1, keepdims=True)
+                scaled = np.divide(rows, top, out=np.zeros_like(rows), where=top > 0)
+                norms[bad] = top[:, 0] * (scaled**p).sum(axis=1) ** (1.0 / p)
+        return norms
+
+    blocks = _blocks(family, _MC_CHUNK, cap=cap, samples=samples, seed=seed)
+    if samples is None:
+        totals = [math.fsum(block_norms(b)) for b in blocks]
+        return ScalarExpectation(value=math.fsum(totals) / family.size, mode="exact")
+    draw_norms = _draw_stats(family, samples, lambda block: {"norm": block_norms(block)})
+    moments = RunningMoments()
+    for block in blocks:
+        moments.add(draw_norms(block)["norm"])
+    return ScalarExpectation(
+        value=moments.mean, mode="mc", samples=samples, stderr=moments.stderr()
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,18 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from osb import families
+from osb import campaigns, families, interpolation, orderstats
 from osb.campaigns import (
     lower_constant,
     run_lemmas,
     run_verify_lp,
     run_verify_main,
 )
-from osb.corpus import single_matrix_corpus
+from osb.corpus import CorpusSpec, generate_corpus, single_matrix_corpus
 from osb.errors import HypothesisError
 from osb.families import (
     FamilySpec,
@@ -23,7 +24,7 @@ from osb.families import (
 )
 from osb.matrices import Matrix, order_map, reduce_to_top
 from osb.orderstats import expected_top_sum
-from osb.reports import summarize
+from osb.reports import reports_to_json, summarize
 
 from oracles import zero_matrix
 
@@ -173,3 +174,67 @@ def test_campaign_hypothesis_abort_attaches_certificate(small_corpus, tmp_path):
         run_verify_main(small_corpus, FamilySpec("file", path=str(path)))
     assert err.value.certificate is not None
     assert err.value.certificate.marginals_uniform is False
+
+
+def _count_calls(monkeypatch, module, name, calls):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("p_list", [[2.0], [1.0, 1.5, 2.0, 3.0], [3.0, 400.0, 1.0]])
+def test_exact_lp_passes_once_per_matrix(small_corpus, monkeypatch, p_list):
+    calls = {}
+    _count_calls(monkeypatch, orderstats, "iter_member_arrays", calls)
+    _count_calls(monkeypatch, interpolation, "expected_lp_norm", calls)
+    _count_calls(monkeypatch, campaigns, "verify_lp_bounds", calls)
+    reports = run_verify_lp(small_corpus, MAP, p_list)
+    matrices = sum(len(cell.matrices) for cell in small_corpus)
+    assert calls == {"iter_member_arrays": matrices, "expected_lp_norm": matrices,
+                     "verify_lp_bounds": matrices}
+    assert len(reports) == matrices * 2 * len(p_list) + len(p_list)
+
+
+@pytest.mark.parametrize("samples", [1000, 65536, 2 * 65536 + 5])
+@pytest.mark.parametrize("p_list", [[2.0], [1.0, 1.5, 2.0, 3.0]])
+def test_mc_lp_draws_once_per_matrix(monkeypatch, samples, p_list):
+    corpus = generate_corpus([CorpusSpec(cells=((2, 2), (8, 8)), matrices_per_cell=2,
+                                         seed=3)], seed=3)
+    calls = {}
+    _count_calls(monkeypatch, orderstats, "sample_array", calls)
+    run_verify_lp(corpus, SYM, p_list, samples=samples, seed=1)
+    chunks = -(-samples // 65536)
+    assert calls == {"sample_array": 4 * chunks}
+
+
+class TestLpReportBytes:
+    """sha256 of the ``run_verify_lp`` JSON on a small corpus: map:5:5 and
+    sym:7 enumerate blocks above the crossover of the lp block sum, sym:5
+    blocks below it; at 4096 draws map:5:5 and sym:5 look each draw up and
+    sym:7 computes each.  p = 400 scales every uniform and every 9-holding
+    path.  Recorded before every p of a matrix came from one pass."""
+
+    PINNED = {
+        ("map:5:5", None): "482098bac8432befa1bddc8bb78f2c13c9575ffcd9e71e7f18c342d4d761e0ea",
+        ("map:5:5", 4096): "306bda6a51cc4f397c5b70950559fab453f0dacc7956c61cef3d6fc44639b32f",
+        ("sym", None): "401e08c5c42aef3a36db3d751db57ad7d9648c0a967cf8bb7a3fb137b1d0ca54",
+        ("sym", 4096): "ac549e416ed41e5206adc53ac85a33b636d62519299ae88803ceaca6b633d6be",
+    }
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return generate_corpus(
+            [CorpusSpec(cells=((5, 5), (7, 7)), matrices_per_cell=2, distribution=d,
+                        seed=11) for d in ("uniform", "integer", "sparse")], seed=11)
+
+    @pytest.mark.parametrize("spec,samples", list(PINNED))
+    def test_lp_report_bytes_are_pinned(self, corpus, spec, samples):
+        family = FamilySpec("map", n=5, N=5) if spec == "map:5:5" else SYM
+        reports = run_verify_lp(corpus, family, (1.0, 1.5, 2.0, 3.0, 400.0),
+                                samples=samples, seed=5)
+        text = reports_to_json(reports)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.PINNED[spec, samples]

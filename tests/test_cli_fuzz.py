@@ -102,7 +102,8 @@ def _option_pool(files_):
         st.tuples(st.just("--ell"), st.sampled_from(
             ["1", "2", "1..2", "2..1", "0..5", "a..b", "1..", "-1..1", "3..3"])),
         st.tuples(st.just("--p"), st.sampled_from(
-            ["1", "1,2", "1.5,3", "0.5", "abc", "", "1,,2", "inf", "nan", "-2"])),
+            ["1", "1,2", "1.5,3", "0.5", "abc", "", "1,,2", "inf", "nan", "-2",
+             "2,2.0", "1,nan"])),
         st.tuples(st.just("--n"), st.sampled_from(_SMALL_INTS)),
         st.tuples(st.just("--N"), st.sampled_from(_SMALL_INTS)),
         st.tuples(st.just("--count"), st.sampled_from(_SMALL_INTS)),
@@ -201,6 +202,24 @@ def test_edge_command_lines(files, argv):
         assert len(err.splitlines()) == 1, err
     if "map:9:9" in argv:
         assert code == 0 and "nothing checked" in err, (argv, code, err)
+
+
+@pytest.mark.parametrize("p,message", [
+    ("2,2.0", "error: p list '2,2.0' repeats p = 2"),
+    ("1,3,1.5,3", "error: p list '1,3,1.5,3' repeats p = 3"),
+    ("nan", "error: p must be finite and >= 1"),
+    ("inf", "error: p must be finite and >= 1"),
+    ("2,1e999", "error: p must be finite and >= 1"),
+    ("-inf", "error: p must be finite and >= 1"),
+])
+@pytest.mark.parametrize("source", [[], ["--corpus", "missing"], ["--matrix", "m-bad.csv"]])
+def test_p_lists_are_checked_before_any_input_is_read(files, p, message, source):
+    # a repeated exponent would emit every report twice; a non-finite one
+    # fails in the library after the inputs are read
+    argv = ["verify-lp", "--family", "map:2:2", f"--p={p}"] + [files.get(a, a) for a in source]
+    code, out, err = _run(argv, {})
+    assert code == 2 and out == "", (argv, code, err)
+    assert err.splitlines() == [message], err
 
 
 @pytest.mark.parametrize("argv", [

@@ -29,6 +29,7 @@ from oracles import (
     brute_pairwise_constant,
     brute_worst_marginal_deviation,
     oracle_member_blocks,
+    oracle_pairwise_argmax,
     oracle_sample_array,
     oracle_sample_mappings,
     oracle_sample_permutations,
@@ -351,6 +352,22 @@ class TestPairwiseConstant:
     def test_singleton_shape_has_zero_constant(self):
         assert pairwise_constant(symmetric_group(1)).pairwise_bound == 0
         assert pairwise_constant(full_mapping_family(1, 4)).pairwise_bound == 0
+
+    @pytest.mark.parametrize("n,N", [(1, 1), (1, 3), (2, 1), (2, 2), (3, 2), (3, 4),
+                                     (4, 3), (5, 2)])
+    def test_explicit_certificate_matches_the_per_pair_loop(self, n, N):
+        # few values and repeated members make ties between pairs common
+        rng = np.random.default_rng(10 * n + N)
+        for size in (1, 2, 5, 17, 60):
+            maps = rng.integers(1, N + 1, (size, n)).tolist()
+            maps += maps[: size // 3]
+            cert = pairwise_constant(explicit_family(maps, n, N))
+            best, argmax = oracle_pairwise_argmax(maps, n, N)
+            if argmax is None and N > 1:
+                argmax = ((1, 1), (1, 2))
+            assert cert.pairwise_bound == Fraction(N * N * best, len(maps))
+            assert cert.argmax_pair == argmax
+            assert cert.pairwise_bound == brute_pairwise_constant(maps, n, N)
 
 
 class TestCertificateCache:

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from osb import interpolation
 from osb.errors import DomainError
-from osb.families import full_mapping_family, iter_member_arrays, symmetric_group
+from osb.families import (explicit_family, full_mapping_family, iter_member_arrays,
+                          symmetric_group)
 from osb.interpolation import (
     KFunctionalCurve,
+    ScalarExpectation,
+    _block_fsum,
     expected_lp_norm,
     head_tail_bound,
     interpolation_norm,
@@ -18,7 +22,8 @@ from osb.interpolation import (
 )
 from osb.matrices import Matrix
 from oracles import (all_mappings, all_permutations, brute_expected_lp, k_functional_oracle,
-                     path_values, scaled_expected_lp, scaled_head_tail_bound, zero_matrix)
+                     oracle_expected_lp_norm, path_values, scaled_expected_lp,
+                     scaled_head_tail_bound, zero_matrix)
 
 
 def random_matrix(n, N, seed):
@@ -303,3 +308,157 @@ class TestVerifyLpBounds:
                         for block in iter_member_arrays(fam) for g in block
                     ])
                     assert mixed <= float(per_path) + 1e-9
+
+
+def _bits(e: ScalarExpectation):
+    return (e.mode, e.value.hex(), e.samples,
+            None if e.stderr is None else e.stderr.hex())
+
+
+class TestOnePassLp:
+    """Every p of a sequence call has the bits of its own per-p call."""
+
+    # at 400 a path through a 9 of the integer matrices overflows, and one
+    # of uniform entries below about 0.17 underflows, so it is rescaled;
+    # 2 repeats
+    PS = (1.0, 1.5, 2.0, 3.0, 400.0, 2.0)
+
+    @staticmethod
+    def matrices(n, N, seed):
+        rng = np.random.default_rng(seed)
+        return [Matrix(rng.uniform(0, 1, (n, N))),
+                Matrix(rng.integers(0, 10, (n, N)).astype(float))]
+
+    @pytest.mark.parametrize("family", [
+        *(symmetric_group(n) for n in range(2, 10)),
+        full_mapping_family(5, 5),  # one 3,125-row block, above the crossover
+        full_mapping_family(7, 5),  # two blocks, the second short
+        explicit_family([[2, 1, 2], [1, 2, 3], [1, 2, 3], [3, 3, 1], [1, 2, 3]] * 300,
+                        3, 3),  # repeated members, 1,500 rows
+    ], ids=lambda f: f.descriptor())
+    def test_exact_sequence_calls_keep_the_per_p_bits(self, family):
+        for a in self.matrices(family.n, family.N, seed=family.size):
+            got = expected_lp_norm(a, family, list(self.PS))
+            assert isinstance(got, list) and len(got) == len(self.PS)
+            for p, e in zip(self.PS, got):
+                assert _bits(e) == _bits(oracle_expected_lp_norm(a, family, p)), p
+            one = expected_lp_norm(a, family, 1.5)
+            assert isinstance(one, ScalarExpectation) and _bits(one) == _bits(got[1])
+
+    @pytest.mark.parametrize("family", [
+        full_mapping_family(3, 3), symmetric_group(5),  # each draw looked up
+        symmetric_group(8),  # each draw computed
+    ], ids=lambda f: f.descriptor())
+    def test_mc_sequence_calls_keep_the_per_p_bits(self, family):
+        samples = 2 * 65536 + 5
+        for a in self.matrices(family.n, family.N, seed=4):
+            got = expected_lp_norm(a, family, self.PS, samples=samples, seed=9)
+            for p, e in zip(self.PS, got):
+                want = oracle_expected_lp_norm(a, family, p, samples=samples, seed=9)
+                assert _bits(e) == _bits(want), p
+
+    def test_verify_sequence_calls_are_the_per_p_reports_in_turn(self):
+        a = self.matrices(3, 3, seed=6)[1]
+        fam = full_mapping_family(3, 3)
+        for samples in (None, 1000):
+            got = verify_lp_bounds(a, fam, self.PS, samples=samples, seed=2,
+                                   extra_inputs={"id": "x"})
+            want = [r for p in self.PS for r in verify_lp_bounds(
+                a, fam, p, samples=samples, seed=2, extra_inputs={"id": "x"})]
+            assert got == want
+            assert [r.inputs["p"] for r in got[::2]] == list(self.PS)
+
+    def test_an_exponent_sequence_is_validated_whole(self):
+        a = random_matrix(2, 2, seed=1)
+        for bad in ([2.0, 0.5], [math.nan], (1.0, math.inf)):
+            with pytest.raises(DomainError, match="p must be finite and >= 1"):
+                expected_lp_norm(a, symmetric_group(2), bad)
+        assert expected_lp_norm(a, symmetric_group(2), np.array([1.0, 2.0]))[1] == \
+            expected_lp_norm(a, symmetric_group(2), 2.0)
+
+
+def _fsum_outcome(f, x):
+    try:
+        v = f(x)
+    except (OverflowError, ValueError) as e:
+        return type(e)
+    return "nan" if math.isnan(v) else v.hex()
+
+
+class TestBlockFsum:
+    """``_block_fsum`` is math.fsum, bits and exception type alike."""
+
+    MIN = interpolation._FSUM_MIN_VALUES
+    MAX = np.finfo(np.float64).max
+
+    @staticmethod
+    def padded(values, size, fill=0.0):
+        return np.array(list(values) + [fill] * (size - len(values)), dtype=np.float64)
+
+    def check(self, x):
+        x = np.asarray(x, dtype=np.float64)
+        assert _fsum_outcome(_block_fsum, x) == _fsum_outcome(
+            lambda v: math.fsum(v.tolist()), x)
+
+    @pytest.mark.parametrize("size", [MIN - 1, MIN, MIN + 1, 3125, 65536])
+    def test_random_lengths(self, size):
+        rng = np.random.default_rng(size)
+        self.check(rng.uniform(0, 1, size))
+        self.check(rng.uniform(0, 1, size) * 2.0 ** rng.integers(-60, 60, size))
+
+    def test_zeros_and_subnormals(self):
+        tiny = 5e-324
+        self.check(np.zeros(self.MIN))
+        self.check(self.padded([0.0, -0.0], self.MIN))  # -0.0 goes to fsum
+        self.check(np.full(self.MIN, -0.0))
+        self.check(self.padded([tiny], self.MIN))
+        self.check(np.full(self.MIN, tiny))
+        rng = np.random.default_rng(3)
+        subnormals = rng.integers(1, 2**52, 4096).view(np.float64)
+        self.check(subnormals)
+        self.check(np.concatenate([subnormals, [2.2250738585072014e-308, 1.0]]))
+        # subnormals whose total crosses into the normal range
+        self.check(np.full(65536, 2.0**-1030))
+
+    def test_exponents_spanning_the_whole_range(self):
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            fields = rng.integers(0, 2047, 4000)
+            bits = (fields << 52) | rng.integers(0, 2**52, 4000)
+            x = bits.view(np.float64)
+            self.check(x)
+            self.check(x[fields < 2030])  # a total inside the float range
+
+    def test_half_ulp_ties_round_to_even(self):
+        for head in (1.0, 1.0 + 2.0**-52, 3.0, 2.0**52 - 1, 2.0**-1000 + 2.0**-1050):
+            half = float(np.spacing(head)) / 2
+            self.check(self.padded([head, half], self.MIN))
+            self.check(self.padded([head, half, 2.0**-1074], self.MIN))
+            # a tie made of 2,048 small values, one short of it and one past
+            for count in (2047, 2048, 2049):
+                self.check(self.padded([head], count + 1, half / 2048))
+
+    def test_totals_beyond_the_float_range_overflow_as_fsum_does(self):
+        big = self.MAX
+        cases = [
+            [big, big],
+            [big, 2.0**970],  # a tie that rounds up to 2**1024
+            [big, 2.0**969],  # below the tie: the largest double
+            [big, 2.0**969, 2.0**969],
+            [2.0**1023, 2.0**1023],
+            [8.98846567431158e307] * 3,
+        ]
+        for values in cases:
+            x = self.padded(values, self.MIN)
+            self.check(x)
+        with pytest.raises(OverflowError):
+            _block_fsum(self.padded([big, big], self.MIN))
+
+    @pytest.mark.parametrize("odd", [math.inf, -math.inf, math.nan, -1.0, -5e-324])
+    def test_non_finite_and_negative_values_go_to_fsum(self, odd):
+        for size in (self.MIN - 1, self.MIN, 65536):
+            x = np.random.default_rng(5).uniform(0, 1, size)
+            x[size // 2] = odd
+            self.check(x)
+        self.check(self.padded([math.inf, -math.inf], self.MIN))
+        self.check(self.padded([math.inf, math.nan], self.MIN))
