@@ -109,9 +109,11 @@ def _parse_p_list(text: str) -> list[float]:
         values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise DomainError(f"bad p list {text!r}; expected comma-separated numbers")
+    if not values:
+        raise DomainError(f"p list {text!r} names no exponent")
     if not all(math.isfinite(p) for p in values):
         raise DomainError("p must be finite and >= 1")
-    if not values or any(p < 1 for p in values):
+    if any(p < 1 for p in values):
         raise DomainError("p values must be >= 1")
     repeated = [p for i, p in enumerate(values) if p in values[:i]]
     if repeated:

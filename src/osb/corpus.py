@@ -162,7 +162,10 @@ def parse_corpus_json(text: str) -> Corpus:
         mats = []
         for item in items:
             m = _validate_grid(n, N, item.get("entries"))
-            mats.append((str(item.get("id", f"m{len(mats):02d}")), m))
+            mid = item.get("id", f"m{len(mats):02d}")
+            if type(mid) is not str:  # osb writes string ids; str() would rename others
+                raise FormatError(f"matrix id {mid!r} in cell {n}x{N} is not a string")
+            mats.append((mid, m))
         cells.append(CorpusCell(n=n, N=N, matrices=tuple(mats)))
     return Corpus(seed=seed, cells=tuple(cells))
 

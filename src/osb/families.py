@@ -204,31 +204,61 @@ def iter_member_arrays(
     exact expectations add per-block float sums, whose last bits depend on
     both.
     """
-    require_enumerable(family, cap)
-    chunk = MEMBER_BLOCK_ROWS
-    if family.kind == KIND_EXPLICIT:
-        arr = family.members
-        for lo in range(0, arr.shape[0], chunk):
-            yield arr[lo : lo + chunk]
+    pieces = _member_runs(family, cap)
+    if family.kind == KIND_EXPLICIT:  # list-order slices of the members
+        yield from (rows for _, rows, _ in pieces)
         return
+    yield from _blocks_from_runs(pieces, family.n, family.size, MEMBER_BLOCK_ROWS)
+
+
+def _member_runs(family: MapFamily, cap: int | None = None):
+    """The enumeration of ``iter_member_arrays`` as runs, each cut at the
+    boundaries of its blocks: (prefix, rows, ends) in order, where every
+    member of a run is its prefix, a tuple of n - r values, followed by one
+    row of ``rows``, an (R, r) int64 array, and ``ends`` marks the last run
+    of a block.  A run no boundary cuts keeps its rows object, so the
+    ``map`` table, shared by every run, comes back as the same array.
+
+    - ``map``: the high n - r digits stay fixed over a run of the N**r maps
+      {1..r} -> {1..N}, prefixes and table rows both lexicographic;
+    - ``sym``: each prefix of n - r values, in lexicographic order, is
+      followed by the permutations of the values it leaves out, in
+      lexicographic order;
+    - explicit: one run with no prefix, holding the members.
+
+    Raises ResourceError above the cap when called, before any run."""
+    require_enumerable(family, cap)
     n, N = family.n, family.N
-    if family.kind == KIND_SYMMETRIC:
-        # each prefix of n - r values, in lexicographic order, is followed by
-        # the permutations of the values it leaves out, in lexicographic order
+    if family.kind == KIND_EXPLICIT:
+        runs = [((), family.members)]
+    elif family.kind == KIND_SYMMETRIC:
         r = min(n, _SYM_TABLE_WIDTH)
         table = _permutation_table(r)
         runs = ((prefix,
                  np.array([v for v in range(1, n + 1) if v not in prefix])[table])
                 for prefix in itertools.permutations(range(1, n + 1), n - r))
     else:
-        # the high n - r digits stay fixed over each run of N**r rows
         r = 1
         while r < n and N ** (r + 1) <= _MAP_TABLE_ROWS:
             r += 1
         table = _mapping_table(N, r)
         runs = ((prefix, table)
                 for prefix in itertools.product(range(1, N + 1), repeat=n - r))
-    yield from _blocks_from_runs(runs, n, family.size, chunk)
+    return _cut_runs(runs, MEMBER_BLOCK_ROWS, family.size)
+
+
+def _cut_runs(runs, chunk: int, total: int):
+    """(prefix, rows) runs of ``total`` rows in all, cut at every multiple of
+    ``chunk`` rows, with the flag that marks a block's last piece."""
+    done = 0
+    for prefix, rows in runs:
+        pos = 0
+        while pos < rows.shape[0]:
+            k = min(rows.shape[0] - pos, chunk - done % chunk)
+            done += k
+            yield (prefix, rows if k == rows.shape[0] else rows[pos : pos + k],
+                   done % chunk == 0 or done == total)
+            pos += k
 
 
 # r = 7 keeps a permutation table (the enumeration's, or the sampler's shuffle
@@ -248,32 +278,29 @@ def _permutation_table(r: int) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _mapping_table(N: int, r: int) -> np.ndarray:
-    """All maps {1..r} -> {1..N} in lexicographic order, read-only."""
-    digits = np.indices((N,) * r, dtype=np.int64).reshape(r, -1).T
-    table = np.ascontiguousarray(digits) + 1
+    """All maps {1..r} -> {1..N} in lexicographic order, read-only; by
+    arithmetic, since numpy arrays have at most 64 axes and N = 1 allows
+    any r."""
+    codes = np.arange(N**r, dtype=np.int64)[:, None]
+    table = codes // N ** np.arange(r - 1, -1, -1, dtype=np.int64) % N + 1
     table.setflags(write=False)
     return table
 
 
-def _blocks_from_runs(runs, n: int, total: int, chunk: int) -> Iterator[np.ndarray]:
-    """Cut the rows of consecutive (prefix, suffix rows) runs into fresh
-    (chunk, n) blocks, the last one shorter, each written in place."""
-    block, filled = None, 0
-    for prefix, rows in runs:
-        split = n - rows.shape[1]
-        pos = 0
-        while pos < rows.shape[0]:
-            if block is None:
-                block, filled = np.empty((min(chunk, total), n), dtype=np.int64), 0
-            k = min(rows.shape[0] - pos, block.shape[0] - filled)
-            block[filled : filled + k, :split] = prefix
-            block[filled : filled + k, split:] = rows[pos : pos + k]
-            pos += k
-            filled += k
-            if filled == block.shape[0]:
-                total -= filled
-                yield block
-                block = None
+def _blocks_from_runs(pieces, n: int, total: int, chunk: int) -> Iterator[np.ndarray]:
+    """Each block of ``_member_runs`` pieces as one fresh (chunk, n) array,
+    the last one shorter, each piece written in place as it comes."""
+    block = None
+    for prefix, rows, ends in pieces:
+        if block is None:
+            block, filled = np.empty((min(chunk, total), n), dtype=np.int64), 0
+        block[filled : filled + rows.shape[0], : len(prefix)] = prefix
+        block[filled : filled + rows.shape[0], len(prefix) :] = rows
+        filled += rows.shape[0]
+        if ends:
+            total -= filled
+            yield block
+            block = None
 
 
 # ---------------------------------------------------------------------------

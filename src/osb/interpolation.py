@@ -19,7 +19,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError
-from .families import MapFamily, pairwise_constant, require_uniform_marginals
+from .families import (MapFamily, _member_runs, pairwise_constant,
+                       require_uniform_marginals)
 from .matrices import Matrix
 from .orderstats import (
     RunningMoments,
@@ -158,34 +159,92 @@ class ScalarExpectation:
 # fsum 33 us at 1,024 and 49 us at 1,536; at 65,536, 0.8 ms against 2.1 ms.
 _FSUM_MIN_VALUES = 1280
 _FSUM_PIECE = 8192  # values per pass, whose temporaries stay in a core's cache
+_FSUM_SHIFT_SPAN = 10  # 53-bit significands shifted this far fit int64
 
 
 def _block_fsum(x: np.ndarray) -> float:
     """math.fsum(x), bits and exceptions alike, for fewer than 2**26 values.
 
     A nonnegative finite double is m * 2**(e - 1075), with 53-bit significand
-    m and e its exponent field or 1.  The high 27 and low 26 bits of m are
-    summed per e with bincount, exactly, as every partial sum stays below
-    2**53; the integer total is divided once by a power of two, which Python
-    rounds half to even as fsum does.  Short arrays and any negative (-0.0
-    too), infinite or NaN value go to math.fsum.
+    m and e its exponent field or 1.  When the block's exponents span at
+    most _FSUM_SHIFT_SPAN, each m is shifted to the smallest e, where it
+    fits 63 bits, and the high and low 32 bits are summed as int64, exactly.
+    Otherwise the high 27 and low 26 bits of m are summed per e with
+    bincount, exactly, as every partial sum stays below 2**53.  The integer
+    total is divided once by a power of two, which Python rounds half to
+    even as fsum does.  Short arrays and any negative (-0.0 too), infinite
+    or NaN value go to math.fsum.
     """
     bits = x.view(np.int64)
     if x.size < _FSUM_MIN_VALUES or bits.view(np.uint64).max() >= 0x7FF0000000000000:
         return math.fsum(x.tolist())
-    high, low = np.zeros(2047), np.zeros(2047)  # per biased exponent
+    base = max(int(bits.min()) >> 52, 1)
+    narrow = (int(bits.max()) >> 52) - base <= _FSUM_SHIFT_SPAN
+    total, high, low = 0, np.zeros(2047), np.zeros(2047)  # per biased exponent
     for start in range(0, x.size, _FSUM_PIECE):
         piece = bits[start : start + _FSUM_PIECE]
         e = np.maximum(piece >> 52, 1)
         m = piece - ((e - 1) << 52)  # the significand, implicit bit included
+        if narrow:
+            m <<= e - base
+            total += (int((m >> 32).sum()) << 32) + int((m & 0xFFFFFFFF).sum())
+            continue
         high += np.bincount(e, (m >> 26).astype(np.float64), minlength=2047)
         low += np.bincount(e, (m & ((1 << 26) - 1)).astype(np.float64), minlength=2047)
-    used = np.flatnonzero(high + low).tolist()
-    if not used:
-        return 0.0
-    total = sum(((int(high[k]) << 26) + int(low[k])) << (k - used[0]) for k in used)
-    shift = used[0] - 1075
+    if not narrow:
+        used = np.flatnonzero(high + low).tolist()
+        if not used:
+            return 0.0
+        base = used[0]
+        total = sum(((int(high[k]) << 26) + int(low[k])) << (k - base) for k in used)
+    shift = base - 1075
     return total / (1 << -shift) if shift < 0 else float(total << shift)
+
+
+# numpy's pairwise summation adds at most this many values in one block
+_PAIRWISE_BLOCK = 128
+
+
+def _row_sums(terms: list, shape: tuple) -> np.ndarray:
+    """The sums, of the given shape, of the rows whose i-th values are
+    ``terms[i]``, with the bits of numpy's ``sum(axis=-1)`` on those rows.
+    Each term is a float or an array that broadcasts to ``shape``: a (g, 1)
+    column, say, is shared by every row of one of g groups.
+
+    numpy (``pairwise_sum``, unchanged through 2.4) adds a row of fewer than
+    8 values left to right onto 0.0.  A row of 8 to 128 values goes to eight
+    accumulators, accumulator j taking values j, j + 8, ... of the first
+    8 * (n // 8); they are combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5)
+    + (r6 + r7)), and the rest are added left to right onto that.  Here each
+    add is one elementwise add of whole columns, in that order, into a fresh
+    array of zeros; an accumulator starting from 0.0 only turns a -0.0 into
+    +0.0, which numpy's final add onto 0.0 does too.  The accumulators are
+    made and combined one pair at a time, so at most three are alive.
+    Longer rows are stacked and summed by numpy.  Tests pin this against
+    the installed numpy.
+    """
+    def chain(values):
+        total = np.zeros(shape)
+        for v in values:
+            total += v
+        return total
+
+    def pair(x, y):
+        x += y
+        return x
+
+    n = len(terms)
+    if n < 8:
+        return chain(terms)
+    if n > _PAIRWISE_BLOCK:
+        return np.stack([np.broadcast_to(t, shape) for t in terms], axis=-1).sum(axis=-1)
+    body = n - n % 8
+    acc = [terms[j:body:8] for j in range(8)]
+    total = pair(pair(pair(chain(acc[0]), chain(acc[1])), pair(chain(acc[2]), chain(acc[3]))),
+                 pair(pair(chain(acc[4]), chain(acc[5])), pair(chain(acc[6]), chain(acc[7]))))
+    for t in terms[body:]:
+        total += t
+    return total
 
 
 def expected_lp_norm(
@@ -200,8 +259,17 @@ def expected_lp_norm(
     """Average of the lp norm of the path values, exact or Monte Carlo.
 
     ``p`` is one exponent or a sequence, as ``numpy.quantile`` takes ``q``; a
-    sequence gives a list in its order, every p from one pass over the family
-    or one stream of draws, each with the bits of its own one-p call.
+    sequence gives a list in its order, every p from one stream of draws,
+    each with the bits of its own one-p call.
+
+    A path's power sum adds its values as ``_row_sums`` does, so it has
+    the bits of numpy's sum of the gathered row.  An exact pass walks the
+    enumeration's runs (``families._member_runs``) once and gathers no
+    member: consecutive runs that share their suffix table, as the ``map``
+    runs of a block do, go together, each prefix position's powers as one
+    value per run and each suffix column's powers taken once.  Each p's
+    norms are summed per block of ``iter_member_arrays`` by ``_block_fsum``,
+    so every value is the one the gathered blocks give.
     """
     _check_dims(a, family)
     ps = [p] if np.ndim(p) == 0 else list(p)
@@ -209,48 +277,96 @@ def expected_lp_norm(
         raise DomainError("p must be finite and >= 1")
 
     # a power is a function of the entry alone, so the entries are raised
-    # once per p and gathered by path: the same values as raising every path
+    # once per p; a zero column pads each row, so that value v of position i
+    # is at flat position offsets[i] + v
+    n, N = a.entries.shape
     flat = a.entries.ravel()
+    padded = np.zeros((n, N + 1))
+    padded[:, 1:] = a.entries
     with np.errstate(over="ignore", under="ignore"):
-        powered = [flat if q == 1.0 else flat**q for q in ps]
+        tables = [padded if q == 1.0 else padded**q for q in ps]
+    offsets = np.arange(n)[:, None] * (N + 1)
 
-    def path_norms(q: float, table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    def positions(values: np.ndarray, first: int) -> np.ndarray:
+        """The flat positions of an (R, r) array of values at positions
+        first, first + 1, ..., one row per position: one take of them gives
+        every column's powers, each contiguous."""
+        return np.add(values.T, offsets[first : first + values.shape[1]], order="C")
+
+    def norms(q: float, terms: list, shape: tuple, members) -> np.ndarray:
+        """The lp norms of the paths whose powers are ``terms``, in the
+        order of their row sums; ``members(rows)`` gives the maps of the
+        rows that are rescaled."""
         if q == 1.0:
-            return table.take(index).sum(axis=1)
+            return _row_sums(terms, shape).ravel()
         with np.errstate(over="ignore", under="ignore"):
-            sums = table.take(index).sum(axis=1)
-            norms = sums ** (1.0 / q)
+            sums = _row_sums(terms, shape).ravel()
+            out = sums ** (1.0 / q)
             # a row whose power sum left the normal range is scaled by its
             # largest entry first; an all-zero row keeps its norm of 0
-            bad = np.flatnonzero(~((sums >= _TINY) & (sums < np.inf)))
-            if bad.size:
-                rows = flat.take(index[bad])
+            if not (sums.min() >= _TINY and sums.max() < np.inf):
+                bad = np.flatnonzero(~((sums >= _TINY) & (sums < np.inf)))
+                rows = flat.take(_gather_index(a.entries.shape, members(bad)))
                 top = rows.max(axis=1, keepdims=True)
                 scaled = np.divide(rows, top, out=np.zeros_like(rows), where=top > 0)
-                norms[bad] = top[:, 0] * (scaled**q).sum(axis=1) ** (1.0 / q)
-        return norms
+                out[bad] = top[:, 0] * (scaled**q).sum(axis=1) ** (1.0 / q)
+        return out
 
-    def block_norms(block: np.ndarray):
-        """Each p's norms in turn, all read through one gather index."""
-        index = _gather_index(a.entries.shape, block)
-        return (path_norms(q, table, index) for q, table in zip(ps, powered))
+    def run_norms(prefixes: list, rows: np.ndarray) -> list[np.ndarray]:
+        """Each p's norms of consecutive runs that share their rows, in
+        enumeration order: the powers of each prefix position as a (runs, 1)
+        column, and of each suffix column as one value per row."""
+        prefixes = np.array(prefixes, dtype=np.int64).reshape(len(prefixes), -1)
+        split = prefixes.shape[1]
+        shape = (prefixes.shape[0], rows.shape[0])
 
-    blocks = _blocks(family, _MC_CHUNK, cap=cap, samples=samples, seed=seed)
+        def members(bad):
+            run, row = np.divmod(bad, rows.shape[0])
+            out = np.empty((bad.size, n), dtype=np.int64)
+            out[:, :split] = prefixes[run]
+            out[:, split:] = rows[row]
+            return out
+
+        head, tail = positions(prefixes, 0), positions(rows, split)
+        return [norms(q, [*table.take(head)[:, :, None], *table.take(tail)], shape, members)
+                for q, table in zip(ps, tables)]
+
+    def block_totals() -> list[list[float]]:
+        """Each p's ``_block_fsum`` of every block's norms; runs that share
+        their rows, as every ``map`` run of a block does, go together."""
+        totals, parts, group, shared = [[] for _ in ps], [], [], None
+        for prefix, rows, ends in _member_runs(family, cap):
+            if group and rows is not shared:
+                parts.append(run_norms(group, shared))
+                group = []
+            group.append(prefix)
+            shared = rows
+            if ends:
+                parts.append(run_norms(group, shared))
+                for t, block in zip(totals, zip(*parts)):
+                    t.append(_block_fsum(block[0] if len(block) == 1
+                                         else np.concatenate(block)))
+                parts, group = [], []
+        return totals
+
     if samples is None:
-        # each p's norms are summed before the next p's are made
-        per_block = [[_block_fsum(v) for v in block_norms(b)] for b in blocks]
         out = [ScalarExpectation(value=math.fsum(t) / family.size, mode="exact")
-               for t in zip(*per_block)]
+               for t in block_totals()]
     else:
+        def block_norms(block: np.ndarray) -> dict:
+            where = positions(block, 0)
+            return {i: norms(q, list(t.take(where)), block.shape[:1], block.__getitem__)
+                    for i, (q, t) in enumerate(zip(ps, tables))}
+
         # on a small family each draw's norms are looked up (see _draw_stats)
-        draw_norms = _draw_stats(family, samples, lambda b: dict(enumerate(block_norms(b))))
+        draw_norms = _draw_stats(family, samples, block_norms)
         moments = [RunningMoments() for _ in ps]
-        for block in blocks:
+        for block in _blocks(family, _MC_CHUNK, cap=cap, samples=samples, seed=seed):
             # popped, so no norms are held while the next chunk is drawn:
             # the sampler then reuses their memory
-            norms = draw_norms(block)
+            norms_by_p = draw_norms(block)
             for i, acc in enumerate(moments):
-                acc.add(norms.pop(i))
+                acc.add(norms_by_p.pop(i))
         out = [ScalarExpectation(value=m.mean, mode="mc", samples=samples,
                                  stderr=m.stderr()) for m in moments]
     return out[0] if np.ndim(p) == 0 else out

@@ -28,6 +28,7 @@ from .families import (
     _permutation_table,
     iter_member_arrays,
     pairwise_constant,
+    require_enumerable,
     require_uniform_marginals,
     sample_array,
 )
@@ -189,12 +190,17 @@ class RunningMoments:
 def _blocks(family: MapFamily, chunk: int, *, cap: int | None = None,
             samples: int | None = None, seed: int = 0):
     """The member blocks of an exact pass, or, with ``samples``, the seeded
-    draw chunks of a Monte Carlo one: ``chunk`` rows each, the last shorter."""
+    draw chunks of a Monte Carlo one: ``chunk`` rows each, the last shorter.
+    A draw count whose words run past the stream's 64-bit counter is
+    refused before the first chunk."""
     if samples is None:
         yield from iter_member_arrays(family, cap=cap)
         return
     if samples < 2:
         raise DomainError("samples must be >= 2")
+    if samples * family.n >= 2**64:
+        raise DomainError(f"{samples} draws run past the 64-bit word counter "
+                          "of the sample stream")
     for start in range(0, samples, chunk):
         yield sample_array(family, seed, min(chunk, samples - start), start)
 
@@ -376,18 +382,38 @@ class HitCountTable:
 def build_hit_table(
     family: MapFamily, order: OrderMap, cap: int | None = None
 ) -> HitCountTable:
-    """Tally hit ranks over the whole family (exact integer counts)."""
+    """Tally hit ranks over the whole family (exact integer counts).
+
+    A ``map:n:N`` table is counted, not enumerated: the positions of a map
+    are independent, and position i hits the m best ranks with c_i(m) of its
+    N values, so #(X_m = k) is the coefficient of x**k in the product over i
+    of (N - c_i(m)) + c_i(m) x, in Python integers.  The k-th smallest hit
+    rank is m exactly when X_m >= k > X_(m-1).  Every family, counted or
+    not, is refused above the enumeration cap.
+    """
     if (order.n, order.N) != (family.n, family.N):
         raise DomainError("ordering and family dimensions differ")
+    require_enumerable(family, cap)
     n, N = family.n, family.N
     nN = n * N
-    hist = np.zeros((n + 1, nN + 1), dtype=np.int64)
     rank = order.rank_of
-    for block in iter_member_arrays(family, cap=cap):
-        pos = _gather(rank, block)
-        pos.sort(axis=1)
-        for k in range(1, n + 1):
-            hist[k] += np.bincount(pos[:, k - 1], minlength=nN + 1)
+    hist = np.zeros((n + 1, nN + 1), dtype=np.int64)
+    if family.kind == KIND_FULL_MAPPING:
+        hits = np.zeros((n, nN + 1), dtype=np.int64)
+        hits[np.arange(n)[:, None], rank] = 1
+        counts = np.zeros((n + 1, nN + 1), dtype=object)
+        counts[0] = 1
+        for c in hits.cumsum(axis=1).astype(object):  # c_i(m), m = 0..nN
+            counts[1:] = counts[1:] * (N - c) + counts[:-1] * c
+            counts[0] = counts[0] * (N - c)
+        tails = counts[::-1].cumsum(axis=0)[::-1]  # tails[k, m] = #(X_m >= k)
+        hist[1:, 1:] = np.diff(tails[1:], axis=1)
+    else:
+        for block in iter_member_arrays(family, cap=cap):
+            pos = _gather(rank, block)
+            pos.sort(axis=1)
+            for k in range(1, n + 1):
+                hist[k] += np.bincount(pos[:, k - 1], minlength=nN + 1)
     hist.setflags(write=False)
     return HitCountTable(size=family.size, n=n, N=N, hist=hist)
 

@@ -12,7 +12,9 @@ bisection, which the acceptance criteria run over many vectors at once; the
 per-ell top-sum estimators that the one-pass estimator replaced, which run on
 the package's gather and top-ell kernel; the per-p lp estimator that the
 one-pass estimator replaced, which runs on the package's block source, draw
-lookup and accumulator; the lemma-suite oracle, which reads
+lookup and accumulator; the enumerated hit-count tally that counted map
+tables replaced, which runs on the package's blocks and gather; the
+lemma-suite oracle, which reads
 the package's hit-count table but decides every instance with its own
 Fractions; and, at the end, the recursive
 canonical serializer and the report renderings that the single-pass ones
@@ -402,6 +404,27 @@ def oracle_expected_lp_norm(a, family, p, *, cap=None, samples=None, seed=0):
     return ScalarExpectation(
         value=moments.mean, mode="mc", samples=samples, stderr=moments.stderr()
     )
+
+
+# ---------------------------------------------------------------------------
+# The hit-count table as enumerated for every family, before map:n:N tables
+# were counted
+
+
+def oracle_build_hit_table(family, order, cap=None):
+    """Tally hit ranks member by member over the enumerated blocks."""
+    from osb.families import iter_member_arrays
+    from osb.orderstats import HitCountTable, _gather
+
+    n, N = family.n, family.N
+    hist = np.zeros((n + 1, n * N + 1), dtype=np.int64)
+    for block in iter_member_arrays(family, cap=cap):
+        pos = _gather(order.rank_of, block)
+        pos.sort(axis=1)
+        for k in range(1, n + 1):
+            hist[k] += np.bincount(pos[:, k - 1], minlength=n * N + 1)
+    hist.setflags(write=False)
+    return HitCountTable(size=family.size, n=n, N=N, hist=hist)
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,9 @@ def test_edge_command_lines(files, argv):
     ("inf", "error: p must be finite and >= 1"),
     ("2,1e999", "error: p must be finite and >= 1"),
     ("-inf", "error: p must be finite and >= 1"),
+    ("", "error: p list '' names no exponent"),
+    (",", "error: p list ',' names no exponent"),
+    (" , ", "error: p list ' , ' names no exponent"),
 ])
 @pytest.mark.parametrize("source", [[], ["--corpus", "missing"], ["--matrix", "m-bad.csv"]])
 def test_p_lists_are_checked_before_any_input_is_read(files, p, message, source):
@@ -220,6 +223,60 @@ def test_p_lists_are_checked_before_any_input_is_read(files, p, message, source)
     code, out, err = _run(argv, {})
     assert code == 2 and out == "", (argv, code, err)
     assert err.splitlines() == [message], err
+
+
+@pytest.mark.parametrize("command", ["verify-main", "verify-lp"])
+@pytest.mark.parametrize("family", ["map:2:2", "sym:2"])
+def test_draw_counts_past_the_word_counter_fail_at_once(files, command, family):
+    # 2**63 draws of two words each need word 2**64; the count is refused
+    # before the first chunk is drawn
+    argv = [command, "--family", family, "--matrix", files["m2.csv"],
+            "--mc-samples", str(2**63)]
+    code, out, err = _run(argv, {})
+    assert code == 2 and out == "", (argv, code, err)
+    assert err.splitlines() == [f"error: {2**63} draws run past the 64-bit word "
+                                "counter of the sample stream"], err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-main"], ["verify-lp"], ["lemmas"], ["verify-main", "--mc-samples", "100"],
+    ["verify-lp", "--mc-samples", "100"],
+])
+def test_a_column_matrix_longer_than_64_rows_runs(tmp_path, argv):
+    # map:70:1 has one member; its table was built over 70 numpy axes
+    matrix = tmp_path / "m.csv"
+    matrix.write_text("1\n" * 69 + "2\n")
+    code, out, err = _run(argv + ["--family", "map:70:1", "--matrix", str(matrix)], {})
+    assert code == 0 and err == "", (argv, code, err)
+    assert json.loads(out)["summary"]["failed"] == 0
+
+
+@pytest.mark.parametrize("family", ["map:3:3", "sym:3"])
+@pytest.mark.parametrize("cap_from", ["flag", "env"])
+def test_lemma_tables_keep_the_enumeration_cap(tmp_path, family, cap_from):
+    # a map table is counted, not enumerated, but the cap still refuses it
+    size = 27 if family == "map:3:3" else 6
+    matrix = tmp_path / "m.csv"
+    matrix.write_text("1,0,2\n0.5,3,1\n0,0,1\n")
+    argv = ["lemmas", "--family", family, "--matrix", str(matrix)]
+    env = {}
+    if cap_from == "flag":
+        argv += ["--enum-cap", str(size - 1)]
+    else:
+        env["OSB_ENUM_CAP"] = str(size - 1)
+    code, out, err = _run(argv, env)
+    assert code == 2 and out == "", (argv, code, err)
+    assert err.splitlines() == [f"error: family {family} has {size} members, above the "
+                                f"enumeration cap {size - 1}; use Monte Carlo sampling instead"]
+
+
+def test_corpus_ids_that_are_not_strings_are_format_errors(tmp_path):
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps({"cells": [{"n": 2, "N": 2, "matrices": [
+        {"id": {"a": 1}, "entries": [[1, 2], [3, 4]]}]}]}))
+    code, out, err = _run(["verify-main", "--family", "map", "--corpus", str(corpus)], {})
+    assert code == 2 and out == "", (code, err)
+    assert err.splitlines() == ["error: matrix id {'a': 1} in cell 2x2 is not a string"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -107,6 +107,14 @@ class TestMemberBlocks:
             assert len(blocks) == len(want)
             assert all(np.array_equal(g, w) for g, w in zip(blocks, want))
 
+    @pytest.mark.parametrize("n", [64, 65, 200])
+    def test_maps_to_one_value_of_any_length(self, n):
+        # numpy arrays have at most 64 axes, so the table is not built from
+        # np.indices over n axes
+        fam = full_mapping_family(n, 1)
+        assert [b.tolist() for b in iter_member_arrays(fam)] == [[[1] * n]]
+        assert sample_array(fam, 3, 4).tolist() == [[1] * n] * 4
+
     def test_cached_tables_are_read_only(self):
         for table in (families._permutation_table(7), families._mapping_table(8, 4)):
             assert not table.flags.writeable

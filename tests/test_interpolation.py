@@ -438,6 +438,27 @@ class TestBlockFsum:
             for count in (2047, 2048, 2049):
                 self.check(self.padded([head], count + 1, half / 2048))
 
+    @pytest.mark.parametrize("span", range(0, interpolation._FSUM_SHIFT_SPAN + 3))
+    def test_blocks_of_few_exponents(self, span):
+        # up to _FSUM_SHIFT_SPAN binades the significands are summed shifted,
+        # as int64; one more and the block takes the per-exponent sums
+        rng = np.random.default_rng(span)
+        for low in (1, 1000, 2046 - span):
+            fields = rng.integers(low, low + span + 1, 5000)
+            fields[:2] = low, low + span
+            x = ((fields << 52) | rng.integers(0, 2**52, 5000)).view(np.float64)
+            self.check(x)
+            self.check(np.concatenate([x, [0.0, 5e-324]]))
+
+    def test_ties_and_overflow_among_few_exponents(self):
+        # 2,048 values in [1, 2): a total of 2048 + half an ulp, or 2048 and
+        # one and a half ulps, is a tie that rounds to even
+        for k in (1, 3, 5):
+            self.check(self.padded([1.0 + k * 2.0**-42], 2048, 1.0))
+            self.check(self.padded([1.0 + k * 2.0**-42 - 2.0**-52], 2048, 1.0))
+        for values in ([self.MAX], [2.0**1023], [self.MAX, 2.0**1023]):
+            self.check(self.padded(values, self.MIN, self.MAX))
+
     def test_totals_beyond_the_float_range_overflow_as_fsum_does(self):
         big = self.MAX
         cases = [
@@ -462,3 +483,140 @@ class TestBlockFsum:
             self.check(x)
         self.check(self.padded([math.inf, -math.inf], self.MIN))
         self.check(self.padded([math.inf, math.nan], self.MIN))
+
+
+def _value_rows(kind, rows, width, rng):
+    if kind == "uniform":
+        return rng.uniform(0, 1, (rows, width))
+    if kind == "wide":  # magnitudes from 1e-300 to 1e300
+        return rng.uniform(0, 1, (rows, width)) * 10.0 ** rng.integers(-300, 300, (rows, width))
+    if kind == "edges":  # zeros of both signs, subnormals, 1e+-300
+        return rng.choice([0.0, -0.0, 5e-324, 1e-310, 1e-300, 1.0, 3.0, 1e300], (rows, width))
+    if kind == "ties":  # half-ulp ties, which round to even
+        return rng.choice([1.0, 2.0**-53, 2.0**-52, 3 * 2.0**-53], (rows, width))
+    if kind == "signed-zeros":
+        return rng.choice([-0.0, 0.0], (rows, width))
+    return rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-20, 20, (rows, width))
+
+
+class TestRowSums:
+    """``_row_sums`` adds whole columns in the order of numpy's own row sum;
+    a numpy that sums rows in another order fails here."""
+
+    KINDS = ("uniform", "wide", "edges", "ties", "signed-zeros", "signed")
+
+    @pytest.mark.parametrize("width", range(1, 131))
+    def test_bits_of_numpy_row_sums(self, width):
+        rng = np.random.default_rng(width)
+        for kind in self.KINDS:
+            for rows in (1, 3, 1000):
+                x = _value_rows(kind, rows, width, rng)
+                got = interpolation._row_sums(
+                    [np.ascontiguousarray(x[:, j]) for j in range(width)], (rows,))
+                assert got.shape == (rows,)
+                assert np.array_equal(got.view(np.int64), x.sum(axis=1).view(np.int64)), kind
+
+    @pytest.mark.parametrize("width,split", [(1, 0), (5, 3), (7, 6), (9, 2), (12, 9),
+                                             (33, 17), (130, 4)])
+    def test_shared_prefix_columns_broadcast(self, width, split):
+        # terms shared by a group of rows, as each run's prefix is: a float,
+        # or a (g, 1) column, ahead of per-row columns
+        rng = np.random.default_rng(width)
+        g, rows = 4, 50
+        for kind in self.KINDS:
+            prefix = _value_rows(kind, g, split, rng)
+            suffix = _value_rows(kind, rows, width - split, rng)
+            full = np.concatenate([np.repeat(prefix[:, None, :], rows, axis=1),
+                                   np.broadcast_to(suffix, (g, rows, width - split))], axis=2)
+            got = interpolation._row_sums(
+                [prefix[:, i : i + 1] for i in range(split)]
+                + [suffix[:, j].copy() for j in range(width - split)], (g, rows))
+            assert np.array_equal(got.view(np.int64), full.sum(axis=-1).view(np.int64)), kind
+            one = interpolation._row_sums([float(v) for v in prefix[0]]
+                                          + [suffix[:, j].copy() for j in range(width - split)],
+                                          (rows,))
+            assert np.array_equal(one.view(np.int64), full[0].sum(axis=-1).view(np.int64))
+
+    def test_input_columns_are_left_alone(self):
+        cols = [np.full(6, 0.5) for _ in range(11)]
+        interpolation._row_sums(cols, (6,))
+        assert all((c == 0.5).all() for c in cols)
+
+
+class TestLpByRuns:
+    """The exact lp norm walks the enumeration's runs; it must give the bits
+    of the gather-and-sum pass, which ``oracle_expected_lp_norm`` keeps."""
+
+    # p = 1 takes no root; at 400 the integer matrices' paths through a 9
+    # overflow and the uniform ones' small paths underflow, so they are
+    # rescaled
+    PS = (1.0, 1.5, 2.0, 3.0, 400.0)
+
+    @staticmethod
+    def matrices(n, N, seed):
+        rng = np.random.default_rng(seed)
+        return [Matrix(rng.uniform(0, 1, (n, N))),
+                Matrix(rng.integers(0, 10, (n, N)).astype(float))]
+
+    def check(self, family, matrices=None):
+        for a in matrices or self.matrices(family.n, family.N, seed=family.size):
+            got = expected_lp_norm(a, family, list(self.PS))
+            for p, e in zip(self.PS, got):
+                assert _bits(e) == _bits(oracle_expected_lp_norm(a, family, p)), p
+
+    @pytest.mark.parametrize("family", [
+        full_mapping_family(7, 5),  # 3,125-row runs that straddle the block boundary
+        full_mapping_family(7, 4),  # 4,096-row runs, 16 to a block
+        full_mapping_family(3, 70),  # one 70-row table, many prefixes
+        full_mapping_family(1, 5000),  # one 5,000-row run, no prefix
+        symmetric_group(8), symmetric_group(9),  # 5,040-row runs of one table each
+    ], ids=lambda f: f.descriptor())
+    def test_built_in_families(self, family):
+        self.check(family)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1000, 5041])
+    def test_small_blocks(self, chunk, monkeypatch):
+        from osb import families
+
+        monkeypatch.setattr(families, "MEMBER_BLOCK_ROWS", chunk)
+        for family in (full_mapping_family(5, 4), symmetric_group(8) if chunk > 1
+                       else symmetric_group(5),
+                       explicit_family(all_permutations(4) * 3, 4, 4)):
+            if family.size // chunk <= 50_000:
+                self.check(family)
+
+    def test_explicit_families(self):
+        rng = np.random.default_rng(5)
+        members = rng.integers(1, 4, (70_000, 3))  # more rows than one block
+        members[:, 0] = members[:, 1]  # repeated columns
+        self.check(explicit_family(members, 3, 3))
+        self.check(explicit_family([[2, 1, 2], [1, 2, 3]] * 20, 3, 3))
+
+    @pytest.mark.parametrize("n,N", [(129, 2), (130, 1), (200, 3)])
+    def test_rows_wider_than_numpys_pairwise_block(self, n, N):
+        rng = np.random.default_rng(n)
+        family = explicit_family(rng.integers(1, N + 1, (300, n)), n, N)
+        self.check(family, [Matrix(rng.uniform(0, 1, (n, N))),
+                            Matrix(rng.integers(0, 10, (n, N)).astype(float))])
+
+    def test_power_sums_outside_the_normal_range(self):
+        # overflowing and underflowing power sums in runs of map:5:5 and sym:8
+        for family in (full_mapping_family(5, 5), symmetric_group(8)):
+            n, N = family.n, family.N
+            rng = np.random.default_rng(n)
+            big = Matrix(rng.uniform(0.5, 1, (n, N)) * 1e200)
+            tiny = Matrix(rng.uniform(0.5, 1, (n, N)) * 1e-200)
+            subnormal = Matrix(rng.uniform(0.5, 1, (n, N)) * 1e-160)  # at p = 2
+            mixed = Matrix(np.where(rng.random((n, N)) < 0.5, 1e300, 1e-300))
+            self.check(family, [big, tiny, subnormal, mixed, zero_matrix(n, N)])
+
+    def test_nothing_is_gathered(self, monkeypatch):
+        from osb import orderstats
+
+        def no_blocks(*args, **kwargs):
+            raise AssertionError("a member block was gathered")
+
+        monkeypatch.setattr(orderstats, "iter_member_arrays", no_blocks)
+        monkeypatch.setattr(interpolation, "_gather_index", no_blocks)
+        expected_lp_norm(random_matrix(7, 4, seed=1), full_mapping_family(7, 4), self.PS[:4])
+        expected_lp_norm(random_matrix(8, 8, seed=1), symmetric_group(8), self.PS[:4])

@@ -186,6 +186,19 @@ class TestFileFormats:
         with pytest.raises(FormatError, match="corpus seed must be an integer"):
             parse_corpus_json(text)
 
+    @pytest.mark.parametrize("mid", [{"a": 1}, True, 5, 1.5, None, ["u00"]])
+    def test_corpus_ids_must_be_strings(self, mid):
+        # str() would report {"a": 1} as "{'a': 1}" and true as "True"
+        text = json.dumps({"cells": [{"n": 1, "N": 1, "matrices": [
+            {"id": "u00", "entries": [[1.0]]}, {"id": mid, "entries": [[2.0]]}]}]})
+        with pytest.raises(FormatError, match="matrix id .* in cell 1x1 is not a string"):
+            parse_corpus_json(text)
+
+    def test_corpus_ids_default_when_absent(self):
+        text = json.dumps({"cells": [{"n": 1, "N": 1, "matrices": [
+            {"id": "x", "entries": [[1.0]]}, {"entries": [[2.0]]}]}]})
+        assert [mid for mid, _ in parse_corpus_json(text).cells[0].matrices] == ["x", "m01"]
+
     def test_corpus_seed_defaults_to_zero(self):
         assert parse_corpus_json('{"seed": 5, "cells": []}').seed == 5
         assert parse_corpus_json('{"cells": []}').seed == 0

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osb import families, orderstats
-from osb.errors import DomainError, HypothesisError
+from osb.errors import DomainError, HypothesisError, ResourceError
 from osb.families import (
     explicit_family,
     full_mapping_family,
@@ -41,6 +41,7 @@ from oracles import (
     hit_count_distribution,
     indicator_expectation,
     indicator_matrix,
+    oracle_build_hit_table,
     oracle_gather,
     oracle_top_values,
     paley_zygmund_check,
@@ -380,6 +381,82 @@ class TestHitCounts:
         for m in (1, 5, 9):
             by_k = [table_tail(table, m, k) for k in (1, 2, 3)]
             assert by_k == sorted(by_k, reverse=True)
+
+
+class TestCountedHitTable:
+    """A map:n:N table is counted from per-position hit counts; it must be
+    the enumerated tally, count for count."""
+
+    @staticmethod
+    def matrices(n, N, seed):
+        rng = np.random.default_rng(seed)
+        # distinct entries, ties everywhere, and one all-zero matrix
+        return [Matrix(rng.uniform(0, 1, (n, N))),
+                Matrix(rng.integers(0, 3, (n, N)).astype(float)), zero_matrix(n, N)]
+
+    @pytest.mark.parametrize("n,N", [(n, N) for n in range(1, 6) for N in range(1, 6)]
+                             + [(7, 3)])
+    def test_counts_equal_the_enumerated_tally(self, n, N):
+        fam = full_mapping_family(n, N)
+        for a in self.matrices(n, N, seed=10 * n + N):
+            order = order_map(a)
+            got, want = build_hit_table(fam, order), oracle_build_hit_table(fam, order)
+            assert got.size == want.size == N**n
+            assert got.hist.dtype == np.int64 and not got.hist.flags.writeable
+            assert np.array_equal(got.hist, want.hist)
+
+    def test_enumerated_kinds_are_unchanged(self):
+        for fam in (symmetric_group(4), explicit_family([[1, 2], [2, 1], [1, 1]], 2, 2)):
+            order = order_map(random_matrix(fam.n, fam.N, seed=3))
+            assert np.array_equal(build_hit_table(fam, order).hist,
+                                  oracle_build_hit_table(fam, order).hist)
+
+    @pytest.mark.parametrize("fam", [full_mapping_family(3, 3), symmetric_group(4)],
+                             ids=lambda f: f.descriptor())
+    def test_the_cap_is_kept_and_checked_before_any_work(self, fam, monkeypatch):
+        class Untouched:
+            n, N = fam.n, fam.N
+
+            @property
+            def rank_of(self):
+                raise AssertionError("the ordering was read")
+
+        def no_blocks(*args, **kwargs):
+            raise AssertionError("a block was enumerated")
+
+        monkeypatch.setattr(orderstats, "iter_member_arrays", no_blocks)
+        with pytest.raises(ResourceError, match="above the enumeration cap"):
+            build_hit_table(fam, Untouched(), cap=fam.size - 1)
+        monkeypatch.setenv("OSB_ENUM_CAP", str(fam.size - 1))
+        with pytest.raises(ResourceError, match="above the enumeration cap"):
+            build_hit_table(fam, Untouched())
+
+
+class TestDrawCountLimit:
+    """Draw d owns words d*n .. d*n + n - 1 of a 64-bit counter: a draw
+    count past it is refused before any draw."""
+
+    @pytest.mark.parametrize("fam", [full_mapping_family(2, 2), symmetric_group(3)],
+                             ids=lambda f: f.descriptor())
+    def test_every_estimator_refuses_it_before_drawing(self, fam, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a chunk was drawn")
+
+        monkeypatch.setattr(orderstats, "sample_array", no_draws)
+        a = random_matrix(fam.n, fam.N, seed=1)
+        samples = -(-2**64 // fam.n)  # the first count whose words do not fit
+        estimates = [
+            lambda s: expected_top_sum_mc(a, fam, 1, s, 0),
+            lambda s: orderstats._top_sums(a, fam, (1, 2), width=2, samples=s)[0],
+            lambda s: expected_lp_norm(a, fam, 2.0, samples=s),
+            lambda s: expected_lp_norm(a, fam, [1.0, 3.0], samples=s),
+        ]
+        for estimate in estimates:
+            with pytest.raises(DomainError, match="64-bit word counter"):
+                estimate(samples)
+        # one count lower, the check lets the estimator draw
+        with pytest.raises(AssertionError, match="a chunk was drawn"):
+            expected_lp_norm(a, fam, 2.0, samples=samples - 1)
 
 
 class TestCoefficients:
