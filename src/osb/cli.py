@@ -328,6 +328,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (OverflowError, FloatingPointError) as e:  # a value left the float range
         print(f"error: numeric overflow: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as e:  # numpy's message names the array it could not allocate
+        print(f"error: out of memory: {e}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ so the mixed curve is the same object built from expected order statistics.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,7 +28,7 @@ from .orderstats import (
     _blocks,
     _check_dims,
     _draw_stats,
-    _gather_index,
+    _gather,
     expected_top_sum,
 )
 from .reports import (
@@ -50,7 +51,7 @@ class KFunctionalCurve:
 
     ``slopes[k-1]`` is the slope on [k-1, k]; for a single vector these are
     the rearranged magnitudes, for a mixed curve the expected k-th largest
-    path values.  Slopes must be nonnegative and nonincreasing (concavity).
+    path values.  Slopes must be finite, nonnegative and nonincreasing.
     """
 
     slopes: tuple[float, ...]
@@ -59,8 +60,8 @@ class KFunctionalCurve:
         if not self.slopes:
             raise DomainError("curve needs at least one slope")
         arr = np.asarray(self.slopes, dtype=np.float64)
-        if arr.min() < 0 or np.any(arr[:-1] < arr[1:] - 1e-12):
-            raise DomainError("slopes must be nonnegative and nonincreasing")
+        if not np.isfinite(arr).all() or arr.min() < 0 or np.any(arr[:-1] < arr[1:] - 1e-12):
+            raise DomainError("slopes must be finite, nonnegative and nonincreasing")
 
     @classmethod
     def from_vector(cls, x: Sequence[float]) -> "KFunctionalCurve":
@@ -120,21 +121,32 @@ def interpolation_norm_from_curve(curve: KFunctionalCurve, p: float) -> float:
     through the origin and the piece integrates in closed form to K(1)^p;
     beyond n the curve is flat and the improper tail is K(n)^p n^(1-p)/(p-1).
     Each middle unit interval uses a fixed 32-point Gauss-Legendre rule, so
-    results are bit-reproducible.
+    results are bit-reproducible.  A curve whose integral leaves the normal
+    float range is integrated again divided by the power of two at or below
+    its first slope, so that K(1) lies in [1, 2), and the norm scaled back.
     """
     if not math.isfinite(p) or p <= 1.0:
         raise DomainError("the integral norm requires p > 1")
-    knots = curve.knots
-    n = curve.n
+    n, knots, slopes, scale = curve.n, curve.knots, curve.slopes, 1.0
     if knots[n] == 0.0:
         return 0.0
-    pieces = [knots[1] ** p]
-    for k in range(1, n):
-        t = k + 0.5 + 0.5 * _GL_NODES
-        kt = knots[k] + (t - k) * curve.slopes[k]
-        pieces.append(0.5 * float(np.sum(_GL_WEIGHTS * (kt / t) ** p)))
-    pieces.append(knots[n] ** p * n ** (1.0 - p) / (p - 1.0))
-    return math.fsum(pieces) ** (1.0 / p)
+    for scaled in (False, True):
+        try:
+            pieces = [knots[1] ** p]
+            with np.errstate(over="ignore", under="ignore"):
+                for k in range(1, n):
+                    t = k + 0.5 + 0.5 * _GL_NODES
+                    kt = knots[k] + (t - k) * slopes[k]
+                    pieces.append(0.5 * float(np.sum(_GL_WEIGHTS * (kt / t) ** p)))
+            pieces.append(knots[n] ** p * n ** (1.0 - p) / (p - 1.0))
+            total = math.fsum(pieces)
+        except OverflowError:
+            total = math.inf
+        if scaled or _TINY <= total < math.inf:
+            return scale * total ** (1.0 / p)
+        scale = math.ldexp(1.0, math.frexp(slopes[0])[1] - 1)
+        slopes = [s / scale for s in slopes]
+        knots = [0.0, *itertools.accumulate(slopes)]
 
 
 def interpolation_norm(x: Sequence[float], p: float) -> float:
@@ -163,42 +175,31 @@ _FSUM_SHIFT_SPAN = 10  # 53-bit significands shifted this far fit int64
 
 
 def _block_fsum(x: np.ndarray) -> float:
-    """math.fsum(x), bits and exceptions alike, for fewer than 2**26 values.
+    """math.fsum(x), bits and exceptions alike.
 
     A nonnegative finite double is m * 2**(e - 1075), with 53-bit significand
     m and e its exponent field or 1.  When the block's exponents span at
     most _FSUM_SHIFT_SPAN, each m is shifted to the smallest e, where it
     fits 63 bits, and the high and low 32 bits are summed as int64, exactly.
-    Otherwise the high 27 and low 26 bits of m are summed per e with
-    bincount, exactly, as every partial sum stays below 2**53.  The integer
-    total is divided once by a power of two, which Python rounds half to
-    even as fsum does.  Short arrays and any negative (-0.0 too), infinite
-    or NaN value go to math.fsum.
+    The integer total is divided once by a power of two, which Python rounds
+    half to even as fsum does.  Short arrays, wider spans and any negative
+    (-0.0 too), infinite or NaN value go to math.fsum.
     """
     bits = x.view(np.int64)
-    if x.size < _FSUM_MIN_VALUES or bits.view(np.uint64).max() >= 0x7FF0000000000000:
-        return math.fsum(x.tolist())
-    base = max(int(bits.min()) >> 52, 1)
-    narrow = (int(bits.max()) >> 52) - base <= _FSUM_SHIFT_SPAN
-    total, high, low = 0, np.zeros(2047), np.zeros(2047)  # per biased exponent
-    for start in range(0, x.size, _FSUM_PIECE):
-        piece = bits[start : start + _FSUM_PIECE]
-        e = np.maximum(piece >> 52, 1)
-        m = piece - ((e - 1) << 52)  # the significand, implicit bit included
-        if narrow:
-            m <<= e - base
-            total += (int((m >> 32).sum()) << 32) + int((m & 0xFFFFFFFF).sum())
-            continue
-        high += np.bincount(e, (m >> 26).astype(np.float64), minlength=2047)
-        low += np.bincount(e, (m & ((1 << 26) - 1)).astype(np.float64), minlength=2047)
-    if not narrow:
-        used = np.flatnonzero(high + low).tolist()
-        if not used:
-            return 0.0
-        base = used[0]
-        total = sum(((int(high[k]) << 26) + int(low[k])) << (k - base) for k in used)
-    shift = base - 1075
-    return total / (1 << -shift) if shift < 0 else float(total << shift)
+    if x.size >= _FSUM_MIN_VALUES:
+        # a negative value, read as unsigned, lies above every finite one
+        top = int(bits.view(np.uint64).max())
+        base = max(int(bits.min()) >> 52, 1)
+        if top < 0x7FF0000000000000 and (top >> 52) - base <= _FSUM_SHIFT_SPAN:
+            total = 0
+            for start in range(0, x.size, _FSUM_PIECE):
+                piece = bits[start : start + _FSUM_PIECE]
+                e = np.maximum(piece >> 52, 1)
+                m = (piece - ((e - 1) << 52)) << (e - base)  # implicit bit included
+                total += (int((m >> 32).sum()) << 32) + int((m & 0xFFFFFFFF).sum())
+            shift = base - 1075
+            return total / (1 << -shift) if shift < 0 else float(total << shift)
+    return math.fsum(x.tolist())
 
 
 # numpy's pairwise summation adds at most this many values in one block
@@ -280,7 +281,6 @@ def expected_lp_norm(
     # once per p; a zero column pads each row, so that value v of position i
     # is at flat position offsets[i] + v
     n, N = a.entries.shape
-    flat = a.entries.ravel()
     padded = np.zeros((n, N + 1))
     padded[:, 1:] = a.entries
     with np.errstate(over="ignore", under="ignore"):
@@ -306,7 +306,7 @@ def expected_lp_norm(
             # largest entry first; an all-zero row keeps its norm of 0
             if not (sums.min() >= _TINY and sums.max() < np.inf):
                 bad = np.flatnonzero(~((sums >= _TINY) & (sums < np.inf)))
-                rows = flat.take(_gather_index(a.entries.shape, members(bad)))
+                rows = _gather(a.entries, members(bad))
                 top = rows.max(axis=1, keepdims=True)
                 scaled = np.divide(rows, top, out=np.zeros_like(rows), where=top > 0)
                 out[bad] = top[:, 0] * (scaled**q).sum(axis=1) ** (1.0 / q)

@@ -66,76 +66,9 @@ class OrderStatResult:
     stderr: Optional[float] = None
 
 
-def _gather_index(shape: tuple[int, int], block: np.ndarray) -> np.ndarray:
-    """The flat positions of table[i, block[:, i] - 1] in a table of this shape."""
-    return block + (np.arange(shape[0]) * shape[1] - 1)
-
-
 def _gather(table: np.ndarray, block: np.ndarray) -> np.ndarray:
     """table[i, block[:, i] - 1] for every row of the block, as one flat take."""
-    return table.ravel().take(_gather_index(table.shape, block))
-
-
-def _paths_for_block(a: Matrix, block: np.ndarray) -> np.ndarray:
-    return _gather(a.entries, block)
-
-
-# Largest comparator count run as a network; above it a row sort is faster.
-# Measured with numpy 2.4 on one core, on blocks of 65,536 and 100,000 rows
-# of uniform doubles (medians of 15-25 calls), as network time over sort
-# time: 0.3-0.6 at 8-15 comparators, 0.4-0.9 at 18-22 (the most for
-# ell = n = 7), and 0.6-1.2 from 25 (n = 8, ell = 5 or 6) on.
-_NETWORK_COMPARATORS = 24
-# The network's Python-level calls cost about 15-40 us a block whatever its
-# size, so smaller blocks (the default corpus's families but map:5:5) are
-# sorted: at 2,048 rows it took 0.1-0.25x the sort's time for ell = 1 and
-# 0.4-0.8x for ell >= 2 (n <= 6), 1.1x at ell = n = 7; at 3,125, 0.4-1.0x.
-_NETWORK_MIN_ROWS = 2048
-# Rows per round of the network: its n + 1 columns of this many doubles stay
-# in a core's cache between comparators.
-_NETWORK_ROWS = 16384
-
-
-def _top_values(paths: np.ndarray, ell: int) -> np.ndarray:
-    """The ell largest values of each row, in nonincreasing order, as a
-    (rows, ell) array.
-
-    Above the crossover, or for fewer than _NETWORK_MIN_ROWS rows, this is a
-    view of the sorted rows.  Otherwise pass k of a partial bubble network
-    carries the largest of columns k..n-1 into column k with
-    np.maximum/np.minimum on contiguous columns, in rounds of _NETWORK_ROWS
-    rows: (n-1) + (n-2) + ... comparators over min(ell, n-1) passes, the
-    last of which (for ell < n) keeps only the maxima; for ell = 1 that is
-    one running maximum.  The network's values equal the sorted rows', and
-    it returns them C-contiguous: on that layout sums over either axis add
-    in the same order as on the sorted rows' view, so their bits are the
-    same too.
-    """
-    rows, n = paths.shape
-    passes = min(ell, n - 1)
-    if (rows < _NETWORK_MIN_ROWS
-            or passes * (2 * n - 1 - passes) // 2 > _NETWORK_COMPARATORS):
-        return np.sort(paths, axis=1)[:, ::-1][:, :ell]
-    if ell == 1:
-        top = paths[:, 0].copy()
-        for i in range(1, n):
-            np.maximum(top, paths[:, i], out=top)
-        return top[:, None]
-    top = np.empty((rows, ell))
-    for lo in range(0, rows, _NETWORK_ROWS):
-        part = paths[lo : lo + _NETWORK_ROWS]
-        cols = [part[:, i].copy() for i in range(n)]
-        spare = np.empty_like(cols[0])
-        for k in range(passes):
-            for i in range(n - 1, k, -1):
-                if k == ell - 1:
-                    np.maximum(cols[i - 1], cols[i], out=cols[i - 1])
-                    continue
-                np.maximum(cols[i - 1], cols[i], out=spare)
-                np.minimum(cols[i - 1], cols[i], out=cols[i])
-                cols[i - 1], spare = spare, cols[i - 1]
-        np.stack(cols[:ell], axis=1, out=top[lo : lo + _NETWORK_ROWS])
-    return top
+    return table.ravel().take(block + (np.arange(table.shape[0]) * table.shape[1] - 1))
 
 
 class RunningMoments:
@@ -276,11 +209,12 @@ def _top_sums(
     """E top-ell path sum for each ell in ``ells`` from one pass over the
     family (exact) or over ``samples`` seeded draws (Monte Carlo).
 
-    Each block gives one ``width``-wide top block (width >= max(ells)).
-    Its column sums add row by row, so ell >= 2 takes the first ell of them
-    and gets the bits of its own ell-wide block.  A 1-wide block sums its
-    one column pairwise instead, so a Monte Carlo ell = 1 from a wider block
-    sums a contiguous copy of column 0; an exact ell = 1 keeps the row-by-row
+    Each block's paths are sorted in place; the first ``width`` columns of
+    the reversed rows (width >= max(ells)) are its top block.  Its column
+    sums add row by row, so ell >= 2 takes the first ell of them and gets
+    the bits of its own ell-wide block.  A 1-wide block sums its one column
+    pairwise instead, so a Monte Carlo ell = 1 from a wider block sums a
+    contiguous copy of column 0; an exact ell = 1 keeps the row-by-row
     column sum of the ell = n pass that campaigns run.  On a small family a
     Monte Carlo pass looks each draw's top block and row sums up (see
     ``_draw_stats``).
@@ -295,7 +229,9 @@ def _top_sums(
     moments = {ell: RunningMoments() for ell in ells} if mc else {}
 
     def block_stats(block: np.ndarray) -> dict:
-        top = _top_values(_paths_for_block(a, block), width)
+        paths = _gather(a.entries, block)
+        paths.sort(axis=1)
+        top = paths[:, ::-1][:, :width]
         stats = {"top": top}
         if lone:
             stats["first"] = top[:, 0].copy()

@@ -2,15 +2,15 @@
 values.  These deliberately avoid the package's computation paths: plain
 itertools enumeration, exact Fractions, closed forms, direct minimization,
 the member generators and path gather that the table-driven ones replaced,
-the swap-loop shuffle and the row sort that the table-driven shuffle and the
-top-ell network replaced, the per-index-pair loop of the explicit pairwise
-certificate that one count per first index replaced, the one-pass mixer and remainder that the
+the swap-loop shuffle that the table-driven shuffle replaced, a sorted copy
+of each path for its top-ell values, the per-index-pair loop of the
+explicit pairwise certificate that one count per first index replaced, the one-pass mixer and remainder that the
 piecewise mixer and the in-place remainder replaced, and the plain hinge-norm bisection that the
 filtered one replaced.
 Five helpers are not oracles in that sense: the vectorized hinge-norm
 bisection, which the acceptance criteria run over many vectors at once; the
 per-ell top-sum estimators that the one-pass estimator replaced, which run on
-the package's gather and top-ell kernel; the per-p lp estimator that the
+the package's blocks, draws and accumulator; the per-p lp estimator that the
 one-pass estimator replaced, which runs on the package's block source, draw
 lookup and accumulator; the enumerated hit-count tally that counted map
 tables replaced, which runs on the package's blocks and gather; the
@@ -255,7 +255,7 @@ def oracle_gather(table, block):
 
 # ---------------------------------------------------------------------------
 # Monte Carlo kernels as computed before the table-driven shuffle, the
-# top-ell network, the piecewise mixer, the in-place remainder and the
+# in-place row sort, the piecewise mixer, the in-place remainder and the
 # column-wise sampler
 
 
@@ -356,8 +356,8 @@ class OracleRunningMoments:
 
 
 def oracle_top_values(paths, ell):
-    """The ell largest values of each row, nonincreasing: the sorted rows'
-    reversed view, which the estimators summed."""
+    """The ell largest values of each row, nonincreasing: the reversed view
+    of a sorted copy of the rows."""
     return np.sort(paths, axis=1)[:, ::-1][:, :ell]
 
 
@@ -370,8 +370,7 @@ def oracle_expected_lp_norm(a, family, p, *, cap=None, samples=None, seed=0):
     """Average of the lp norm of the path values, exact or Monte Carlo, for
     one p: block norms summed with math.fsum, or fed to one accumulator."""
     from osb.interpolation import _MC_CHUNK, _TINY, ScalarExpectation
-    from osb.orderstats import (RunningMoments, _blocks, _check_dims, _draw_stats,
-                                _gather, _paths_for_block)
+    from osb.orderstats import RunningMoments, _blocks, _check_dims, _draw_stats
 
     _check_dims(a, family)
     if not math.isfinite(p) or p < 1.0:
@@ -381,13 +380,13 @@ def oracle_expected_lp_norm(a, family, p, *, cap=None, samples=None, seed=0):
 
     def block_norms(block):
         if p == 1.0:
-            return _paths_for_block(a, block).sum(axis=1)
+            return oracle_gather(a.entries, block).sum(axis=1)
         with np.errstate(over="ignore", under="ignore"):
-            sums = _gather(powered, block).sum(axis=1)
+            sums = oracle_gather(powered, block).sum(axis=1)
             norms = sums ** (1.0 / p)
             bad = np.flatnonzero(~((sums >= _TINY) & (sums < np.inf)))
             if bad.size:
-                rows = _paths_for_block(a, block[bad])
+                rows = oracle_gather(a.entries, block[bad])
                 top = rows.max(axis=1, keepdims=True)
                 scaled = np.divide(rows, top, out=np.zeros_like(rows), where=top > 0)
                 norms[bad] = top[:, 0] * (scaled**p).sum(axis=1) ** (1.0 / p)
@@ -429,20 +428,20 @@ def oracle_build_hit_table(family, order, cap=None):
 
 # ---------------------------------------------------------------------------
 # The top-sum estimators as one pass per ell, before one pass served every
-# ell: their bodies as they were, on the package's gather and top-ell kernel
+# ell: their bodies as they were, on the oracle gather and row sort
 
 
 def oracle_expected_top_sum(a, family, ell, cap=None):
     """Exact average of the top-ell path sum over the whole family."""
     from osb.families import iter_member_arrays
-    from osb.orderstats import OrderStatResult, _check_dims, _paths_for_block, _top_values
+    from osb.orderstats import OrderStatResult, _check_dims
 
     _check_dims(a, family)
     if not 1 <= ell <= a.rows:
         raise DomainError(f"ell={ell} out of range 1..{a.rows}")
     sums = np.zeros(ell)
     for block in iter_member_arrays(family, cap=cap):
-        sums += _top_values(_paths_for_block(a, block), ell).sum(axis=0)
+        sums += oracle_top_values(oracle_gather(a.entries, block), ell).sum(axis=0)
     per_k = tuple(float(s) / family.size for s in sums)
     return OrderStatResult(value=math.fsum(per_k), per_k=per_k, mode="exact")
 
@@ -450,8 +449,7 @@ def oracle_expected_top_sum(a, family, ell, cap=None):
 def oracle_expected_top_sum_mc(a, family, ell, samples, seed):
     """Monte Carlo estimate of the same expectation from seeded draws."""
     from osb.families import sample_array
-    from osb.orderstats import (_MC_CHUNK, OrderStatResult, RunningMoments, _check_dims,
-                                _paths_for_block, _top_values)
+    from osb.orderstats import _MC_CHUNK, OrderStatResult, RunningMoments, _check_dims
 
     _check_dims(a, family)
     if not 1 <= ell <= a.rows:
@@ -462,7 +460,7 @@ def oracle_expected_top_sum_mc(a, family, ell, samples, seed):
     moments = RunningMoments()
     for start in range(0, samples, _MC_CHUNK):
         block = sample_array(family, seed, min(_MC_CHUNK, samples - start), start)
-        top = _top_values(_paths_for_block(a, block), ell)
+        top = oracle_top_values(oracle_gather(a.entries, block), ell)
         sums += top.sum(axis=0)
         moments.add(top.sum(axis=1))
     per_k = tuple(float(s) / samples for s in sums)

@@ -328,3 +328,18 @@ def test_shape_flags_the_specifier_cannot_take_are_usage_errors(files, command,
     code, out, err = _run([command] + shape, {})
     assert code == 2, (shape, code, out)
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+def test_an_allocation_that_fails_is_a_usage_error(monkeypatch):
+    # numpy raises a MemoryError subclass for an array it cannot allocate;
+    # raised here, so the test allocates nothing whatever the host allows
+    message = ("Unable to allocate 2.91 TiB for an array with shape "
+               "(200000000000, 2) and data type int64")
+
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "sample_array", refuse)
+    code, out, err = _run(["sample", "--family", "map:2:2", "--count", "200000000000"], {})
+    assert code == 2 and out == "", (code, err)
+    assert err.splitlines() == [f"error: out of memory: {message}"]

@@ -77,6 +77,14 @@ class TestKFunctional:
             KFunctionalCurve(slopes=(1.0, 2.0))  # increasing slopes not concave
         with pytest.raises(DomainError):
             KFunctionalCurve(slopes=())
+        # a NaN slope passes every order comparison
+        for x in ([1.0, math.nan], [math.nan], [math.inf], [math.inf, 1.0]):
+            with pytest.raises(DomainError, match="slopes must be finite"):
+                KFunctionalCurve.from_vector(x)
+            with pytest.raises(DomainError, match="slopes must be finite"):
+                interpolation_norm(x, 2.0)
+        with pytest.raises(DomainError, match="slopes must be finite"):
+            KFunctionalCurve(slopes=(1.0, math.nan))
 
 
 class TestMixedKFunctional:
@@ -127,6 +135,22 @@ class TestInterpolationNorm:
             interpolation_norm([1, 2], 1.0)
         with pytest.raises(DomainError):
             interpolation_norm([1, 2], 0.5)
+
+    def test_integrals_beyond_the_normal_range(self):
+        # K(1)**p overflows at 1e200 and underflows at 1e-200, while the
+        # norms are 2e200 and 3**(1/3) * 1e-200
+        assert interpolation_norm([1e200, 1e200], 2.0) == pytest.approx(2e200, rel=1e-15)
+        assert interpolation_norm([1e-200, 1e-200], 3.0) == pytest.approx(
+            3.0 ** (1 / 3) * 1e-200, rel=1e-15)
+        assert interpolation_norm([1e308, 1e308], 1.5) == pytest.approx(
+            1e308 * interpolation_norm([1.0, 1.0], 1.5), rel=1e-15)
+        # every power of the curve leaves the range; scaled by a power of
+        # two, the slopes are exact
+        for p in (1.5, 2.0, 3.0):
+            for e in (-1000, -800, 800, 1000):
+                got = interpolation_norm([2.0**e, 2.0**e, 2.0**(e - 1)], p)
+                want = interpolation_norm([1.0, 1.0, 0.5], p)
+                assert got == math.ldexp(want, e), (p, e)
 
     def test_against_scipy_quadrature(self):
         rng = np.random.default_rng(44)
@@ -441,7 +465,7 @@ class TestBlockFsum:
     @pytest.mark.parametrize("span", range(0, interpolation._FSUM_SHIFT_SPAN + 3))
     def test_blocks_of_few_exponents(self, span):
         # up to _FSUM_SHIFT_SPAN binades the significands are summed shifted,
-        # as int64; one more and the block takes the per-exponent sums
+        # as int64; one more and the block goes to math.fsum
         rng = np.random.default_rng(span)
         for low in (1, 1000, 2046 - span):
             fields = rng.integers(low, low + span + 1, 5000)
@@ -617,6 +641,6 @@ class TestLpByRuns:
             raise AssertionError("a member block was gathered")
 
         monkeypatch.setattr(orderstats, "iter_member_arrays", no_blocks)
-        monkeypatch.setattr(interpolation, "_gather_index", no_blocks)
+        monkeypatch.setattr(interpolation, "_gather", no_blocks)
         expected_lp_norm(random_matrix(7, 4, seed=1), full_mapping_family(7, 4), self.PS[:4])
         expected_lp_norm(random_matrix(8, 8, seed=1), symmetric_group(8), self.PS[:4])

@@ -21,8 +21,6 @@ from osb.interpolation import expected_lp_norm
 from osb.orderstats import (
     RunningMoments,
     _gather,
-    _paths_for_block,
-    _top_values,
     build_hit_table,
     expected_top_sum,
     expected_top_sum_mc,
@@ -42,8 +40,9 @@ from oracles import (
     indicator_expectation,
     indicator_matrix,
     oracle_build_hit_table,
+    oracle_expected_top_sum,
+    oracle_expected_top_sum_mc,
     oracle_gather,
-    oracle_top_values,
     paley_zygmund_check,
     path_top_sum,
     path_values,
@@ -80,7 +79,7 @@ class TestGather:
             blocks = list(iter_member_arrays(fam))
             blocks.append(sample_array(fam, seed=1, count=9))
             for block in blocks:
-                assert np.array_equal(_paths_for_block(a, block).view(np.uint64),
+                assert np.array_equal(_gather(a.entries, block).view(np.uint64),
                                       oracle_gather(a.entries, block).view(np.uint64))
                 got = _gather(rank, block)
                 assert got.dtype == np.int64
@@ -88,38 +87,36 @@ class TestGather:
 
 
 class TestTopValues:
-    """The top-ell network against the sorted rows' view it replaced."""
+    """The top-ell values of ``_top_sums``, from an in-place sort of each
+    gathered block, against a sorted copy of the rows."""
 
-    @staticmethod
-    def _paths(n, seed):
-        # ties, zeros, subnormals and magnitudes from 1e-310 to 1e299
+    @pytest.mark.parametrize("seed", [0, 24, 100])
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_same_bits_as_sorted_rows(self, n, seed):
+        # ties, zeros, subnormals and magnitudes from 1e-310 to 1e299, in
+        # columns 1-3, 4-6 and 7-9; 1,200 listed maps, so 600 draws are
+        # computed one by one, not looked up
         rng = np.random.default_rng(seed)
         pool = np.array([0.0, 5e-324, 1.5e-323, 2.2250738585072014e-308,
-                         0.25, 0.5, 0.5, 1.0, 1e300])
-        return np.vstack([
-            rng.choice(pool, size=(400, n)),
-            rng.uniform(0, 1, (400, n)) * 10.0 ** rng.integers(-310, 300, (400, n)),
-            rng.integers(0, 3, (400, n)).astype(np.float64),
-        ])
-
-    @pytest.mark.parametrize("comparators", [0, orderstats._NETWORK_COMPARATORS, 100])
-    @pytest.mark.parametrize("n", range(1, 11))
-    def test_same_bits_as_sorted_rows(self, n, comparators, monkeypatch):
-        # 0 sends every (n, ell) with a comparator to the sort, 100 none;
-        # rounds of 97 rows leave a short last round
-        monkeypatch.setattr(orderstats, "_NETWORK_COMPARATORS", comparators)
-        monkeypatch.setattr(orderstats, "_NETWORK_MIN_ROWS", 0)
-        monkeypatch.setattr(orderstats, "_NETWORK_ROWS", 97)
-        paths = self._paths(n, seed=n)
-        for ell in range(1, n + 1):
-            got, want = _top_values(paths, ell), oracle_top_values(paths, ell)
-            assert got.shape == want.shape
-            passes = min(ell, n - 1)
-            if passes * (2 * n - 1 - passes) // 2 <= comparators:  # the network
-                assert got.flags.c_contiguous
-            for g, w in [(got, want), (got.sum(axis=0), want.sum(axis=0)),
-                         (got.sum(axis=1), want.sum(axis=1))]:
-                assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+                         0.25, 0.5, 0.5, 1.0, 1e299])
+        a = Matrix(np.hstack([
+            rng.choice(pool, size=(n, 3)),
+            rng.uniform(0, 1, (n, 3)) * 10.0 ** rng.integers(-310, 300, (n, 3)),
+            rng.integers(0, 3, (n, 3)).astype(np.float64),
+        ]))
+        family = explicit_family(rng.integers(1, 10, (1200, n)), n, 9)
+        ells = tuple(range(1, n + 1))
+        full = oracle_expected_top_sum(a, family, n)
+        exact = orderstats._top_sums(a, family, ells, width=n)
+        mc = orderstats._top_sums(a, family, ells, width=n, samples=600, seed=seed)
+        for ell in ells:
+            # an exact ell = 1 from a wider pass is the first column of that pass
+            want = (full.per_k[:1] if ell == 1 else
+                    oracle_expected_top_sum(a, family, ell).per_k)
+            assert [v.hex() for v in exact[ell - 1].per_k] == [v.hex() for v in want]
+            got, want = mc[ell - 1], oracle_expected_top_sum_mc(a, family, ell, 600, seed)
+            assert (got.value.hex(), got.stderr.hex()) == (want.value.hex(),
+                                                           want.stderr.hex())
 
 
 class TestPathValues:

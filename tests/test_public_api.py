@@ -1,13 +1,16 @@
 """Guard against a test-only library surface.
 
-Every public top-level function or class in ``src/osb``, and every public
-method or property of a public class, must be reachable from a use outside
-the tests: from module-level code in ``src/osb``, from the code of
-``scripts/*.py`` or ``perfbench/*.py`` (docstrings, comments and other files
-there do not count), or from an identifier the README names in a code span.
+Every top-level function, constant or public class in ``src/osb``, private
+ones included, and every public method or property of a public class, must
+be reachable from a use outside the tests: from module-level code in
+``src/osb``, from the code of ``scripts/*.py`` or ``perfbench/*.py``
+(docstrings, comments and other files do not count), or from an identifier
+the README names in a code span.
 A definition counts as used only if something reachable refers to it, so
 code that only other unused code calls is reported too.  The package's
 re-exports in ``__init__.py`` and module-level imports are not uses.
+Definitions of one name in different modules share one entry, as methods do,
+and dunder names such as ``__version__`` are left out.
 
 Methods are matched by name, through attribute references only: ``x.name``
 where ``x`` is not an imported module (``np.zeros`` is not a use of a
@@ -94,21 +97,24 @@ def _outside_refs() -> set:
 
 
 def _src_trees() -> list:
-    return [(path.stem, ast.parse(path.read_text(encoding="utf-8")))
-            for path in sorted(SRC.glob("*.py"))]
+    return [(path.stem, _parse_code(path)) for path in sorted(SRC.glob("*.py"))]
 
 
 def unused_public_names() -> list:
     defs = {}  # name, or ".method", -> what its definitions refer to
     checked = {}  # "module.name" or "module.Class.method" -> key in defs
+
+    def define(stem, name, refs):
+        defs[name] = defs.get(name, set()) | refs
+        if not (name.startswith("__") and name.endswith("__")):
+            checked[f"{stem}.{name}"] = name
+
     roots = _readme_refs() | _outside_refs()
     for stem, tree in _src_trees():
         modules = _module_aliases(tree)
         for node in tree.body:
             if isinstance(node, _DEFS):
-                defs[node.name] = _refs(modules, node) - {node.name}
-                if not node.name.startswith("_"):
-                    checked[f"{stem}.{node.name}"] = node.name
+                define(stem, node.name, _refs(modules, node) - {node.name})
             elif isinstance(node, ast.ClassDef):
                 methods = [m for m in node.body
                            if isinstance(m, _DEFS) and not m.name.startswith("_")]
@@ -123,10 +129,11 @@ def unused_public_names() -> list:
                     for m in methods:
                         checked[f"{stem}.{node.name}.{m.name}"] = "." + m.name
             elif isinstance(node, ast.Assign) and all(
-                    isinstance(t, ast.Name) for t in node.targets):
+                    isinstance(t, (ast.Name, ast.Tuple)) for t in node.targets):
                 # a module constant or alias is used only if something uses it
-                for target in node.targets:
-                    defs[target.id] = _refs(modules, node.value)
+                for target in (n for t in node.targets for n in ast.walk(t)):
+                    if isinstance(target, ast.Name):
+                        define(stem, target.id, _refs(modules, node.value))
             elif not isinstance(node, (ast.Import, ast.ImportFrom)):
                 roots |= _refs(modules, node)
     reached, frontier = set(), roots & defs.keys()
@@ -222,7 +229,7 @@ def unset_options() -> list:
 
 def test_every_public_definition_has_a_use_outside_the_tests():
     unused = unused_public_names()
-    assert not unused, "public names that only tests use: " + ", ".join(unused)
+    assert not unused, "names that only tests use: " + ", ".join(unused)
 
 
 def test_every_option_is_set_outside_the_tests():

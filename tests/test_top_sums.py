@@ -29,8 +29,6 @@ from osb.interpolation import expected_lp_norm
 from osb.matrices import Matrix, order_map, reduce_to_top
 from osb.orderstats import (
     _MC_CHUNK,
-    _NETWORK_COMPARATORS,
-    _NETWORK_MIN_ROWS,
     _top_sums,
     expected_top_sum,
     expected_top_sum_mc,
@@ -66,23 +64,19 @@ def _matrices(n, N):
             Matrix(rng.integers(0, 3, (n, N)).astype(float))]
 
 
-def _comparators(n, width):
-    passes = min(width, n - 1)
-    return passes * (2 * n - 1 - passes) // 2
-
-
-# (family, samples): both sides of the top-ell kernel, n = 1 cells, and a
-# Monte Carlo run of more than one chunk
+# (family, samples): exact passes and Monte Carlo draws computed one by one
+# (the draws are fewer than the maps) or looked up, n = 1 cells, and a Monte
+# Carlo run of more than one chunk
 CASES = [
-    (symmetric_group(4), None),                  # 24 rows: sorted
-    (full_mapping_family(3, 4), None),           # 64 rows: sorted
-    (full_mapping_family(5, 5), None),           # 3,125 rows: network
-    (full_mapping_family(8, 3), None),           # 6,561 rows; width 8 sorted
+    (symmetric_group(4), None),                  # 24 rows
+    (full_mapping_family(3, 4), None),           # 64 rows
+    (full_mapping_family(5, 5), None),           # 3,125 rows
+    (full_mapping_family(8, 3), None),           # 6,561 rows
     (full_mapping_family(1, 3), None),           # n = 1
     (symmetric_group(1), None),
-    (symmetric_group(5), 1000),                  # draws below the network rows
-    (symmetric_group(5), 5000),                  # network
-    (symmetric_group(8), 5000),                  # width 8 sorted, ell 2..4 network
+    (symmetric_group(5), 1000),
+    (symmetric_group(5), 5000),
+    (symmetric_group(8), 5000),
     (full_mapping_family(1, 3), 3000),           # n = 1
     (full_mapping_family(3, 2), 2 * _MC_CHUNK + 5),  # three chunks
 ]
@@ -94,12 +88,10 @@ def _case_id(case):
 
 
 def test_cases_cover_both_sides_of_the_top_ell_kernel():
-    rows = [family.size if samples is None else min(samples, _MC_CHUNK)
-            for family, samples in CASES]
-    wide = [_comparators(f.n, f.n) > _NETWORK_COMPARATORS for f, _ in CASES]
-    assert any(r < _NETWORK_MIN_ROWS for r in rows)
-    assert any(r >= _NETWORK_MIN_ROWS and not w for r, w in zip(rows, wide))
-    assert any(r >= _NETWORK_MIN_ROWS and w for r, w in zip(rows, wide))
+    # both sides: exact and Monte Carlo, and draws computed and looked up
+    assert any(s is None for _, s in CASES)
+    looked_up = [orderstats._member_lookup(f, s) is not None for f, s in CASES if s]
+    assert any(looked_up) and not all(looked_up)
     assert any(f.n == 1 for f, _ in CASES)
     assert any(s is not None and s > 2 * _MC_CHUNK for _, s in CASES)
 
