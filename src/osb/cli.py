@@ -64,8 +64,11 @@ def _read_config(path: Optional[str]) -> dict[str, str]:
             continue
         if "=" not in line:
             raise FormatError(f"bad config line {line!r}; expected key=value")
-        key, value = line.split("=", 1)
-        settings[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in ("seed", "enum_cap"):
+            raise FormatError(f"unknown config key {key!r} in {path}; "
+                              "expected seed or enum_cap")
+        settings[key] = value
     return settings
 
 

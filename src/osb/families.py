@@ -202,40 +202,36 @@ def iter_member_arrays(
     explicit families.  Every block but the last holds ``MEMBER_BLOCK_ROWS``
     rows.  The order and the cut points are part of the output contract:
     exact expectations add per-block float sums, whose last bits depend on
-    both.
+    both.  A block may be read-only.
     """
-    pieces = _member_runs(family, cap)
-    if family.kind == KIND_EXPLICIT:  # list-order slices of the members
-        yield from (rows for _, rows, _ in pieces)
-        return
-    yield from _blocks_from_runs(pieces, family.n, family.size, MEMBER_BLOCK_ROWS)
+    for groups in _member_runs(family, cap):
+        yield _member_block(groups, family.n)
 
 
 def _member_runs(family: MapFamily, cap: int | None = None):
-    """The enumeration of ``iter_member_arrays`` as runs, each cut at the
-    boundaries of its blocks: (prefix, rows, ends) in order, where every
-    member of a run is its prefix, a tuple of n - r values, followed by one
-    row of ``rows``, an (R, r) int64 array, and ``ends`` marks the last run
-    of a block.  A run no boundary cuts keeps its rows object, so the
-    ``map`` table, shared by every run, comes back as the same array.
+    """The enumeration of ``iter_member_arrays``, block by block: each block
+    is a list of (prefixes, rows) groups in order, where ``prefixes`` is a
+    (g, n - r) int64 array and each of its rows is followed by every row of
+    ``rows``, an (R, r) integer array.  Consecutive runs that share their
+    table, as every ``map`` run of a block does, form one group; a run that
+    a block boundary cuts is a group of its own, its rows a slice.
 
     - ``map``: the high n - r digits stay fixed over a run of the N**r maps
       {1..r} -> {1..N}, prefixes and table rows both lexicographic;
     - ``sym``: each prefix of n - r values, in lexicographic order, is
       followed by the permutations of the values it leaves out, in
-      lexicographic order;
+      lexicographic order, held in the narrowest type of 1..n;
     - explicit: one run with no prefix, holding the members.
 
-    Raises ResourceError above the cap when called, before any run."""
+    Raises ResourceError above the cap when called, before any block."""
     require_enumerable(family, cap)
     n, N = family.n, family.N
     if family.kind == KIND_EXPLICIT:
-        runs = [((), family.members)]
+        r, runs = n, [((), family.members)]
     elif family.kind == KIND_SYMMETRIC:
         r = min(n, _SYM_TABLE_WIDTH)
-        table = _permutation_table(r)
-        runs = ((prefix,
-                 np.array([v for v in range(1, n + 1) if v not in prefix])[table])
+        table = _permutation_table(r).astype(np.min_scalar_type(n), copy=False)
+        runs = ((prefix, _left_out(table, prefix))
                 for prefix in itertools.permutations(range(1, n + 1), n - r))
     else:
         r = 1
@@ -244,21 +240,61 @@ def _member_runs(family: MapFamily, cap: int | None = None):
         table = _mapping_table(N, r)
         runs = ((prefix, table)
                 for prefix in itertools.product(range(1, N + 1), repeat=n - r))
-    return _cut_runs(runs, MEMBER_BLOCK_ROWS, family.size)
+    return _group_runs(runs, MEMBER_BLOCK_ROWS)
 
 
-def _cut_runs(runs, chunk: int, total: int):
-    """(prefix, rows) runs of ``total`` rows in all, cut at every multiple of
-    ``chunk`` rows, with the flag that marks a block's last piece."""
-    done = 0
+def _left_out(table: np.ndarray, prefix: tuple) -> np.ndarray:
+    """Each value k of ``table`` replaced by the k-th smallest value that
+    ``prefix`` leaves out: k passes each prefix value, in increasing order,
+    that it reaches."""
+    rows = table.copy()
+    for v in sorted(prefix):
+        rows += rows >= v
+    return rows
+
+
+def _group_runs(runs, chunk: int):
+    """(prefix, rows) runs as blocks of ``chunk`` rows, the last shorter,
+    each a list of (prefixes, rows) groups."""
+    def grouped(block):
+        return [(np.array(prefixes, dtype=np.int64), rows) for prefixes, rows in block]
+
+    block, room = [], chunk
     for prefix, rows in runs:
         pos = 0
         while pos < rows.shape[0]:
-            k = min(rows.shape[0] - pos, chunk - done % chunk)
-            done += k
-            yield (prefix, rows if k == rows.shape[0] else rows[pos : pos + k],
-                   done % chunk == 0 or done == total)
+            k = min(rows.shape[0] - pos, room)
+            piece = rows if k == rows.shape[0] else rows[pos : pos + k]
+            if block and block[-1][1] is piece:  # a whole run of the same table
+                block[-1][0].append(prefix)
+            else:
+                block.append(([prefix], piece))
             pos += k
+            room -= k
+            if room == 0:
+                yield grouped(block)
+                block, room = [], chunk
+    if block:
+        yield grouped(block)
+
+
+def _member_block(groups: list, n: int) -> np.ndarray:
+    """The members of a block of ``_member_runs`` groups as one (B, n) int64
+    array: a lone table without prefix as itself, if it is int64; otherwise
+    each group written into a fresh array as one broadcast into a (g, R, n)
+    view."""
+    if len(groups) == 1 and groups[0][0].shape == (1, 0):
+        return groups[0][1].astype(np.int64, copy=False)
+    block = np.empty((sum(p.shape[0] * rows.shape[0] for p, rows in groups), n),
+                     dtype=np.int64)
+    filled = 0
+    for prefixes, rows in groups:
+        g, width = prefixes.shape
+        view = block[filled : filled + g * rows.shape[0]].reshape(g, rows.shape[0], n)
+        view[:, :, :width] = prefixes[:, None, :]
+        view[:, :, width:] = rows
+        filled += g * rows.shape[0]
+    return block
 
 
 # r = 7 keeps a permutation table (the enumeration's, or the sampler's shuffle
@@ -270,8 +306,8 @@ _MAP_TABLE_ROWS = 4096
 
 @lru_cache(maxsize=None)
 def _permutation_table(r: int) -> np.ndarray:
-    """All permutations of range(r) in lexicographic order, read-only."""
-    table = np.array(list(itertools.permutations(range(r))), dtype=np.intp)
+    """All permutations of 1..r in lexicographic order, read-only."""
+    table = np.array(list(itertools.permutations(range(1, r + 1))), dtype=np.uint8)
     table.setflags(write=False)
     return table
 
@@ -285,22 +321,6 @@ def _mapping_table(N: int, r: int) -> np.ndarray:
     table = codes // N ** np.arange(r - 1, -1, -1, dtype=np.int64) % N + 1
     table.setflags(write=False)
     return table
-
-
-def _blocks_from_runs(pieces, n: int, total: int, chunk: int) -> Iterator[np.ndarray]:
-    """Each block of ``_member_runs`` pieces as one fresh (chunk, n) array,
-    the last one shorter, each piece written in place as it comes."""
-    block = None
-    for prefix, rows, ends in pieces:
-        if block is None:
-            block, filled = np.empty((min(chunk, total), n), dtype=np.int64), 0
-        block[filled : filled + rows.shape[0], : len(prefix)] = prefix
-        block[filled : filled + rows.shape[0], len(prefix) :] = rows
-        filled += rows.shape[0]
-        if ends:
-            total -= filled
-            yield block
-            block = None
 
 
 # ---------------------------------------------------------------------------
@@ -536,24 +556,29 @@ class FamilySpec:
 
 def parse_family_spec(text: str) -> FamilySpec:
     parts = text.split(":")
+    spec = None
     try:
         if parts[0] == "sym":
             if len(parts) == 1:
                 return FamilySpec("sym")
             if len(parts) == 2:
-                return FamilySpec("sym", n=int(parts[1]), N=int(parts[1]))
+                spec = FamilySpec("sym", n=int(parts[1]), N=int(parts[1]))
         elif parts[0] == "map":
             if len(parts) == 1:
                 return FamilySpec("map")
             if len(parts) == 3:
-                return FamilySpec("map", n=int(parts[1]), N=int(parts[2]))
+                spec = FamilySpec("map", n=int(parts[1]), N=int(parts[2]))
         elif parts[0] == "file" and len(parts) >= 2:
             return FamilySpec("file", path=text.split(":", 1)[1])
     except ValueError:
         pass
-    raise DomainError(
-        f"bad family specifier {text!r}; expected sym[:n], map[:n:N], or file:PATH"
-    )
+    if spec is None:
+        raise DomainError(
+            f"bad family specifier {text!r}; expected sym[:n], map[:n:N], or file:PATH"
+        )
+    if spec.n < 1 or spec.N < 1:
+        raise DomainError(f"bad family specifier {text!r}; n and N must be positive")
+    return spec
 
 
 def family_for_cell(spec: FamilySpec, n: int, N: int) -> Optional[MapFamily]:

@@ -28,7 +28,7 @@ from .orderstats import (
     _blocks,
     _check_dims,
     _draw_stats,
-    _gather,
+    _offsets,
     expected_top_sum,
 )
 from .reports import (
@@ -124,13 +124,17 @@ def interpolation_norm_from_curve(curve: KFunctionalCurve, p: float) -> float:
     results are bit-reproducible.  A curve whose integral leaves the normal
     float range is integrated again divided by the power of two at or below
     its first slope, so that K(1) lies in [1, 2), and the norm scaled back.
+    If that integral leaves the range too, as (K(t)/t)^p does for p above
+    about 1024, the curve is divided by its first slope, so that K(1) = 1
+    and K(t)/t <= 1, and the tail is taken as (K(n)/n)^p n/(p-1): no piece
+    overflows, and the integral is at least 1.
     """
     if not math.isfinite(p) or p <= 1.0:
         raise DomainError("the integral norm requires p > 1")
     n, knots, slopes, scale = curve.n, curve.knots, curve.slopes, 1.0
     if knots[n] == 0.0:
         return 0.0
-    for scaled in (False, True):
+    for attempt in range(3):
         try:
             pieces = [knots[1] ** p]
             with np.errstate(over="ignore", under="ignore"):
@@ -138,14 +142,18 @@ def interpolation_norm_from_curve(curve: KFunctionalCurve, p: float) -> float:
                     t = k + 0.5 + 0.5 * _GL_NODES
                     kt = knots[k] + (t - k) * slopes[k]
                     pieces.append(0.5 * float(np.sum(_GL_WEIGHTS * (kt / t) ** p)))
-            pieces.append(knots[n] ** p * n ** (1.0 - p) / (p - 1.0))
+            if attempt < 2:
+                pieces.append(knots[n] ** p * n ** (1.0 - p) / (p - 1.0))
+            else:
+                pieces.append((knots[n] / n) ** p * n / (p - 1.0))
             total = math.fsum(pieces)
         except OverflowError:
             total = math.inf
-        if scaled or _TINY <= total < math.inf:
+        if attempt == 2 or _TINY <= total < math.inf:
             return scale * total ** (1.0 / p)
-        scale = math.ldexp(1.0, math.frexp(slopes[0])[1] - 1)
-        slopes = [s / scale for s in slopes]
+        first = curve.slopes[0]
+        scale = math.ldexp(1.0, math.frexp(first)[1] - 1) if attempt == 0 else first
+        slopes = [s / scale for s in curve.slopes]
         knots = [0.0, *itertools.accumulate(slopes)]
 
 
@@ -265,12 +273,12 @@ def expected_lp_norm(
 
     A path's power sum adds its values as ``_row_sums`` does, so it has
     the bits of numpy's sum of the gathered row.  An exact pass walks the
-    enumeration's runs (``families._member_runs``) once and gathers no
-    member: consecutive runs that share their suffix table, as the ``map``
-    runs of a block do, go together, each prefix position's powers as one
-    value per run and each suffix column's powers taken once.  Each p's
-    norms are summed per block of ``iter_member_arrays`` by ``_block_fsum``,
-    so every value is the one the gathered blocks give.
+    enumeration's blocks of run groups (``families._member_runs``) once and
+    gathers no member: each prefix position's powers are one value per run
+    of a group, and each column of its shared table's powers are taken
+    once.  Each p's norms are summed per block by ``_block_fsum``, so every
+    value is the one the gathered blocks give.  A Monte Carlo chunk is one
+    group without prefix.
     """
     _check_dims(a, family)
     ps = [p] if np.ndim(p) == 0 else list(p)
@@ -278,14 +286,11 @@ def expected_lp_norm(
         raise DomainError("p must be finite and >= 1")
 
     # a power is a function of the entry alone, so the entries are raised
-    # once per p; a zero column pads each row, so that value v of position i
-    # is at flat position offsets[i] + v
+    # once per p and read at the flat positions that _gather reads
     n, N = a.entries.shape
-    padded = np.zeros((n, N + 1))
-    padded[:, 1:] = a.entries
     with np.errstate(over="ignore", under="ignore"):
-        tables = [padded if q == 1.0 else padded**q for q in ps]
-    offsets = np.arange(n)[:, None] * (N + 1)
+        tables = [a.entries if q == 1.0 else a.entries**q for q in ps]
+    offsets = _offsets(n, N)[:, None]
 
     def positions(values: np.ndarray, first: int) -> np.ndarray:
         """The flat positions of an (R, r) array of values at positions
@@ -293,70 +298,47 @@ def expected_lp_norm(
         every column's powers, each contiguous."""
         return np.add(values.T, offsets[first : first + values.shape[1]], order="C")
 
-    def norms(q: float, terms: list, shape: tuple, members) -> np.ndarray:
-        """The lp norms of the paths whose powers are ``terms``, in the
-        order of their row sums; ``members(rows)`` gives the maps of the
-        rows that are rescaled."""
-        if q == 1.0:
-            return _row_sums(terms, shape).ravel()
-        with np.errstate(over="ignore", under="ignore"):
-            sums = _row_sums(terms, shape).ravel()
-            out = sums ** (1.0 / q)
-            # a row whose power sum left the normal range is scaled by its
-            # largest entry first; an all-zero row keeps its norm of 0
-            if not (sums.min() >= _TINY and sums.max() < np.inf):
-                bad = np.flatnonzero(~((sums >= _TINY) & (sums < np.inf)))
-                rows = _gather(a.entries, members(bad))
-                top = rows.max(axis=1, keepdims=True)
-                scaled = np.divide(rows, top, out=np.zeros_like(rows), where=top > 0)
-                out[bad] = top[:, 0] * (scaled**q).sum(axis=1) ** (1.0 / q)
-        return out
-
-    def run_norms(prefixes: list, rows: np.ndarray) -> list[np.ndarray]:
-        """Each p's norms of consecutive runs that share their rows, in
-        enumeration order: the powers of each prefix position as a (runs, 1)
-        column, and of each suffix column as one value per row."""
-        prefixes = np.array(prefixes, dtype=np.int64).reshape(len(prefixes), -1)
-        split = prefixes.shape[1]
+    def group_norms(prefixes: np.ndarray, rows: np.ndarray) -> list[np.ndarray]:
+        """Each p's norms of the paths of a ``_member_runs`` group, in its
+        order: the powers of each prefix position as a (g, 1) column, and of
+        each column of ``rows`` as one value per row."""
+        head, tail = positions(prefixes, 0), positions(rows, prefixes.shape[1])
         shape = (prefixes.shape[0], rows.shape[0])
 
-        def members(bad):
-            run, row = np.divmod(bad, rows.shape[0])
-            out = np.empty((bad.size, n), dtype=np.int64)
-            out[:, :split] = prefixes[run]
-            out[:, split:] = rows[row]
+        def norms(q: float, table: np.ndarray) -> np.ndarray:
+            terms = [*table.take(head)[:, :, None], *table.take(tail)]
+            if q == 1.0:
+                return _row_sums(terms, shape).ravel()
+            with np.errstate(over="ignore", under="ignore"):
+                sums = _row_sums(terms, shape).ravel()
+                out = sums ** (1.0 / q)
+                # a row whose power sum left the normal range is scaled by its
+                # largest entry first; an all-zero row keeps its norm of 0
+                if not (sums.min() >= _TINY and sums.max() < np.inf):
+                    bad = np.flatnonzero(~((sums >= _TINY) & (sums < np.inf)))
+                    run, row = np.divmod(bad, shape[1])
+                    paths = a.entries.take(np.concatenate((head[:, run], tail[:, row])).T)
+                    top = paths.max(axis=1, keepdims=True)
+                    scaled = np.divide(paths, top, out=np.zeros_like(paths), where=top > 0)
+                    out[bad] = top[:, 0] * (scaled**q).sum(axis=1) ** (1.0 / q)
             return out
 
-        head, tail = positions(prefixes, 0), positions(rows, split)
-        return [norms(q, [*table.take(head)[:, :, None], *table.take(tail)], shape, members)
-                for q, table in zip(ps, tables)]
-
-    def block_totals() -> list[list[float]]:
-        """Each p's ``_block_fsum`` of every block's norms; runs that share
-        their rows, as every ``map`` run of a block does, go together."""
-        totals, parts, group, shared = [[] for _ in ps], [], [], None
-        for prefix, rows, ends in _member_runs(family, cap):
-            if group and rows is not shared:
-                parts.append(run_norms(group, shared))
-                group = []
-            group.append(prefix)
-            shared = rows
-            if ends:
-                parts.append(run_norms(group, shared))
-                for t, block in zip(totals, zip(*parts)):
-                    t.append(_block_fsum(block[0] if len(block) == 1
-                                         else np.concatenate(block)))
-                parts, group = [], []
-        return totals
+        return [norms(q, table) for q, table in zip(ps, tables)]
 
     if samples is None:
+        totals = [[] for _ in ps]
+        for groups in _member_runs(family, cap):
+            parts = [group_norms(prefixes, rows) for prefixes, rows in groups]
+            for t, block in zip(totals, zip(*parts)):
+                t.append(_block_fsum(block[0] if len(block) == 1 else np.concatenate(block)))
+            del parts  # not held while the next block is computed
         out = [ScalarExpectation(value=math.fsum(t) / family.size, mode="exact")
-               for t in block_totals()]
+               for t in totals]
     else:
+        no_prefix = np.zeros((1, 0), dtype=np.int64)
+
         def block_norms(block: np.ndarray) -> dict:
-            where = positions(block, 0)
-            return {i: norms(q, list(t.take(where)), block.shape[:1], block.__getitem__)
-                    for i, (q, t) in enumerate(zip(ps, tables))}
+            return dict(enumerate(group_norms(no_prefix, block)))
 
         # on a small family each draw's norms are looked up (see _draw_stats)
         draw_norms = _draw_stats(family, samples, block_norms)

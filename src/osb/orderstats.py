@@ -21,11 +21,10 @@ import numpy as np
 from .errors import DomainError
 from .families import (
     KIND_FULL_MAPPING,
-    KIND_SYMMETRIC,
     MEMBER_BLOCK_ROWS,
     MapFamily,
-    _mapping_table,
-    _permutation_table,
+    _member_block,
+    _member_runs,
     iter_member_arrays,
     pairwise_constant,
     require_enumerable,
@@ -66,9 +65,15 @@ class OrderStatResult:
     stderr: Optional[float] = None
 
 
+def _offsets(n: int, N: int) -> np.ndarray:
+    """Value v at path position i of an (n, N) table is at flat position
+    offsets[i] + v."""
+    return np.arange(n) * N - 1
+
+
 def _gather(table: np.ndarray, block: np.ndarray) -> np.ndarray:
     """table[i, block[:, i] - 1] for every row of the block, as one flat take."""
-    return table.ravel().take(block + (np.arange(table.shape[0]) * table.shape[1] - 1))
+    return table.ravel().take(block + _offsets(*table.shape))
 
 
 class RunningMoments:
@@ -148,13 +153,9 @@ def _member_lookup(family: MapFamily, samples: int | None):
     n, N = family.n, family.N
     if samples is None or max(N**n, family.size) > min(samples, MEMBER_BLOCK_ROWS):
         return None
-    if family.kind == KIND_SYMMETRIC:
-        members = _permutation_table(n) + 1
-    elif family.kind == KIND_FULL_MAPPING:
-        members = _mapping_table(N, n)
-    else:
-        members = family.members
-    return members, N ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    # the enumeration's one block; a cap of the size is never exceeded
+    (groups,) = _member_runs(family, family.size)
+    return _member_block(groups, n), N ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
 
 def _draw_stats(family: MapFamily, samples: int | None, stats):

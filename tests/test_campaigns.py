@@ -188,10 +188,11 @@ def _count_calls(monkeypatch, module, name, calls):
 
 @pytest.mark.parametrize("p_list", [[2.0], [1.0, 1.5, 2.0, 3.0], [3.0, 400.0, 1.0]])
 def test_exact_lp_passes_once_per_matrix(small_corpus, monkeypatch, p_list):
-    # one estimator call per matrix, which gathers no member block: it walks
-    # the enumeration's runs once
+    # one estimator call per matrix, which builds no member block: it walks
+    # the enumeration's run groups once
     calls = {}
     _count_calls(monkeypatch, orderstats, "iter_member_arrays", calls)
+    _count_calls(monkeypatch, families, "_member_block", calls)
     _count_calls(monkeypatch, interpolation, "_member_runs", calls)
     _count_calls(monkeypatch, interpolation, "expected_lp_norm", calls)
     _count_calls(monkeypatch, campaigns, "verify_lp_bounds", calls)

@@ -189,9 +189,15 @@ def test_fuzzed_command_lines_keep_the_exit_code_contract(files):
     ["verify-main", "--family", "map:2:2", "--ell", "3"],
     ["lemmas", "--family", "sym", "--ell", "7..9"],
     ["verify-main", "--family", "map:9:9"],
+    ["verify-lp", "--family", "map:9:9"],
+    ["lemmas", "--family", "map:9:9"],
+    # families of no member: every subcommand refuses the specifier
+    *([command, "--family", family]
+      for command in ("verify-main", "verify-lp", "lemmas", "family-check", "sample")
+      for family in ("sym:0", "map:2:0", "map:-1:3")),
 ])
 def test_edge_command_lines(files, argv):
-    if argv[0] != "sample":
+    if argv[0] in ("verify-main", "verify-lp", "lemmas"):
         argv = argv + ["--corpus", files["corpus.json"]]
     code, _, err = _run(argv, {})
     assert code in EXIT_CODES, (argv, code, err)
@@ -201,7 +207,14 @@ def test_edge_command_lines(files, argv):
         assert code == 2 and err.startswith("error: ell range"), (argv, code, err)
         assert len(err.splitlines()) == 1, err
     if "map:9:9" in argv:
-        assert code == 0 and "nothing checked" in err, (argv, code, err)
+        assert code == 0, (argv, code, err)
+        # verify-lp still emits its vacuous per-p aggregate, so it checks something
+        assert ("nothing checked" in err) == (argv[0] != "verify-lp"), (argv, err)
+    family = argv[argv.index("--family") + 1]
+    if family in ("sym:0", "map:2:0", "map:-1:3"):
+        assert code == 2, (argv, code, err)
+        assert err.splitlines() == [f"error: bad family specifier {family!r}; "
+                                    "n and N must be positive"], err
 
 
 @pytest.mark.parametrize("p,message", [
@@ -236,6 +249,19 @@ def test_draw_counts_past_the_word_counter_fail_at_once(files, command, family):
     assert code == 2 and out == "", (argv, code, err)
     assert err.splitlines() == [f"error: {2**63} draws run past the 64-bit word "
                                 "counter of the sample stream"], err
+
+
+@pytest.mark.parametrize("command", ["verify-main", "verify-lp"])
+@pytest.mark.parametrize("family", ["map:2:2", "sym:3"])
+def test_monte_carlo_ignores_the_enumeration_cap(files, command, family):
+    # at 4096 draws each member's values are looked up in tables built from
+    # the enumeration, which that lookup walks with the family's size as cap
+    argv = [command, "--family", family, "--corpus", files["corpus.json"],
+            "--mc-samples", "4096", "--seed", "5"]
+    code, out, err = _run(argv, {})
+    assert code in (0, 1) and err == "" and json.loads(out)["reports"], (code, err)
+    assert _run(argv + ["--enum-cap", "1"], {}) == (code, out, err)
+    assert _run(argv, {"OSB_ENUM_CAP": "1"}) == (code, out, err)
 
 
 @pytest.mark.parametrize("argv", [

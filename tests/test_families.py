@@ -130,11 +130,35 @@ class TestMemberBlocks:
             for g, w in zip(iter_member_arrays(fam), oracle_member_blocks(fam)):
                 assert np.array_equal(g, w)
 
+    @pytest.mark.parametrize("fam,table_rows", [
+        (full_mapping_family(7, 8), 4096),  # 16 runs fill each block
+        (full_mapping_family(7, 5), 3125),  # runs cut at block boundaries
+        (symmetric_group(9), 5040),  # every run has its own table
+        (full_mapping_family(1, 5000), 5000),  # one run, no prefix
+    ], ids=lambda x: x.descriptor() if isinstance(x, families.MapFamily) else str(x))
+    def test_runs_of_one_table_form_one_group(self, fam, table_rows):
+        blocks = list(families._member_runs(fam))
+        for i, groups in enumerate(blocks):
+            rows_in = [p.shape[0] * rows.shape[0] for p, rows in groups]
+            assert sum(rows_in) == min(65536, fam.size - 65536 * i)
+            for (p, rows), (_, following) in zip(groups, groups[1:]):
+                assert following is not rows  # a group ends where its table does
+            for p, rows in groups:
+                assert p.dtype == np.int64 and p.shape[1] + rows.shape[1] == fam.n
+                # only a run that a block boundary cuts is shorter than a table
+                assert rows.shape[0] == table_rows or (p.shape[0] == 1 and (
+                    rows is groups[0][1] or rows is groups[-1][1]))
+        if table_rows == 4096:
+            assert all(len(groups) == 1 and groups[0][0].shape[0] == 16 for groups in blocks)
+        if fam.kind == families.KIND_SYMMETRIC:
+            assert all(p.shape[0] == 1 for groups in blocks for p, _ in groups)
+
     def test_cap_raises_before_the_first_block(self, monkeypatch):
         def no_blocks(*args):
             raise AssertionError("a block was built")
 
-        monkeypatch.setattr(families, "_blocks_from_runs", no_blocks)
+        monkeypatch.setattr(families, "_group_runs", no_blocks)
+        monkeypatch.setattr(families, "_member_block", no_blocks)
         for fam in (symmetric_group(4), full_mapping_family(3, 3)):
             with pytest.raises(ResourceError):
                 next(iter_member_arrays(fam, cap=fam.size - 1))
@@ -573,6 +597,9 @@ class TestFamilySpec:
     def test_parse_rejects_garbage(self):
         for bad in ("sim:3", "sym:x", "map:2", ""):
             with pytest.raises(DomainError):
+                parse_family_spec(bad)
+        for bad in ("sym:0", "sym:-2", "map:2:0", "map:-1:3", "map:0:0"):
+            with pytest.raises(DomainError, match="n and N must be positive"):
                 parse_family_spec(bad)
 
     def test_cell_applicability(self):

@@ -152,6 +152,15 @@ class TestInterpolationNorm:
                 want = interpolation_norm([1.0, 1.0, 0.5], p)
                 assert got == math.ldexp(want, e), (p, e)
 
+    @pytest.mark.parametrize("p", [1100.0, 2000.0, 1e4])
+    def test_exponents_whose_integral_overflows_at_every_power_of_two(self, p):
+        # K(t) = t on [0, 2] for [1, 1], so the integral is
+        # 1 + 1 + 2**p 2**(1-p) / (p - 1); 2**p overflows above p = 1024
+        want = (2.0 + 2.0 / (p - 1.0)) ** (1.0 / p)
+        assert math.isclose(interpolation_norm([1.0, 1.0], p), want, rel_tol=1e-12)
+        assert math.isclose(interpolation_norm([3e100, 3e100], p), 3e100 * want,
+                            rel_tol=1e-12)
+
     def test_against_scipy_quadrature(self):
         rng = np.random.default_rng(44)
         for _ in range(10):
@@ -634,13 +643,26 @@ class TestLpByRuns:
             mixed = Matrix(np.where(rng.random((n, N)) < 0.5, 1e300, 1e-300))
             self.check(family, [big, tiny, subnormal, mixed, zero_matrix(n, N)])
 
+    def test_rescaled_paths_keep_their_position_order(self, monkeypatch):
+        # with 8-row tables a map:5:2 path is two prefix values followed by
+        # three table values; every path overflows at p = 2 and 3 and is
+        # rescaled, and its scaled powers must add in position order, which
+        # the last bits of some of these means of 32 norms show
+        from osb import families
+
+        monkeypatch.setattr(families, "_MAP_TABLE_ROWS", 8)
+        self.check(full_mapping_family(5, 2), [
+            Matrix(np.random.default_rng(seed).uniform(0.5, 1, (5, 2)) * 1e200)
+            for seed in range(10)])
+
     def test_nothing_is_gathered(self, monkeypatch):
-        from osb import orderstats
+        from osb import families, orderstats
 
         def no_blocks(*args, **kwargs):
             raise AssertionError("a member block was gathered")
 
         monkeypatch.setattr(orderstats, "iter_member_arrays", no_blocks)
-        monkeypatch.setattr(interpolation, "_gather", no_blocks)
+        monkeypatch.setattr(families, "_member_block", no_blocks)
+        monkeypatch.setattr(orderstats, "_gather", no_blocks)
         expected_lp_norm(random_matrix(7, 4, seed=1), full_mapping_family(7, 4), self.PS[:4])
         expected_lp_norm(random_matrix(8, 8, seed=1), symmetric_group(8), self.PS[:4])

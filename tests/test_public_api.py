@@ -27,6 +27,7 @@ definition with no such call at all is left to the first check.
 """
 
 import ast
+import importlib.util
 import re
 from pathlib import Path
 
@@ -235,3 +236,14 @@ def test_every_public_definition_has_a_use_outside_the_tests():
 def test_every_option_is_set_outside_the_tests():
     unset = unset_options()
     assert not unset, "options that only tests set: " + ", ".join(unset)
+
+
+def test_line_counter_skips_comments_docstrings_and_blanks(tmp_path):
+    spec = importlib.util.spec_from_file_location("src_lines", ROOT / "scripts" / "src_lines.py")
+    src_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(src_lines)
+    path = tmp_path / "m.py"
+    path.write_text('"""Module\ndocstring."""\n\n# a comment\nx = 1  # trailing\n\n'
+                    'def f():\n    """Doc."""\n    return ("a"\n            "b")\n')
+    # x = 1, def f():, and the two lines of the return statement
+    assert src_lines.code_lines(path) == 4

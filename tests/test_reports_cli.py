@@ -319,6 +319,22 @@ class TestCli:
         assert captured.err.startswith("error: ") and missing in captured.err
         assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_unknown_config_key_is_usage_error(self, source, tmp_path, monkeypatch,
+                                               capsys):
+        cfg = tmp_path / "osb.cfg"
+        cfg.write_text("enum_cap = 100\nsede = 5\n")
+        argv = ["sample", "--family", "sym:3"]
+        if source == "flag":
+            argv += ["--config", str(cfg)]
+        else:
+            monkeypatch.setenv("OSB_CONFIG", str(cfg))
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: unknown config key 'sede' in {cfg}; expected seed or enum_cap"]
+
     def test_campaign_reports_reproducible(self, matrix_file, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["verify-main", "--family", "map", "--matrix", matrix_file,
