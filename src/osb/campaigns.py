@@ -140,8 +140,9 @@ def run_verify_lp(
 ) -> list[VerificationReport]:
     """The lp campaign: upper bound with constant 1 per matrix and exponent,
     plus one aggregate minimum-lower-ratio report per exponent
-    (id thm1.2/lower-min-ratio).  Every exponent of a matrix comes from one
-    pass over its family (or one stream of draws)."""
+    (id thm1.2/lower-min-ratio) when any matrix was checked.  Every exponent
+    of a matrix comes from one pass over its family (or one stream of
+    draws)."""
     out: list[VerificationReport] = []
     min_ratio: dict[float, tuple[float, dict]] = {}
     for cell, family in _iter_cell_families(corpus, spec):
@@ -158,6 +159,8 @@ def run_verify_lp(
                     if current is None or r.lhs < current[0]:
                         min_ratio[p] = (r.lhs, dict(r.inputs))
             out.extend(reports)
+    if not out:  # no matrix was checked, so no aggregate either
+        return out
     for p in p_list:
         if p not in min_ratio:
             out.append(vacuous_report(

@@ -102,13 +102,24 @@ class MapFamily:
 
     @cached_property
     def _explicit_descriptor(self) -> str:
-        # hashes every member, so it is computed once per family object; each
-        # value is written through a table of its distinct values' strings
-        values, codes = np.unique(self.members, return_inverse=True)
-        tokens = np.array([str(v) for v in values.tolist()], dtype=object)
-        rows = tokens[codes.reshape(self.members.shape)].tolist()
-        payload = f"{self.n}:{self.N}:" + ";".join(map(",".join, rows))
-        return "explicit:" + hashlib.sha256(payload.encode()).hexdigest()[:8]
+        # hashes every member, so it is computed once per family object.  The
+        # payload is "n:N:" and the members, values joined by "," and members
+        # by ";", in ASCII: each value's digits right-aligned after zero
+        # bytes, then its separator, and the zero bytes dropped.  It is
+        # hashed MEMBER_BLOCK_ROWS members at a time.
+        top = int(self.members.max())
+        digits = len(str(top))
+        sha = hashlib.sha256(f"{self.n}:{self.N}:".encode())
+        for lo in range(0, self.size, MEMBER_BLOCK_ROWS):
+            q = self.members[lo : lo + MEMBER_BLOCK_ROWS].astype(np.min_scalar_type(top))
+            text = np.full(q.shape + (digits + 1,), ord(","), dtype=np.uint8)
+            text[:, -1, digits] = ord(";")
+            for j in range(digits - 1, -1, -1):
+                text[..., j] = (q % 10 + ord("0")) * (q > 0)
+                q //= 10
+            text = text[text != 0]
+            sha.update(text[:-1] if lo + MEMBER_BLOCK_ROWS >= self.size else text)
+        return "explicit:" + sha.hexdigest()[:8]
 
     # The certificate is exact and the family is immutable, so it is computed
     # once per family object, however often it is asked for.
@@ -234,9 +245,7 @@ def _member_runs(family: MapFamily, cap: int | None = None):
         runs = ((prefix, _left_out(table, prefix))
                 for prefix in itertools.permutations(range(1, n + 1), n - r))
     else:
-        r = 1
-        while r < n and N ** (r + 1) <= _MAP_TABLE_ROWS:
-            r += 1
+        r = _map_table_width(n, N)
         table = _mapping_table(N, r)
         runs = ((prefix, table)
                 for prefix in itertools.product(range(1, N + 1), repeat=n - r))
@@ -302,6 +311,15 @@ def _member_block(groups: list, n: int) -> np.ndarray:
 # hundred KB.  All are far below MEMBER_BLOCK_ROWS.
 _SYM_TABLE_WIDTH = 7
 _MAP_TABLE_ROWS = 4096
+
+
+def _map_table_width(n: int, N: int) -> int:
+    """The positions r of a ``map`` run's table: the most, up to n, whose
+    N**r maps fit in _MAP_TABLE_ROWS rows, and at least one."""
+    r = 1
+    while r < n and N ** (r + 1) <= _MAP_TABLE_ROWS:
+        r += 1
+    return r
 
 
 @lru_cache(maxsize=None)

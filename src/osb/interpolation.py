@@ -13,11 +13,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError
 from .families import (MapFamily, _member_runs, pairwise_constant,
@@ -39,8 +38,6 @@ from .reports import (
     vacuous_report,
 )
 
-_GL_POINTS = 32
-_GL_NODES, _GL_WEIGHTS = leggauss(_GL_POINTS)
 _MC_CHUNK = 65536
 _TINY = np.finfo(np.float64).tiny
 
@@ -114,6 +111,16 @@ def mixed_k_curve(a: Matrix, family: MapFamily) -> KFunctionalCurve:
 # the (theta, p) interpolation norm with theta = 1 - 1/p
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The nodes and weights of the 32-point Gauss-Legendre rule on [-1, 1],
+    computed on first use: importing ``numpy.polynomial`` costs every
+    process that never integrates a curve a few milliseconds."""
+    from numpy.polynomial.legendre import leggauss
+
+    return leggauss(32)
+
+
 def interpolation_norm_from_curve(curve: KFunctionalCurve, p: float) -> float:
     """(integral of [t^-theta K(t)]^p dt/t)^(1/p) for theta = 1 - 1/p.
 
@@ -134,14 +141,15 @@ def interpolation_norm_from_curve(curve: KFunctionalCurve, p: float) -> float:
     n, knots, slopes, scale = curve.n, curve.knots, curve.slopes, 1.0
     if knots[n] == 0.0:
         return 0.0
+    nodes, weights = _gauss_legendre()
     for attempt in range(3):
         try:
             pieces = [knots[1] ** p]
             with np.errstate(over="ignore", under="ignore"):
                 for k in range(1, n):
-                    t = k + 0.5 + 0.5 * _GL_NODES
+                    t = k + 0.5 + 0.5 * nodes
                     kt = knots[k] + (t - k) * slopes[k]
-                    pieces.append(0.5 * float(np.sum(_GL_WEIGHTS * (kt / t) ** p)))
+                    pieces.append(0.5 * float(np.sum(weights * (kt / t) ** p)))
             if attempt < 2:
                 pieces.append(knots[n] ** p * n ** (1.0 - p) / (p - 1.0))
             else:

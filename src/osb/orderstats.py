@@ -23,6 +23,8 @@ from .families import (
     KIND_FULL_MAPPING,
     MEMBER_BLOCK_ROWS,
     MapFamily,
+    _map_table_width,
+    _mapping_table,
     _member_block,
     _member_runs,
     iter_member_arrays,
@@ -203,6 +205,54 @@ def _draw_stats(family: MapFamily, samples: int | None, stats):
     return looked_up
 
 
+def _run_tops(a: Matrix, family: MapFamily, width: int, cap: int | None):
+    """Each block's top column sums, as ``{"top": sums}``, for a ``map``
+    family whose runs put a nonempty prefix before one shared table
+    (``families._member_runs``), gathering no member.
+
+    The table's suffix values are read once and each row sorted once,
+    descending, as (1, R) columns.  Each run's prefix values, largest
+    first, are inserted into those columns as (g, 1) columns with
+    ``np.maximum`` and ``np.minimum``, as a sorting network inserts a
+    value, and columns past ``width`` are dropped.  Columns 0..j-1 already
+    hold values at least as large as the j larger prefix values, so the
+    insertion of prefix value j (from 0) starts at column j.  Column k then
+    holds every path's k-th largest value in member order, as the sorted
+    gathered block does.  A block's columns are added as that block's are:
+    at width >= 2 each by its running sum, which adds row by row as
+    ``sum(axis=0)`` does, and at width 1 pairwise, as numpy sums the one
+    strided column.
+    """
+    n, N = a.entries.shape
+    r = _map_table_width(n, N)
+    table = _mapping_table(N, r)
+    weights = N ** np.arange(r - 1, -1, -1)
+    suffix = a.entries[np.arange(n - r, n), table - 1]
+    suffix.sort(axis=1)
+    tops = suffix[:, ::-1][:, :width].T.copy()[:, None, :]
+    for groups in _member_runs(family, cap):
+        parts = []
+        for prefixes, rows in groups:
+            # a cut run's rows are consecutive table rows from its first one's
+            start = int((rows[0] - 1) @ weights)
+            cols = list(tops[:, :, start : start + rows.shape[0]])
+            heads = np.sort(a.entries[np.arange(n - r), prefixes - 1], axis=1)
+            for j, x in enumerate(heads.T[::-1, :, None][:width]):
+                merged = cols[:j]  # each at least x
+                for c in cols[j : width - 1]:  # x passes its minimum on
+                    merged.append(np.maximum(c, x))
+                    x = np.minimum(c, x)
+                cols = merged + ([np.maximum(cols[-1], x)] if len(cols) == width else [x])
+            parts.append(cols)
+        columns = [parts[0][k].ravel() if len(parts) == 1
+                   else np.concatenate([cols[k] for cols in parts], axis=None)
+                   for k in range(width)]
+        if width == 1:
+            yield {"top": np.array([columns[0].sum()])}
+        else:
+            yield {"top": np.array([np.cumsum(c)[-1] for c in columns])}
+
+
 def _top_sums(
     a: Matrix, family: MapFamily, ells: Sequence[int], *, width: int,
     cap: int | None = None, samples: int | None = None, seed: int = 0,
@@ -216,9 +266,10 @@ def _top_sums(
     the bits of its own ell-wide block.  A 1-wide block sums its one column
     pairwise instead, so a Monte Carlo ell = 1 from a wider block sums a
     contiguous copy of column 0; an exact ell = 1 keeps the row-by-row
-    column sum of the ell = n pass that campaigns run.  On a small family a
-    Monte Carlo pass looks each draw's top block and row sums up (see
-    ``_draw_stats``).
+    column sum of the ell = n pass that campaigns run.  An exact pass over
+    a ``map`` family whose runs have a prefix reads the runs instead, with
+    the same bits (see ``_run_tops``).  On a small family a Monte Carlo
+    pass looks each draw's top block and row sums up (see ``_draw_stats``).
     """
     _check_dims(a, family)
     for ell in ells:
@@ -240,9 +291,13 @@ def _top_sums(
             stats[ell] = top[:, :ell].sum(axis=1)
         return stats
 
-    block_stats = _draw_stats(family, samples, block_stats)
-    for block in _blocks(family, _MC_CHUNK, cap=cap, samples=samples, seed=seed):
-        stats = block_stats(block)
+    if not mc and family.kind == KIND_FULL_MAPPING \
+            and _map_table_width(family.n, family.N) < family.n:
+        walk = _run_tops(a, family, width, cap)
+    else:
+        blocks = _blocks(family, _MC_CHUNK, cap=cap, samples=samples, seed=seed)
+        walk = map(_draw_stats(family, samples, block_stats), blocks)
+    for stats in walk:
         top = stats["top"]
         sums += top.sum(axis=0) if top.ndim == 2 else top  # looked up: its sums
         if lone:

@@ -2,6 +2,7 @@
 values.  These deliberately avoid the package's computation paths: plain
 itertools enumeration, exact Fractions, closed forms, direct minimization,
 the member generators and path gather that the table-driven ones replaced,
+the string-built descriptor payload that the byte-built one replaced,
 the swap-loop shuffle that the table-driven shuffle replaced, a sorted copy
 of each path for its top-ell values, the per-index-pair loop of the
 explicit pairwise certificate that one count per first index replaced, the one-pass mixer and remainder that the
@@ -251,6 +252,18 @@ def oracle_member_blocks(family, chunk=65536):
 def oracle_gather(table, block):
     """table[i, block[:, i] - 1] for every row of the block, by fancy index."""
     return table[np.arange(table.shape[0])[None, :], block - 1]
+
+
+def oracle_explicit_descriptor(family):
+    """An explicit family's descriptor, its payload built as one string: each
+    value written through a table of its distinct values' strings."""
+    import hashlib
+
+    values, codes = np.unique(family.members, return_inverse=True)
+    tokens = np.array([str(v) for v in values.tolist()], dtype=object)
+    rows = tokens[codes.reshape(family.members.shape)].tolist()
+    payload = f"{family.n}:{family.N}:" + ";".join(map(",".join, rows))
+    return "explicit:" + hashlib.sha256(payload.encode()).hexdigest()[:8]
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,16 @@ def test_lp_campaign_emits_min_ratio_per_exponent(small_corpus):
     assert agg.lhs == floor
 
 
+def test_lp_campaign_aggregates_only_what_it_checked(small_corpus):
+    # no cell fits map:9:9, so nothing is checked and nothing aggregated;
+    # a zero matrix is checked, and its aggregate is vacuous
+    assert run_verify_lp(small_corpus, FamilySpec("map", n=9, N=9), [1.0, 2.0]) == []
+    reports = run_verify_lp(single_matrix_corpus(zero_matrix(2, 2)), MAP, [1.0, 2.0])
+    mins = [r for r in reports if r.check_id == "thm1.2/lower-min-ratio"]
+    assert len(reports) == 6 and [r.status for r in mins] == ["vacuous"] * 2
+    assert mins[0].extra["note"] == "no nonzero matrix produced a ratio"
+
+
 def test_campaign_hypothesis_abort_attaches_certificate(small_corpus, tmp_path):
     path = tmp_path / "biased.json"
     path.write_text(json.dumps({"n": 2, "N": 2, "maps": [[1, 2]]}))
@@ -242,3 +252,37 @@ class TestLpReportBytes:
                                 samples=samples, seed=5)
         text = reports_to_json(reports)
         assert hashlib.sha256(text.encode()).hexdigest() == self.PINNED[spec, samples]
+
+
+class TestTopSumReportBytes:
+    """sha256 of the ``run_verify_main`` JSON and of the ``mixed_k_curve``
+    knots (float hex, one line per matrix) on map:6:5 and map:7:5, whose
+    exact top sums read the enumeration runs: 5 and 25 runs of 3,125 rows
+    behind a prefix, the latter cut by a block end.  Recorded while every
+    block was gathered and sorted."""
+
+    PINNED = {
+        ("verify-main", 6): "41ffeccec79b67b0be680ce4e41095d3861a28a55eb80d68345b9716f20a4e70",
+        ("knots", 6): "dcfe38e544d2e86bedc1b18672e094652af85c3b086198ee2b49f3752341a074",
+        ("verify-main", 7): "1dda92553eb5c4bc56b11440e392a0897bb8c68cc46234069adfee21fe977617",
+        ("knots", 7): "817d46117d1127db37495c098191f2ae762c503e6d2cfe58da804cb8519f076d",
+    }
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return generate_corpus(
+            [CorpusSpec(cells=((6, 5), (7, 5)), matrices_per_cell=2, distribution=d,
+                        seed=13) for d in ("uniform", "integer", "sparse")], seed=13)
+
+    @pytest.mark.parametrize("what,n", list(PINNED))
+    def test_top_sum_bytes_are_pinned(self, corpus, what, n):
+        assert families._map_table_width(n, 5) < n  # a prefix before each run
+        spec = FamilySpec("map", n=n, N=5)
+        if what == "verify-main":
+            text = reports_to_json(run_verify_main(corpus, spec))
+        else:
+            text = "\n".join(
+                " ".join(k.hex() for k in interpolation.mixed_k_curve(a, family).knots)
+                for cell, family in campaigns._iter_cell_families(corpus, spec)
+                for _, a in cell.matrices)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.PINNED[what, n]

@@ -208,8 +208,8 @@ def test_edge_command_lines(files, argv):
         assert len(err.splitlines()) == 1, err
     if "map:9:9" in argv:
         assert code == 0, (argv, code, err)
-        # verify-lp still emits its vacuous per-p aggregate, so it checks something
-        assert ("nothing checked" in err) == (argv[0] != "verify-lp"), (argv, err)
+        assert err.splitlines() == ["no applicable (cell, family) pairs; nothing checked"], \
+            (argv, err)
     family = argv[argv.index("--family") + 1]
     if family in ("sym:0", "map:2:0", "map:-1:3"):
         assert code == 2, (argv, code, err)

@@ -28,6 +28,7 @@ from oracles import (
     all_permutations,
     brute_pairwise_constant,
     brute_worst_marginal_deviation,
+    oracle_explicit_descriptor,
     oracle_member_blocks,
     oracle_pairwise_argmax,
     oracle_sample_array,
@@ -171,6 +172,33 @@ class TestDescriptor:
         # sha256 of "2:2:1,2;2,1", first 8 hex digits
         fam = explicit_family([[1, 2], [2, 1]], 2, 2)
         assert fam.descriptor() == "explicit:c8a76a34"
+
+    @pytest.mark.parametrize("n,N,size", [
+        (1, 1, 1), (1, 9, 20), (3, 10, 7), (2, 99, 50), (4, 100, 300),
+        (3, 1000, 30), (2, 9999, 40), (5, 12345, 10), (2, 2**70, 6),
+    ])
+    def test_explicit_descriptor_equals_the_string_payload(self, n, N, size):
+        # 1 to 5 digits, n = 1, and values up to the int64 range
+        gen = np.random.default_rng(size)
+        top = min(N, 2**63 - 1)
+        members = gen.integers(1, top, (size, n), endpoint=True)
+        members[0, 0] = top
+        fam = explicit_family(members, n, N)
+        assert fam.descriptor() == oracle_explicit_descriptor(fam)
+
+    def test_explicit_descriptor_of_duplicate_members(self):
+        fam = explicit_family([[3, 10, 1]] * 4 + [[10, 10, 10], [3, 10, 1]], 3, 10)
+        assert fam.descriptor() == oracle_explicit_descriptor(fam)
+        assert fam.descriptor() != explicit_family([[3, 10, 1]] * 5, 3, 10).descriptor()
+
+    @pytest.mark.parametrize("piece", [1, 2, 3, 6, 7])
+    def test_explicit_descriptor_is_hashed_in_pieces(self, piece, monkeypatch):
+        # seven members in pieces of `piece` members: one, several, and a
+        # last piece that is full or short
+        members = np.random.default_rng(piece).integers(1, 12, (7, 3), endpoint=True)
+        want = oracle_explicit_descriptor(explicit_family(members, 3, 12))
+        monkeypatch.setattr(families, "MEMBER_BLOCK_ROWS", piece)
+        assert explicit_family(members, 3, 12).descriptor() == want
 
     def test_explicit_payload_is_hashed_once_per_object(self, monkeypatch):
         calls = []

@@ -14,9 +14,10 @@ import math
 import numpy as np
 import pytest
 
-from osb import orderstats, rng
+from osb import families, orderstats, rng
 from osb.campaigns import run_verify_main
 from osb.corpus import CorpusSpec, generate_corpus
+from osb.errors import ResourceError
 from osb.families import (
     FamilySpec,
     explicit_family,
@@ -377,3 +378,118 @@ def test_looked_up_column_sums_keep_the_running_sums_of_the_block_sums(width):
         summed += want.sum(axis=0)
         assert [v.hex() for v in looked_up] == [v.hex() for v in summed], (start, count)
     assert summed[0].hex() == "0x0.0p+0"
+
+
+# ---------------------------------------------------------------------------
+# An exact pass over a map family whose runs put a prefix before the shared
+# table reads the runs: the table's sorted suffix columns with each prefix
+# value inserted.  The per-ell estimators on gathered blocks are its oracle.
+
+
+def _run_matrices(n, N):
+    """Uniform entries; ties and zeros; and subnormals, 1e-300 and 1e300
+    mixed with ties and zeros."""
+    gen = np.random.default_rng(100 * n + N)
+    pool = np.array([0.0, 0.0, 1.0, 1.0, 0.1, 5e-324, 2.0**-1060,
+                     2.2250738585072014e-308, 1e-300, 1e300, 7e299])
+    return [Matrix(gen.uniform(0, 1, (n, N))),
+            Matrix(gen.integers(0, 3, (n, N)).astype(float)),
+            Matrix(gen.choice(pool, size=(n, N)))]
+
+
+def _assert_runs_keep_the_oracle_bits(family, widths):
+    n = family.n
+    for a in _run_matrices(n, family.N):
+        wanted = {w: oracle_expected_top_sum(a, family, w) for w in widths}
+        for w in widths:
+            assert _bits(_top_sums(a, family, (w,), width=w)[0]) == _bits(wanted[w]), w
+        if n in wanted:  # every ell of the campaigns' ell = n pass
+            full = _top_sums(a, family, tuple(range(1, n + 1)), width=n)
+            for ell, r in zip(range(1, n + 1), full):
+                want = wanted[n].per_k[:ell] if ell == 1 or ell not in wanted \
+                    else wanted[ell].per_k
+                assert [v.hex() for v in r.per_k] == [v.hex() for v in want], ell
+                assert r.value.hex() == math.fsum(want).hex(), ell
+
+
+def _takes_the_runs(family):
+    return (family.kind == families.KIND_FULL_MAPPING
+            and families._map_table_width(family.n, family.N) < family.n)
+
+
+class TestTopSumsByRuns:
+    # map:7:8: 512 runs of 4,096 rows, 16 a block; map:6:6 and map:5:9: one
+    # short block of 36 and 81 runs; map:7:5: 25 runs of 3,125, one of them
+    # cut by the block end
+    FAMILIES = [full_mapping_family(7, 8), full_mapping_family(6, 6),
+                full_mapping_family(7, 5), full_mapping_family(5, 9)]
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.descriptor())
+    def test_every_width_keeps_the_bits_of_the_gathered_blocks(self, family):
+        assert _takes_the_runs(family)
+        _assert_runs_keep_the_oracle_bits(family, range(1, family.n + 1))
+
+    @pytest.mark.parametrize("rows", [1, 7, 1000, 4097])
+    def test_blocks_of_any_size(self, rows, monkeypatch):
+        # map:5:6 is 6 runs of 1,296 rows: blocks of 1 and 7 rows cut every
+        # run, 1,000 and 4,097 cut some and put up to four in one block
+        monkeypatch.setattr(families, "MEMBER_BLOCK_ROWS", rows)
+        family = full_mapping_family(5, 6)
+        widths = (1, 2, 5) if rows < 10 else range(1, 6)
+        _assert_runs_keep_the_oracle_bits(family, widths)
+
+    @pytest.mark.parametrize("rows", [7, 65_536])
+    def test_one_table_value_after_many_prefix_values(self, rows, monkeypatch):
+        # with three-row tables, map:5:3 inserts four prefix values into one
+        # suffix column, and each width drops a different count of columns
+        monkeypatch.setattr(families, "_MAP_TABLE_ROWS", 3)
+        monkeypatch.setattr(families, "MEMBER_BLOCK_ROWS", rows)
+        family = full_mapping_family(5, 3)
+        assert families._map_table_width(5, 3) == 1
+        _assert_runs_keep_the_oracle_bits(family, range(1, 6))
+
+    def test_nothing_is_gathered(self, monkeypatch):
+        def no_blocks(*args, **kwargs):
+            raise AssertionError("a member block was built or gathered")
+
+        family = full_mapping_family(7, 5)
+        a = _run_matrices(7, 5)[0]
+        want = oracle_expected_top_sum(a, family, 3)
+        monkeypatch.setattr(orderstats, "iter_member_arrays", no_blocks)
+        monkeypatch.setattr(families, "_member_block", no_blocks)
+        monkeypatch.setattr(orderstats, "_member_block", no_blocks)
+        monkeypatch.setattr(orderstats, "_gather", no_blocks)
+        assert _bits(expected_top_sum(a, family, 3)) == _bits(want)
+        with pytest.raises(ResourceError, match="above the enumeration cap"):
+            _top_sums(a, family, (1,), width=1, cap=family.size - 1)
+
+    @pytest.mark.parametrize("family,samples", [
+        (symmetric_group(8), None),
+        (explicit_family([[1, 2, 3], [3, 3, 1], [2, 1, 2]] * 3000, 3, 3), None),
+        (full_mapping_family(6, 4), None),           # a lone table of 4,096 rows
+        (full_mapping_family(7, 5), 3000),           # Monte Carlo, each draw computed
+        (full_mapping_family(3, 4), 3000),           # Monte Carlo, looked up
+    ], ids=lambda x: x.descriptor() if isinstance(x, families.MapFamily) else str(x))
+    def test_other_passes_gather_their_blocks(self, family, samples, monkeypatch):
+        gathered = []
+        real = orderstats._gather
+
+        def counting(table, block):
+            gathered.append(block.shape)
+            return real(table, block)
+
+        assert not _takes_the_runs(family) or samples is not None
+        monkeypatch.setattr(orderstats, "_gather", counting)
+        a = _matrices(family.n, family.N)[0]
+        _top_sums(a, family, (1, 2), width=2, samples=samples, seed=1)
+        assert gathered
+
+    @pytest.mark.parametrize("family", [full_mapping_family(5, 9), symmetric_group(5)],
+                             ids=lambda f: f.descriptor())
+    def test_an_overflowing_column_sum_raises_as_the_gathered_one_does(self, family):
+        a = Matrix(np.full((family.n, family.N), 1e307))
+        for width in (1, 3):
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                _top_sums(a, family, (width,), width=width)
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                oracle_expected_top_sum(a, family, width)
