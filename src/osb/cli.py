@@ -163,8 +163,9 @@ def _add_common(parser: argparse.ArgumentParser):
 
 def _add_campaign(parser: argparse.ArgumentParser):
     _add_common(parser)
-    parser.add_argument("--matrix", help="single matrix file (.json or .csv)")
-    parser.add_argument("--corpus", help="corpus JSON (default: built-in corpus)")
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument("--matrix", help="single matrix file (.json or .csv)")
+    source.add_argument("--corpus", help="corpus JSON (default: built-in corpus)")
     parser.add_argument("--mc-samples", type=int, default=None,
                         help="Monte Carlo draw count (default: exact enumeration)")
     parser.add_argument("--seed", type=int, default=None)

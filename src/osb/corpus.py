@@ -63,20 +63,21 @@ class Corpus:
         return sum(len(c.matrices) for c in self.cells)
 
 
-def _generate_matrix(spec: CorpusSpec, n: int, N: int, index: int) -> Matrix:
-    key = rng.derive_key(
-        spec.seed, 202, _DIST_CODES[spec.distribution], n, N, index
-    )
+def _cell_matrices(spec: CorpusSpec, n: int, N: int) -> list[Matrix]:
+    """The spec's matrices of one cell.  Matrix i's entries are the first
+    words of stream derive_key(seed, 202, dist, n, N, i); the streams of
+    every i are drawn together, as the rows of one array."""
     count = n * N
-    if spec.distribution == "uniform":
-        flat = rng.uniforms(key, 0, count)
-    elif spec.distribution == "integer":
-        flat = (rng.words(key, 0, count) % np.uint64(10)).astype(np.float64)
-    else:
-        gates = rng.uniforms(key, 0, count)
-        values = rng.uniforms(key, count, count)
-        flat = np.where(gates < DEFAULT_SPARSE_DENSITY, values, 0.0)
-    return Matrix(flat.reshape(n, N))
+    keys = rng.derive_key(spec.seed, 202, _DIST_CODES[spec.distribution], n, N,
+                          np.arange(spec.matrices_per_cell, dtype=np.uint64))
+    words = rng.words(keys, 0, 2 * count if spec.distribution == "sparse" else count)
+    if spec.distribution == "integer":
+        flat = (words % np.uint64(10)).astype(np.float64)
+    else:  # uniform [0, 1) from the 53 high bits of each word
+        flat = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    if spec.distribution == "sparse":  # words 0..count-1 gate the next count
+        flat = np.where(flat[:, :count] < DEFAULT_SPARSE_DENSITY, flat[:, count:], 0.0)
+    return [Matrix(row.reshape(n, N)) for row in flat]
 
 
 def generate_corpus(specs: Sequence[CorpusSpec], seed: int = DEFAULT_SEED) -> Corpus:
@@ -85,9 +86,9 @@ def generate_corpus(specs: Sequence[CorpusSpec], seed: int = DEFAULT_SEED) -> Co
     for spec in specs:
         prefix = _DIST_PREFIX[spec.distribution]
         for n, N in spec.cells:
-            slot = by_cell.setdefault((n, N), [])
-            for idx in range(spec.matrices_per_cell):
-                slot.append((f"{prefix}{idx:02d}", _generate_matrix(spec, n, N, idx)))
+            by_cell.setdefault((n, N), []).extend(
+                (f"{prefix}{idx:02d}", m)
+                for idx, m in enumerate(_cell_matrices(spec, n, N)))
     cells = tuple(
         CorpusCell(n=n, N=N, matrices=tuple(by_cell[(n, N)]))
         for (n, N) in sorted(by_cell)
@@ -128,7 +129,7 @@ def corpus_to_json(corpus: Corpus) -> str:
                 "matrices": [
                     {
                         "id": mid,
-                        "entries": [[float(v) for v in row] for row in m.entries],
+                        "entries": m.entries.tolist(),
                     }
                     for mid, m in cell.matrices
                 ],

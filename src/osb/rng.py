@@ -20,24 +20,29 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def _mix_scalar(z: int) -> int:
+def _mix(z):
+    # of a Python int, or of each word of a uint64 array, whose arithmetic
+    # wraps (numpy's uint64 scalars would raise under errstate(over="raise"))
     z &= _MASK
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK
     return z ^ (z >> 31)
 
 
-def derive_key(seed: int, *tags: int) -> int:
-    """Fold integer tags into a seed, yielding an independent stream key."""
-    key = _mix_scalar((seed & _MASK) + _GAMMA)
+def derive_key(seed: int, *tags):
+    """Fold integer tags into a seed, yielding an independent stream key.
+    A tag may be a uint64 array: the result is then the array of the keys
+    of its values, folded at once."""
+    key = _mix((seed & _MASK) + _GAMMA)
     for tag in tags:
-        key = _mix_scalar(key ^ _mix_scalar((tag & _MASK) + _GAMMA))
+        key = _mix(key ^ _mix((tag & _MASK) + _GAMMA))
     return key
 
 
-def words(key: int, start: int, count: int, stride: int = 1) -> np.ndarray:
+def words(key, start: int, count: int, stride: int = 1) -> np.ndarray:
     """Words ``start, start+stride, ..., start+(count-1)*stride`` of the
-    stream, as uint64; ``stride`` >= 1.
+    stream, as uint64; ``stride`` >= 1.  A uint64 array of keys gives a row
+    of words per key, all mixed in one pass.
 
     Word i mixes (start + 1 + i*stride) * gamma + key, so a stride of w
     from start + t gives column t of the words taken w to a row.  The mixer
@@ -50,6 +55,9 @@ def words(key: int, start: int, count: int, stride: int = 1) -> np.ndarray:
     if start + 1 < 0 or start + 1 + (count - 1) * stride >= 2**64:
         raise OverflowError(f"words {start}..{start + (count - 1) * stride} "
                             "leave the 64-bit word counter")
+    if isinstance(key, np.ndarray):
+        steps = np.arange(count, dtype=np.uint64) * np.uint64(stride * _GAMMA & _MASK)
+        return _mix(np.add.outer(key, steps + np.uint64((start + 1) * _GAMMA & _MASK)))
     piece = 16384
     out = np.empty(count, dtype=np.uint64)
     steps = np.arange(min(count, piece), dtype=np.uint64)
@@ -69,8 +77,3 @@ def words(key: int, start: int, count: int, stride: int = 1) -> np.ndarray:
         np.right_shift(z, np.uint64(31), out=t)
         z ^= t
     return out
-
-
-def uniforms(key: int, start: int, count: int) -> np.ndarray:
-    """Uniform [0, 1) doubles from the 53 high bits of each word."""
-    return (words(key, start, count) >> np.uint64(11)).astype(np.float64) * 2.0**-53

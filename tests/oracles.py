@@ -3,7 +3,8 @@ values.  These deliberately avoid the package's computation paths: plain
 itertools enumeration, exact Fractions, closed forms, direct minimization,
 the member generators and path gather that the table-driven ones replaced,
 the string-built descriptor payload that the byte-built one replaced,
-the swap-loop shuffle that the table-driven shuffle replaced, a sorted copy
+the swap-loop shuffle that the table-driven shuffle replaced, the
+matrix-at-a-time corpus draw that the cell-at-a-time one replaced, a sorted copy
 of each path for its top-ell values, the per-index-pair loop of the
 explicit pairwise certificate that one count per first index replaced, the one-pass mixer and remainder that the
 piecewise mixer and the in-place remainder replaced, and the plain hinge-norm bisection that the
@@ -18,7 +19,7 @@ tables replaced, which runs on the package's blocks and gather; the
 lemma-suite oracle, which reads
 the package's hit-count table but decides every instance with its own
 Fractions; and, at the end, the recursive
-canonical serializer and the report renderings that the single-pass ones
+canonical serializer and the report renderings that the bulk ones
 replaced.  The matrix builders (indicators and averages on an ordering's
 largest positions, extreme points of the hinge ball, the zero matrix) make
 test inputs."""
@@ -305,6 +306,30 @@ def oracle_words(key, start, count):
     z *= np.uint64(rng._MIX2)
     z ^= z >> np.uint64(31)
     return z
+
+
+def oracle_generate_matrix(spec, n, N, index):
+    """One default-corpus matrix drawn on its own, as the corpus was drawn
+    before its cells came in one mixer pass: the words of stream
+    derive_key(seed, 202, dist, n, N, index), uniforms from their 53 high
+    bits."""
+    from osb import rng
+    from osb.corpus import _DIST_CODES, DEFAULT_SPARSE_DENSITY
+
+    def uniforms(key, start, count):
+        return (rng.words(key, start, count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+    key = rng.derive_key(spec.seed, 202, _DIST_CODES[spec.distribution], n, N, index)
+    count = n * N
+    if spec.distribution == "uniform":
+        flat = uniforms(key, 0, count)
+    elif spec.distribution == "integer":
+        flat = (rng.words(key, 0, count) % np.uint64(10)).astype(np.float64)
+    else:
+        gates = uniforms(key, 0, count)
+        values = uniforms(key, count, count)
+        flat = np.where(gates < DEFAULT_SPARSE_DENSITY, values, 0.0)
+    return Matrix(flat.reshape(n, N))
 
 
 def oracle_sample_mappings(family, seed, count, start=0):

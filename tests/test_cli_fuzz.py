@@ -305,6 +305,18 @@ def test_corpus_ids_that_are_not_strings_are_format_errors(tmp_path):
     assert err.splitlines() == ["error: matrix id {'a': 1} in cell 2x2 is not a string"]
 
 
+@pytest.mark.parametrize("command", ["verify-main", "verify-lp", "lemmas"])
+@pytest.mark.parametrize("order", ["matrix first", "corpus first"])
+def test_matrix_and_corpus_together_are_a_usage_error(files, command, order):
+    # one run reads one input; the flag it would ignore is refused instead
+    source = ["--matrix", files["m2.csv"], "--corpus", files["corpus.json"]]
+    if order == "corpus first":
+        source = source[2:] + source[:2]
+    code, out, err = _run([command, "--family", "map:2:2", *source], {})
+    assert code == 2 and out == "", (code, err)
+    assert "not allowed with argument" in err and "Traceback" not in err, err
+
+
 @pytest.mark.parametrize("argv", [
     # finite entries whose sums and ratios overflow
     ["verify-main", "--family", "map:2:2", "--matrix", "m-1e308.csv"],

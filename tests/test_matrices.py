@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from osb.corpus import parse_corpus_json
+from osb.corpus import (
+    CorpusSpec,
+    corpus_to_json,
+    default_corpus,
+    generate_corpus,
+    parse_corpus_json,
+)
 from osb.errors import DomainError, FormatError
 from osb.matrices import (
     Matrix,
@@ -21,6 +28,7 @@ from oracles import (
     compatible_with,
     in_ordered_class,
     indicator_matrix,
+    oracle_generate_matrix,
     values_along,
     zero_matrix,
 )
@@ -231,3 +239,33 @@ class TestFileFormats:
         a = Matrix.from_rows([[0.25, 1.75], [2.0, 0.0]])
         b = parse_matrix_json(_json.dumps(matrix_to_json_obj(a)))
         assert b.entries.tolist() == a.entries.tolist()
+
+
+class TestCorpusDraw:
+    """Each cell's matrices come from one mixer pass over all their streams;
+    every matrix must be the one drawn on its own, bit for bit."""
+
+    CELLS = ((1, 1), (1, 7), (6, 1), (5, 5))
+
+    @pytest.mark.parametrize("seed", [0, -1, 2**64 - 1, 123456789, 20141124])
+    @pytest.mark.parametrize("distribution", ["uniform", "integer", "sparse"])
+    @pytest.mark.parametrize("per_cell", [0, 1, 50])
+    def test_every_matrix_matches_the_oracle(self, seed, distribution, per_cell):
+        spec = CorpusSpec(cells=self.CELLS, matrices_per_cell=per_cell,
+                          distribution=distribution, seed=seed)
+        corpus = generate_corpus([spec], seed=seed)
+        assert [(c.n, c.N) for c in corpus] == sorted(self.CELLS)
+        prefix = distribution[0]
+        for cell in corpus:
+            assert [mid for mid, _ in cell.matrices] == [
+                f"{prefix}{i:02d}" for i in range(per_cell)]
+            for i, (_, m) in enumerate(cell.matrices):
+                want = oracle_generate_matrix(spec, cell.n, cell.N, i).entries
+                assert m.entries.shape == want.shape
+                assert m.entries.tobytes() == want.tobytes()
+
+    def test_default_corpus_bytes_pinned(self):
+        # sha256 of corpus_to_json(default_corpus()) as drawn a matrix at a time
+        text = corpus_to_json(default_corpus())
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "59b75af97a1c70aead65aced12e9b086a5a2b038bc2a416d46b65dde5b5cc2cc")
