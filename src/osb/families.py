@@ -127,6 +127,18 @@ class MapFamily:
     def _certificate(self) -> MeasureCertificate:
         return _compute_certificate(self)
 
+    # So is the path index of a family whose enumeration is one run without
+    # prefix (see _member_runs): each member's path as the flat positions of
+    # an (n, N) table, read-only.  Other families have none.
+    @cached_property
+    def _path_index(self) -> Optional[np.ndarray]:
+        if self.size > MEMBER_BLOCK_ROWS or _run_width(self) < self.n:
+            return None
+        index = next(iter_member_arrays(self, self.size))
+        index += _offsets(self.n, self.N)
+        index.setflags(write=False)
+        return index
+
 
 def symmetric_group(n: int) -> MapFamily:
     """All n! permutations of {1..n}."""
@@ -213,7 +225,7 @@ def iter_member_arrays(
     explicit families.  Every block but the last holds ``MEMBER_BLOCK_ROWS``
     rows.  The order and the cut points are part of the output contract:
     exact expectations add per-block float sums, whose last bits depend on
-    both.  A block may be read-only.
+    both.  Each block is a fresh array.
     """
     for groups in _member_runs(family, cap):
         yield _member_block(groups, family.n)
@@ -236,20 +248,31 @@ def _member_runs(family: MapFamily, cap: int | None = None):
 
     Raises ResourceError above the cap when called, before any block."""
     require_enumerable(family, cap)
-    n, N = family.n, family.N
+    n, N, r = family.n, family.N, _run_width(family)
     if family.kind == KIND_EXPLICIT:
-        r, runs = n, [((), family.members)]
+        runs = [((), family.members)]
     elif family.kind == KIND_SYMMETRIC:
-        r = min(n, _SYM_TABLE_WIDTH)
         table = _permutation_table(r).astype(np.min_scalar_type(n), copy=False)
         runs = ((prefix, _left_out(table, prefix))
                 for prefix in itertools.permutations(range(1, n + 1), n - r))
     else:
-        r = _map_table_width(n, N)
         table = _mapping_table(N, r)
         runs = ((prefix, table)
                 for prefix in itertools.product(range(1, N + 1), repeat=n - r))
     return _group_runs(runs, MEMBER_BLOCK_ROWS)
+
+
+def _one_run_index(family: MapFamily, cap: int | None = None) -> Optional[np.ndarray]:
+    """The family's path index, or None, after the cap check that every
+    enumeration makes."""
+    require_enumerable(family, cap)
+    return family._path_index
+
+
+def _offsets(n: int, N: int) -> np.ndarray:
+    """Value v at path position i of an (n, N) table is at flat position
+    offsets[i] + v."""
+    return np.arange(n) * N - 1
 
 
 def _left_out(table: np.ndarray, prefix: tuple) -> np.ndarray:
@@ -288,12 +311,9 @@ def _group_runs(runs, chunk: int):
 
 
 def _member_block(groups: list, n: int) -> np.ndarray:
-    """The members of a block of ``_member_runs`` groups as one (B, n) int64
-    array: a lone table without prefix as itself, if it is int64; otherwise
-    each group written into a fresh array as one broadcast into a (g, R, n)
+    """The members of a block of ``_member_runs`` groups as one fresh (B, n)
+    int64 array, each group written as one broadcast into a (g, R, n)
     view."""
-    if len(groups) == 1 and groups[0][0].shape == (1, 0):
-        return groups[0][1].astype(np.int64, copy=False)
     block = np.empty((sum(p.shape[0] * rows.shape[0] for p, rows in groups), n),
                      dtype=np.int64)
     filled = 0
@@ -311,6 +331,15 @@ def _member_block(groups: list, n: int) -> np.ndarray:
 # hundred KB.  All are far below MEMBER_BLOCK_ROWS.
 _SYM_TABLE_WIDTH = 7
 _MAP_TABLE_ROWS = 4096
+
+
+def _run_width(family: MapFamily) -> int:
+    """The positions r that each run's table of ``_member_runs`` holds."""
+    if family.kind == KIND_EXPLICIT:
+        return family.n
+    if family.kind == KIND_SYMMETRIC:
+        return min(family.n, _SYM_TABLE_WIDTH)
+    return _map_table_width(family.n, family.N)
 
 
 def _map_table_width(n: int, N: int) -> int:

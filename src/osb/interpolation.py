@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .families import (MapFamily, _member_runs, pairwise_constant,
+from .families import (MapFamily, _member_runs, _one_run_index, pairwise_constant,
                        require_uniform_marginals)
 from .matrices import Matrix
 from .orderstats import (
@@ -226,7 +226,8 @@ def _row_sums(terms: list, shape: tuple) -> np.ndarray:
     """The sums, of the given shape, of the rows whose i-th values are
     ``terms[i]``, with the bits of numpy's ``sum(axis=-1)`` on those rows.
     Each term is a float or an array that broadcasts to ``shape``: a (g, 1)
-    column, say, is shared by every row of one of g groups.
+    column, say, is shared by every row of one of g groups.  ``terms`` may
+    also be one array whose rows are the terms.
 
     numpy (``pairwise_sum``, unchanged through 2.4) adds a row of fewer than
     8 values left to right onto 0.0.  A row of 8 to 128 values goes to eight
@@ -235,7 +236,9 @@ def _row_sums(terms: list, shape: tuple) -> np.ndarray:
     + (r6 + r7)), and the rest are added left to right onto that.  Here each
     add is one elementwise add of whole columns, in that order, into a fresh
     array of zeros; an accumulator starting from 0.0 only turns a -0.0 into
-    +0.0, which numpy's final add onto 0.0 does too.  The accumulators are
+    +0.0, which numpy's final add onto 0.0 does too.  An array of fewer
+    than 8 rows is summed over its first axis, which adds them in the same
+    order onto 0.0.  The accumulators are
     made and combined one pair at a time, so at most three are alive.
     Longer rows are stacked and summed by numpy.  Tests pin this against
     the installed numpy.
@@ -252,7 +255,7 @@ def _row_sums(terms: list, shape: tuple) -> np.ndarray:
 
     n = len(terms)
     if n < 8:
-        return chain(terms)
+        return chain(terms) if isinstance(terms, list) else terms.sum(axis=0)
     if n > _PAIRWISE_BLOCK:
         return np.stack([np.broadcast_to(t, shape) for t in terms], axis=-1).sum(axis=-1)
     body = n - n % 8
@@ -280,13 +283,15 @@ def expected_lp_norm(
     each with the bits of its own one-p call.
 
     A path's power sum adds its values as ``_row_sums`` does, so it has
-    the bits of numpy's sum of the gathered row.  An exact pass walks the
-    enumeration's blocks of run groups (``families._member_runs``) once and
-    gathers no member: each prefix position's powers are one value per run
-    of a group, and each column of its shared table's powers are taken
-    once.  Each p's norms are summed per block by ``_block_fsum``, so every
-    value is the one the gathered blocks give.  A Monte Carlo chunk is one
-    group without prefix.
+    the bits of numpy's sum of the gathered row.  An exact pass over a
+    family enumerated as one run takes each p's powers through the family's
+    path index, one row per position, with one take.  Any other exact pass
+    walks the enumeration's blocks of run groups (``families._member_runs``)
+    once and gathers no member: each prefix position's powers are one value
+    per run of a group, and each column of its shared table's powers are
+    taken once.  Each p's norms are summed per block by ``_block_fsum``, so
+    every value is the one the gathered blocks give.  A Monte Carlo chunk is
+    one group without prefix.
     """
     _check_dims(a, family)
     ps = [p] if np.ndim(p) == 0 else list(p)
@@ -306,34 +311,46 @@ def expected_lp_norm(
         every column's powers, each contiguous."""
         return np.add(values.T, offsets[first : first + values.shape[1]], order="C")
 
+    def norm(q: float, table: np.ndarray, power_sums, flat_paths) -> np.ndarray:
+        """The lp norms, p = q, of some paths from ``table``, the entries
+        raised to q: ``power_sums(table)`` adds each path's values, and
+        ``flat_paths(rows)`` gives the flat positions of the listed paths.
+        A path whose power sum left the normal range is scaled by its
+        largest entry first; an all-zero path keeps its norm of 0.  One call
+        per p frees its sums when it returns, before the next p's are made:
+        holding them across p made an exact lp call on map:7:8 take 7,450
+        minor page faults instead of 988, and about 9 % longer."""
+        if q == 1.0:
+            return power_sums(table)
+        with np.errstate(over="ignore", under="ignore"):
+            sums = power_sums(table)
+            out = sums ** (1.0 / q)
+            if not (sums.min() >= _TINY and sums.max() < np.inf):
+                bad = np.flatnonzero(~((sums >= _TINY) & (sums < np.inf)))
+                paths = a.entries.take(flat_paths(bad))
+                top = paths.max(axis=1, keepdims=True)
+                scaled = np.divide(paths, top, out=np.zeros_like(paths), where=top > 0)
+                out[bad] = top[:, 0] * (scaled**q).sum(axis=1) ** (1.0 / q)
+        return out
+
     def group_norms(prefixes: np.ndarray, rows: np.ndarray) -> list[np.ndarray]:
         """Each p's norms of the paths of a ``_member_runs`` group, in its
         order: the powers of each prefix position as a (g, 1) column, and of
         each column of ``rows`` as one value per row."""
         head, tail = positions(prefixes, 0), positions(rows, prefixes.shape[1])
-        shape = (prefixes.shape[0], rows.shape[0])
+        g, R = prefixes.shape[0], rows.shape[0]
+        return [norm(q, table, lambda t: _row_sums(
+                    [*t.take(head)[:, :, None], *t.take(tail)], (g, R)).ravel(),
+                    lambda bad: np.concatenate((head[:, bad // R], tail[:, bad % R])).T)
+                for q, table in zip(ps, tables)]
 
-        def norms(q: float, table: np.ndarray) -> np.ndarray:
-            terms = [*table.take(head)[:, :, None], *table.take(tail)]
-            if q == 1.0:
-                return _row_sums(terms, shape).ravel()
-            with np.errstate(over="ignore", under="ignore"):
-                sums = _row_sums(terms, shape).ravel()
-                out = sums ** (1.0 / q)
-                # a row whose power sum left the normal range is scaled by its
-                # largest entry first; an all-zero row keeps its norm of 0
-                if not (sums.min() >= _TINY and sums.max() < np.inf):
-                    bad = np.flatnonzero(~((sums >= _TINY) & (sums < np.inf)))
-                    run, row = np.divmod(bad, shape[1])
-                    paths = a.entries.take(np.concatenate((head[:, run], tail[:, row])).T)
-                    top = paths.max(axis=1, keepdims=True)
-                    scaled = np.divide(paths, top, out=np.zeros_like(paths), where=top > 0)
-                    out[bad] = top[:, 0] * (scaled**q).sum(axis=1) ** (1.0 / q)
-            return out
-
-        return [norms(q, table) for q, table in zip(ps, tables)]
-
-    if samples is None:
+    if samples is None and (index := _one_run_index(family, cap)) is not None:
+        columns = index.T.copy()  # one block, and math.fsum of one sum is that sum
+        out = [ScalarExpectation(value=_block_fsum(norm(
+                   q, table, lambda t: _row_sums(t.take(columns), (family.size,)),
+                   lambda bad: index[bad])) / family.size, mode="exact")
+               for q, table in zip(ps, tables)]
+    elif samples is None:
         totals = [[] for _ in ps]
         for groups in _member_runs(family, cap):
             parts = [group_norms(prefixes, rows) for prefixes, rows in groups]
@@ -351,7 +368,7 @@ def expected_lp_norm(
         # on a small family each draw's norms are looked up (see _draw_stats)
         draw_norms = _draw_stats(family, samples, block_norms)
         moments = [RunningMoments() for _ in ps]
-        for block in _blocks(family, _MC_CHUNK, cap=cap, samples=samples, seed=seed):
+        for block in _blocks(family, _MC_CHUNK, samples=samples, seed=seed):
             # popped, so no norms are held while the next chunk is drawn:
             # the sampler then reuses their memory
             norms_by_p = draw_norms(block)

@@ -79,8 +79,10 @@ class Matrix:
 
     @cached_property
     def _digest(self) -> str:
+        # the entries are finite by construction, so each is rendered as
+        # render_float renders it, without its check
         payload = f"{self.rows}x{self.cols}:" + ",".join(
-            render_float(v) for v in self.entries.ravel()
+            [format(v, ".17g") for v in self.entries.ravel().tolist()]
         )
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
 

@@ -23,10 +23,12 @@ from .families import (
     KIND_FULL_MAPPING,
     MEMBER_BLOCK_ROWS,
     MapFamily,
-    _map_table_width,
     _mapping_table,
     _member_block,
     _member_runs,
+    _offsets,
+    _one_run_index,
+    _run_width,
     iter_member_arrays,
     pairwise_constant,
     require_enumerable,
@@ -67,15 +69,19 @@ class OrderStatResult:
     stderr: Optional[float] = None
 
 
-def _offsets(n: int, N: int) -> np.ndarray:
-    """Value v at path position i of an (n, N) table is at flat position
-    offsets[i] + v."""
-    return np.arange(n) * N - 1
-
-
 def _gather(table: np.ndarray, block: np.ndarray) -> np.ndarray:
     """table[i, block[:, i] - 1] for every row of the block, as one flat take."""
     return table.ravel().take(block + _offsets(*table.shape))
+
+
+def _path_blocks(table: np.ndarray, family: MapFamily, cap: int | None):
+    """The values of ``table`` along every member's path, block by block:
+    one take through the path index of a family enumerated as one run,
+    else each enumerated block gathered (by ``map``, which holds no block
+    while the next one is built)."""
+    index = _one_run_index(family, cap)
+    return ([table.ravel().take(index)] if index is not None else
+            map(lambda block: _gather(table, block), iter_member_arrays(family, cap=cap)))
 
 
 class RunningMoments:
@@ -127,15 +133,10 @@ class RunningMoments:
         return math.sqrt(self._m2 / (self.count - 1)) / math.sqrt(self.count) * self._scale
 
 
-def _blocks(family: MapFamily, chunk: int, *, cap: int | None = None,
-            samples: int | None = None, seed: int = 0):
-    """The member blocks of an exact pass, or, with ``samples``, the seeded
-    draw chunks of a Monte Carlo one: ``chunk`` rows each, the last shorter.
-    A draw count whose words run past the stream's 64-bit counter is
-    refused before the first chunk."""
-    if samples is None:
-        yield from iter_member_arrays(family, cap=cap)
-        return
+def _blocks(family: MapFamily, chunk: int, *, samples: int, seed: int):
+    """The seeded draw chunks of a Monte Carlo pass: ``chunk`` rows each,
+    the last shorter.  A draw count whose words run past the stream's
+    64-bit counter is refused before the first chunk."""
     if samples < 2:
         raise DomainError("samples must be >= 2")
     if samples * family.n >= 2**64:
@@ -223,8 +224,7 @@ def _run_tops(a: Matrix, family: MapFamily, width: int, cap: int | None):
     ``sum(axis=0)`` does, and at width 1 pairwise, as numpy sums the one
     strided column.
     """
-    n, N = a.entries.shape
-    r = _map_table_width(n, N)
+    n, N, r = family.n, family.N, _run_width(family)
     table = _mapping_table(N, r)
     weights = N ** np.arange(r - 1, -1, -1)
     suffix = a.entries[np.arange(n - r, n), table - 1]
@@ -267,9 +267,11 @@ def _top_sums(
     pairwise instead, so a Monte Carlo ell = 1 from a wider block sums a
     contiguous copy of column 0; an exact ell = 1 keeps the row-by-row
     column sum of the ell = n pass that campaigns run.  An exact pass over
-    a ``map`` family whose runs have a prefix reads the runs instead, with
-    the same bits (see ``_run_tops``).  On a small family a Monte Carlo
-    pass looks each draw's top block and row sums up (see ``_draw_stats``).
+    a family enumerated as one run reads its one block of paths through the
+    family's path index with one take; over a ``map`` family whose runs
+    have a prefix it reads the runs, with the same bits (see ``_run_tops``).
+    On a small family a Monte Carlo pass looks each draw's top block and
+    row sums up (see ``_draw_stats``).
     """
     _check_dims(a, family)
     for ell in ells:
@@ -280,8 +282,7 @@ def _top_sums(
     sums, first = np.zeros(width), 0.0
     moments = {ell: RunningMoments() for ell in ells} if mc else {}
 
-    def block_stats(block: np.ndarray) -> dict:
-        paths = _gather(a.entries, block)
+    def path_stats(paths: np.ndarray) -> dict:
         paths.sort(axis=1)
         top = paths[:, ::-1][:, :width]
         stats = {"top": top}
@@ -291,12 +292,13 @@ def _top_sums(
             stats[ell] = top[:, :ell].sum(axis=1)
         return stats
 
-    if not mc and family.kind == KIND_FULL_MAPPING \
-            and _map_table_width(family.n, family.N) < family.n:
+    if mc:
+        walk = map(_draw_stats(family, samples, lambda b: path_stats(_gather(a.entries, b))),
+                   _blocks(family, _MC_CHUNK, samples=samples, seed=seed))
+    elif family.kind == KIND_FULL_MAPPING and _run_width(family) < family.n:
         walk = _run_tops(a, family, width, cap)
     else:
-        blocks = _blocks(family, _MC_CHUNK, cap=cap, samples=samples, seed=seed)
-        walk = map(_draw_stats(family, samples, block_stats), blocks)
+        walk = map(path_stats, _path_blocks(a.entries, family, cap))
     for stats in walk:
         top = stats["top"]
         sums += top.sum(axis=0) if top.ndim == 2 else top  # looked up: its sums
@@ -380,8 +382,9 @@ def build_hit_table(
     are independent, and position i hits the m best ranks with c_i(m) of its
     N values, so #(X_m = k) is the coefficient of x**k in the product over i
     of (N - c_i(m)) + c_i(m) x, in Python integers.  The k-th smallest hit
-    rank is m exactly when X_m >= k > X_(m-1).  Every family, counted or
-    not, is refused above the enumeration cap.
+    rank is m exactly when X_m >= k > X_(m-1).  A family enumerated as one
+    run is read through its path index with one take.  Every family,
+    counted or not, is refused above the enumeration cap.
     """
     if (order.n, order.N) != (family.n, family.N):
         raise DomainError("ordering and family dimensions differ")
@@ -401,8 +404,7 @@ def build_hit_table(
         tails = counts[::-1].cumsum(axis=0)[::-1]  # tails[k, m] = #(X_m >= k)
         hist[1:, 1:] = np.diff(tails[1:], axis=1)
     else:
-        for block in iter_member_arrays(family, cap=cap):
-            pos = _gather(rank, block)
+        for pos in _path_blocks(rank, family, cap):
             pos.sort(axis=1)
             for k in range(1, n + 1):
                 hist[k] += np.bincount(pos[:, k - 1], minlength=nN + 1)

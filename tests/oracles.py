@@ -407,6 +407,7 @@ def oracle_top_values(paths, ell):
 def oracle_expected_lp_norm(a, family, p, *, cap=None, samples=None, seed=0):
     """Average of the lp norm of the path values, exact or Monte Carlo, for
     one p: block norms summed with math.fsum, or fed to one accumulator."""
+    from osb.families import iter_member_arrays
     from osb.interpolation import _MC_CHUNK, _TINY, ScalarExpectation
     from osb.orderstats import RunningMoments, _blocks, _check_dims, _draw_stats
 
@@ -430,13 +431,12 @@ def oracle_expected_lp_norm(a, family, p, *, cap=None, samples=None, seed=0):
                 norms[bad] = top[:, 0] * (scaled**p).sum(axis=1) ** (1.0 / p)
         return norms
 
-    blocks = _blocks(family, _MC_CHUNK, cap=cap, samples=samples, seed=seed)
     if samples is None:
-        totals = [math.fsum(block_norms(b)) for b in blocks]
+        totals = [math.fsum(block_norms(b)) for b in iter_member_arrays(family, cap=cap)]
         return ScalarExpectation(value=math.fsum(totals) / family.size, mode="exact")
     draw_norms = _draw_stats(family, samples, lambda block: {"norm": block_norms(block)})
     moments = RunningMoments()
-    for block in blocks:
+    for block in _blocks(family, _MC_CHUNK, samples=samples, seed=seed):
         moments.add(draw_norms(block)["norm"])
     return ScalarExpectation(
         value=moments.mean, mode="mc", samples=samples, stderr=moments.stderr()

@@ -198,8 +198,11 @@ def _count_calls(monkeypatch, module, name, calls):
 
 @pytest.mark.parametrize("p_list", [[2.0], [1.0, 1.5, 2.0, 3.0], [3.0, 400.0, 1.0]])
 def test_exact_lp_passes_once_per_matrix(small_corpus, monkeypatch, p_list):
-    # one estimator call per matrix, which builds no member block: it walks
-    # the enumeration's run groups once
+    # one estimator call per matrix.  Every family of the small corpus is
+    # enumerated as one run: its path index is built once per cell, from one
+    # member block, and no call walks the runs.  map:6:5 puts a prefix
+    # before each run: each call walks the run groups once and builds no
+    # member block.
     calls = {}
     _count_calls(monkeypatch, orderstats, "iter_member_arrays", calls)
     _count_calls(monkeypatch, families, "_member_block", calls)
@@ -208,9 +211,14 @@ def test_exact_lp_passes_once_per_matrix(small_corpus, monkeypatch, p_list):
     _count_calls(monkeypatch, campaigns, "verify_lp_bounds", calls)
     reports = run_verify_lp(small_corpus, MAP, p_list)
     matrices = sum(len(cell.matrices) for cell in small_corpus)
-    assert calls == {"_member_runs": matrices,
+    assert calls == {"_member_block": len(small_corpus.cells),
                      "expected_lp_norm": matrices, "verify_lp_bounds": matrices}
     assert len(reports) == matrices * 2 * len(p_list) + len(p_list)
+    calls.clear()
+    runs = generate_corpus([CorpusSpec(cells=((6, 5),), matrices_per_cell=2, seed=3)],
+                           seed=3)
+    run_verify_lp(runs, MAP, p_list)
+    assert calls == {"_member_runs": 2, "expected_lp_norm": 2, "verify_lp_bounds": 2}
 
 
 @pytest.mark.parametrize("samples", [1000, 65536, 2 * 65536 + 5])

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from osb import cli
+from osb import cli, families
 from osb.corpus import CorpusSpec, corpus_to_json, generate_corpus
 
 EXIT_CODES = {0, 1, 2, 3}
@@ -322,12 +322,15 @@ def test_matrix_and_corpus_together_are_a_usage_error(files, command, order):
     ["verify-main", "--family", "map:2:2", "--matrix", "m-1e308.csv"],
     ["verify-lp", "--family", "map:2:2", "--matrix", "m-1e308.csv"],
     ["lemmas", "--family", "map:2:2", "--matrix", "m-1e308.csv"],
+    # map:2:2 is enumerated as one run, so its p = 1 sums are one numpy sum
+    # over the path positions, and numpy's text says "in reduce"
+    ["verify-lp", "--family", "map:2:2", "--matrix", "m-1e308.csv", "--p", "1"],
 ])
 def test_values_beyond_the_float_range_are_usage_errors(files, argv):
     argv = [files.get(a, a) for a in argv]
     code, out, err = _run(argv, {})
     assert code == 2, (argv, code, err)
-    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert len(err.splitlines()) == 1 and err.startswith("error: numeric overflow: "), err
     assert out == ""
 
 
@@ -381,3 +384,30 @@ def test_an_allocation_that_fails_is_a_usage_error(monkeypatch):
     code, out, err = _run(["sample", "--family", "map:2:2", "--count", "200000000000"], {})
     assert code == 2 and out == "", (code, err)
     assert err.splitlines() == [f"error: out of memory: {message}"]
+
+
+@pytest.mark.parametrize("command", ["verify-main", "verify-lp", "lemmas"])
+@pytest.mark.parametrize("family,size", [("map:2:2", 4), ("sym:2", 2), ("fam-sym2.json", 2)])
+@pytest.mark.parametrize("cap_from", ["flag", "env"])
+def test_one_run_families_are_refused_before_their_path_index_is_built(
+        files, monkeypatch, command, family, size, cap_from):
+    # each of these families is enumerated as one run, whose path index is
+    # built on the first exact call that the cap admits
+    def no_index(*args, **kwargs):
+        raise AssertionError("the path index was built")
+
+    name = family
+    if family.endswith(".json"):
+        name = families.load_family(files[family]).descriptor()
+        family = "file:" + files[family]
+    monkeypatch.setattr(families, "iter_member_arrays", no_index)
+    argv = [command, "--family", family, "--matrix", files["m2.csv"]]
+    env = {}
+    if cap_from == "flag":
+        argv += ["--enum-cap", str(size - 1)]
+    else:
+        env["OSB_ENUM_CAP"] = str(size - 1)
+    code, out, err = _run(argv, env)
+    assert code == 2 and out == "", (argv, code, err)
+    assert err.splitlines() == [f"error: family {name} has {size} members, above the "
+                                f"enumeration cap {size - 1}; use Monte Carlo sampling instead"]

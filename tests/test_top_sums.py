@@ -464,25 +464,39 @@ class TestTopSumsByRuns:
             _top_sums(a, family, (1,), width=1, cap=family.size - 1)
 
     @pytest.mark.parametrize("family,samples", [
-        (symmetric_group(8), None),
+        (symmetric_group(8), None),                  # 8 runs of 5,040 rows
         (explicit_family([[1, 2, 3], [3, 3, 1], [2, 1, 2]] * 3000, 3, 3), None),
         (full_mapping_family(6, 4), None),           # a lone table of 4,096 rows
         (full_mapping_family(7, 5), 3000),           # Monte Carlo, each draw computed
         (full_mapping_family(3, 4), 3000),           # Monte Carlo, looked up
     ], ids=lambda x: x.descriptor() if isinstance(x, families.MapFamily) else str(x))
     def test_other_passes_gather_their_blocks(self, family, samples, monkeypatch):
-        gathered = []
-        real = orderstats._gather
+        # except an exact pass over a family enumerated as one run (the
+        # explicit family and map:6:4), which takes its one block of paths
+        # through the family's path index and gathers nothing
+        gathered, indexes = [], []
+        real, real_index = orderstats._gather, orderstats._one_run_index
 
         def counting(table, block):
             gathered.append(block.shape)
             return real(table, block)
 
+        def recorded(family, cap=None):
+            indexes.append(real_index(family, cap))
+            return indexes[-1]
+
         assert not _takes_the_runs(family) or samples is not None
         monkeypatch.setattr(orderstats, "_gather", counting)
+        monkeypatch.setattr(orderstats, "_one_run_index", recorded)
         a = _matrices(family.n, family.N)[0]
         _top_sums(a, family, (1, 2), width=2, samples=samples, seed=1)
-        assert gathered
+        one_run = samples is None and family.kind != families.KIND_SYMMETRIC
+        assert bool(gathered) != one_run
+        if one_run:
+            assert len(indexes) == 1 and indexes[0] is family._path_index
+            assert indexes[0].shape == (family.size, family.n)
+        else:
+            assert all(index is None for index in indexes)
 
     @pytest.mark.parametrize("family", [full_mapping_family(5, 9), symmetric_group(5)],
                              ids=lambda f: f.descriptor())
