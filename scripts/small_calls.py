@@ -3,12 +3,16 @@
 default corpus, measured in this process.
 
 For each family the script walks the default-corpus matrices of its cell
-with one family object, as a campaign does, and times three calls per
-matrix: ``expected_top_sum`` at ell = 1, ``_top_sums`` at every ell from
-one width-n pass (the call ``verify-main`` makes), and ``expected_lp_norm``
-with the four exponents of ``verify-lp``'s default ``--p``.  Each walk is
-repeated 7 times after one untimed walk; the best walk, divided by the
-number of matrices, is printed in microseconds per call.
+with one family object, as a campaign does, and times five calls per
+matrix: ``expected_top_sum`` at ell = 1, ``_top_sums`` at every ell (the
+call ``verify-main`` makes), ``expected_lp_norm`` and ``verify_lp_bounds``
+with the four exponents of ``verify-lp``'s default ``--p``, and the Orlicz
+sweep's ``orlicz_upper_bound_check`` at every ell.  Each walk is repeated 7
+times after one untimed walk, which builds what the family caches; every
+walk reads fresh copies of the matrices, made before it is timed, so what
+a matrix caches (its digest, rearrangement and top-sum records) is
+computed as a campaign computes it, once per matrix.  The best walk,
+divided by the number of matrices, is printed in microseconds per call.
 
 Usage:  PYTHONPATH=src python3 scripts/small_calls.py
 """
@@ -20,8 +24,10 @@ import time
 
 from osb.corpus import default_corpus
 from osb.families import full_mapping_family, symmetric_group
-from osb.interpolation import expected_lp_norm
+from osb.interpolation import expected_lp_norm, verify_lp_bounds
+from osb.matrices import Matrix
 from osb.orderstats import _top_sums, expected_top_sum
+from osb.orlicz import orlicz_upper_bound_check
 
 FAMILIES = [full_mapping_family(1, 3), full_mapping_family(3, 3),
             full_mapping_family(4, 4), full_mapping_family(5, 5),
@@ -34,17 +40,22 @@ CALLS = {
     "top_sums every ell": lambda a, family: _top_sums(
         a, family, range(1, family.n + 1), width=family.n),
     "lp 4 p": lambda a, family: expected_lp_norm(a, family, P_LIST),
+    "lp bounds 4 p": lambda a, family: verify_lp_bounds(a, family, P_LIST),
+    "orlicz every ell": lambda a, family: [
+        orlicz_upper_bound_check(a, family, ell) for ell in range(1, family.n + 1)],
 }
 
 
 def per_call_us(call, family, matrices) -> float:
-    """The best of REPEATS timed walks over ``matrices``, per call."""
-    for a in matrices:  # builds what the family and the matrices cache
+    """The best of REPEATS timed walks over fresh copies of ``matrices``,
+    per call."""
+    for a in matrices:  # builds what the family caches
         call(a, family)
     best = float("inf")
     for _ in range(REPEATS):
+        copies = [Matrix(a.entries) for a in matrices]
         start = time.perf_counter()
-        for a in matrices:
+        for a in copies:
             call(a, family)
         best = min(best, time.perf_counter() - start)
     return best / len(matrices) * 1e6

@@ -186,15 +186,24 @@ def load_family(path: str) -> MapFamily:
         raise FormatError("n and N must be positive integers")
     if not isinstance(maps, list) or not maps:
         raise FormatError("maps must be a nonempty list")
-    if any(type(g) is not list for g in maps):
-        raise FormatError(f"each map must list {n} values")
-    # JSON gives int, bool, float, str, list, dict or None; numpy would read
-    # a bool among ints as an int, so every value's type is checked here
-    if set(map(type, itertools.chain.from_iterable(maps))) - {int}:
-        bad = next(v for v in itertools.chain.from_iterable(maps) if type(v) is not int)
-        raise FormatError(f"map value {bad!r} is not an integer")
+    # JSON gives int, bool, float, str, list, dict or None, and numpy reads
+    # a bool among ints as an int: a 2-d int64 table holds only ints and
+    # bools, and JSON writes a bool as true or false.  So the values' types
+    # are scanned, to name the first that is not an int, only for another
+    # table or a text with one of those words in it
+    try:
+        table = np.array(maps)
+    except ValueError:  # ragged, or a map nested deeper
+        table = None
+    if (table is None or table.dtype != np.int64 or table.ndim != 2
+            or "true" in text or "false" in text):
+        if any(type(g) is not list for g in maps):
+            raise FormatError(f"each map must list {n} values")
+        if set(map(type, itertools.chain.from_iterable(maps))) - {int}:
+            bad = next(v for v in itertools.chain.from_iterable(maps) if type(v) is not int)
+            raise FormatError(f"map value {bad!r} is not an integer")
     try:  # MapFamily checks the shape and the range
-        return explicit_family(maps, n, N)
+        return explicit_family(maps if table is None else table, n, N)
     except DomainError as e:
         raise FormatError(str(e)) from e
 

@@ -201,8 +201,8 @@ def _block_fsum(x: np.ndarray) -> float:
     half to even as fsum does.  Short arrays, wider spans and any negative
     (-0.0 too), infinite or NaN value go to math.fsum.
     """
-    bits = x.view(np.int64)
     if x.size >= _FSUM_MIN_VALUES:
+        bits = x.view(np.int64)
         # a negative value, read as unsigned, lies above every finite one
         top = int(bits.view(np.uint64).max())
         base = max(int(bits.min()) >> 52, 1)
@@ -284,8 +284,9 @@ def expected_lp_norm(
 
     A path's power sum adds its values as ``_row_sums`` does, so it has
     the bits of numpy's sum of the gathered row.  An exact pass over a
-    family enumerated as one run takes each p's powers through the family's
-    path index, one row per position, with one take.  Any other exact pass
+    family enumerated as one run takes every p's powers through the family's
+    path index with one take, and does its bookkeeping once for all p (see
+    ``_one_run_norms``).  Any other exact pass
     walks the enumeration's blocks of run groups (``families._member_runs``)
     once and gathers no member: each prefix position's powers are one value
     per run of a group, and each column of its shared table's powers are
@@ -294,16 +295,19 @@ def expected_lp_norm(
     one group without prefix.
     """
     _check_dims(a, family)
-    ps = [p] if np.ndim(p) == 0 else list(p)
+    one = np.ndim(p) == 0
+    ps = [p] if one else list(p)
     if not all(math.isfinite(q) and q >= 1.0 for q in ps):
         raise DomainError("p must be finite and >= 1")
 
+    if samples is None and (index := _one_run_index(family, cap)) is not None:
+        out = _one_run_norms(a, ps, index)
+        return out[0] if one else out
     # a power is a function of the entry alone, so the entries are raised
     # once per p and read at the flat positions that _gather reads
-    n, N = a.entries.shape
     with np.errstate(over="ignore", under="ignore"):
         tables = [a.entries if q == 1.0 else a.entries**q for q in ps]
-    offsets = _offsets(n, N)[:, None]
+    offsets = _offsets(*a.entries.shape)[:, None]
 
     def positions(values: np.ndarray, first: int) -> np.ndarray:
         """The flat positions of an (R, r) array of values at positions
@@ -314,23 +318,17 @@ def expected_lp_norm(
     def norm(q: float, table: np.ndarray, power_sums, flat_paths) -> np.ndarray:
         """The lp norms, p = q, of some paths from ``table``, the entries
         raised to q: ``power_sums(table)`` adds each path's values, and
-        ``flat_paths(rows)`` gives the flat positions of the listed paths.
-        A path whose power sum left the normal range is scaled by its
-        largest entry first; an all-zero path keeps its norm of 0.  One call
-        per p frees its sums when it returns, before the next p's are made:
-        holding them across p made an exact lp call on map:7:8 take 7,450
-        minor page faults instead of 988, and about 9 % longer."""
+        ``flat_paths`` is as ``_rescale`` takes it.  One call per p frees
+        its sums when it returns, before the next p's are made: holding them
+        across p made an exact lp call on map:7:8 take 7,450 minor page
+        faults instead of 988, and about 9 % longer."""
         if q == 1.0:
             return power_sums(table)
         with np.errstate(over="ignore", under="ignore"):
             sums = power_sums(table)
             out = sums ** (1.0 / q)
             if not (sums.min() >= _TINY and sums.max() < np.inf):
-                bad = np.flatnonzero(~((sums >= _TINY) & (sums < np.inf)))
-                paths = a.entries.take(flat_paths(bad))
-                top = paths.max(axis=1, keepdims=True)
-                scaled = np.divide(paths, top, out=np.zeros_like(paths), where=top > 0)
-                out[bad] = top[:, 0] * (scaled**q).sum(axis=1) ** (1.0 / q)
+                _rescale(a, q, sums, out, flat_paths)
         return out
 
     def group_norms(prefixes: np.ndarray, rows: np.ndarray) -> list[np.ndarray]:
@@ -344,13 +342,7 @@ def expected_lp_norm(
                     lambda bad: np.concatenate((head[:, bad // R], tail[:, bad % R])).T)
                 for q, table in zip(ps, tables)]
 
-    if samples is None and (index := _one_run_index(family, cap)) is not None:
-        columns = index.T.copy()  # one block, and math.fsum of one sum is that sum
-        out = [ScalarExpectation(value=_block_fsum(norm(
-                   q, table, lambda t: _row_sums(t.take(columns), (family.size,)),
-                   lambda bad: index[bad])) / family.size, mode="exact")
-               for q, table in zip(ps, tables)]
-    elif samples is None:
+    if samples is None:
         totals = [[] for _ in ps]
         for groups in _member_runs(family, cap):
             parts = [group_norms(prefixes, rows) for prefixes, rows in groups]
@@ -376,27 +368,83 @@ def expected_lp_norm(
                 acc.add(norms_by_p.pop(i))
         out = [ScalarExpectation(value=m.mean, mode="mc", samples=samples,
                                  stderr=m.stderr()) for m in moments]
-    return out[0] if np.ndim(p) == 0 else out
+    return out[0] if one else out
 
 
-def head_tail_bound(a: Matrix, p: float) -> float:
+def _rescale(a: Matrix, q: float, sums: np.ndarray, out: np.ndarray, flat_paths):
+    """Each norm in ``out`` whose power sum in ``sums``, p = q, left the
+    normal range, again from its path scaled by its largest entry:
+    ``flat_paths(rows)`` gives the flat positions of the listed paths.  An
+    all-zero path keeps its norm of 0.  Called with overflow and underflow
+    ignored."""
+    bad = np.flatnonzero(~((sums >= _TINY) & (sums < np.inf)))
+    paths = a.entries.take(flat_paths(bad))
+    top = paths.max(axis=1, keepdims=True)
+    scaled = np.divide(paths, top, out=np.zeros_like(paths), where=top > 0)
+    out[bad] = top[:, 0] * (scaled**q).sum(axis=1) ** (1.0 / q)
+
+
+def _one_run_norms(a: Matrix, ps: list, index: np.ndarray) -> list:
+    """The exact lp of a one-run family for every p, its bookkeeping done
+    once: one errstate, one take of every p's powers through the path
+    index, as (p, position, path), their row sums in one ``_row_sums``
+    call and one range check; only the p != 1 rows that fail it are
+    rescaled, p by p.  Each exponent stays a Python float.  A p = 1 sum
+    that overflowed is added again under the caller's error state, in p
+    order, so it warns or raises as its own call does."""
+    size = index.shape[0]
+    with np.errstate(over="ignore", under="ignore"):
+        powers = np.array([a.entries if q == 1.0 else a.entries**q for q in ps])
+        powers = powers.reshape(len(ps), -1).take(index.T, axis=1)
+        sums = _row_sums(powers.transpose(1, 0, 2), (len(ps), size))
+        low, high = sums.min(axis=1).tolist(), sums.max(axis=1).tolist()
+        norms = []
+        for q, s, lo, hi in zip(ps, sums, low, high):
+            x = s
+            if q != 1.0:
+                x = s ** (1.0 / q)
+                if not (lo >= _TINY and hi < math.inf):
+                    _rescale(a, q, s, x, index.__getitem__)
+            norms.append(x)
+    out = []
+    for q, x, t, hi in zip(ps, norms, powers, high):
+        if q == 1.0 and hi == math.inf:
+            x = _row_sums(t, (size,))
+        out.append(ScalarExpectation(value=_block_fsum(x) / size, mode="exact"))
+    return out
+
+
+def head_tail_bound(a: Matrix, p: float | Sequence[float]) -> float | list[float]:
     """(1/N) * sum of the N largest entries plus the lp tail mean
-    ((1/N) * sum over the remaining entries of s^p)^(1/p)."""
-    if not math.isfinite(p) or p < 1.0:
+    ((1/N) * sum over the remaining entries of s^p)^(1/p).
+
+    ``p`` is one exponent or a sequence, as in ``expected_lp_norm``; a
+    sequence gives a list in its order, each with the bits of its own one-p
+    call: the head is summed once, and every p's tail in one pass under one
+    errstate.  A tail whose power sum leaves the normal float range is
+    scaled by its largest entry, the first of the rearrangement.
+    """
+    one = np.ndim(p) == 0
+    ps = [p] if one else list(p)
+    if not all(math.isfinite(q) and q >= 1.0 for q in ps):
         raise DomainError("p must be finite and >= 1")
     s = a.rearrangement
     N = a.cols
-    head = math.fsum(s[:N]) / N
-    tail_terms = s[N:]
-    if not tail_terms.size or tail_terms[0] == 0.0:
-        return head
-    with np.errstate(over="ignore", under="ignore"):
-        powers = tail_terms**p
-        if not _TINY <= powers.sum() < math.inf:
-            # scaled by the largest tail entry, the first of the rearrangement
-            top = tail_terms[0]
-            return head + top * (math.fsum((tail_terms / top) ** p) / N) ** (1.0 / p)
-    return head + (math.fsum(powers) / N) ** (1.0 / p)
+    head = math.fsum(s[:N].tolist()) / N
+    tail = s[N:]
+    if not tail.size or tail[0] == 0.0:
+        out = [head] * len(ps)
+    else:
+        out = []
+        with np.errstate(over="ignore", under="ignore"):
+            for q in ps:
+                powers = tail**q
+                if _TINY <= powers.sum() < math.inf:
+                    out.append(head + (_block_fsum(powers) / N) ** (1.0 / q))
+                else:
+                    top = tail[0]
+                    out.append(head + top * (_block_fsum((tail / top) ** q) / N) ** (1.0 / q))
+    return out[0] if one else out
 
 
 def verify_lp_bounds(
@@ -422,17 +470,12 @@ def verify_lp_bounds(
     c_pair = pairwise_constant(family).pairwise_bound
     reference = 1.0 / (32.0 * float((1 + 2 * c_pair)) ** 2)
     ps = [p] if np.ndim(p) == 0 else list(p)
+    expectations = expected_lp_norm(a, family, ps, cap=cap, samples=samples, seed=seed)
+    shared = {**(extra_inputs or {}), "matrix": a.digest(), "family": family.descriptor()}
+    labels = {} if samples is None else {"samples": samples, "seed": seed}
     out = []
-    for q, expectation in zip(ps, expected_lp_norm(
-            a, family, ps, cap=cap, samples=samples, seed=seed)):
-        bound = head_tail_bound(a, q)
-        inputs = {
-            **(extra_inputs or {}),
-            "matrix": a.digest(), "family": family.descriptor(), "p": float(q),
-        }
-        if expectation.mode == "mc":
-            inputs["samples"] = expectation.samples
-            inputs["seed"] = seed
+    for q, expectation, bound in zip(ps, expectations, head_tail_bound(a, ps)):
+        inputs = {**shared, "p": float(q), **labels}
         upper = inequality_report(
             "thm1.2/upper", inputs, lhs=expectation.value, rhs=bound,
             constant=1.0, mode=expectation.mode, stderr=expectation.stderr,

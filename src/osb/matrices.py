@@ -71,6 +71,12 @@ class Matrix:
         ps.setflags(write=False)
         return ps
 
+    @cached_property
+    def _top_records(self) -> dict:
+        # the exact top-sum record of each family's width-n pass, filled by
+        # orderstats._top_record on the first exact call for that family
+        return {}
+
     def top_sum(self, count: int) -> float:
         """Sum of the ``count`` largest entries."""
         if not 0 <= count <= self.rows * self.cols:

@@ -11,6 +11,7 @@ integer arithmetic, so every probability here is an exact rational.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -20,6 +21,7 @@ import numpy as np
 
 from .errors import DomainError
 from .families import (
+    KIND_EXPLICIT,
     KIND_FULL_MAPPING,
     MEMBER_BLOCK_ROWS,
     MapFamily,
@@ -206,30 +208,30 @@ def _draw_stats(family: MapFamily, samples: int | None, stats):
     return looked_up
 
 
-def _run_tops(a: Matrix, family: MapFamily, width: int, cap: int | None):
-    """Each block's top column sums, as ``{"top": sums}``, for a ``map``
-    family whose runs put a nonempty prefix before one shared table
-    (``families._member_runs``), gathering no member.
+def _run_tops(a: Matrix, family: MapFamily, cap: int | None):
+    """Each block's pairwise sum of its column 0 and its n column sums (see
+    ``_top_record``), for a ``map`` family whose runs put a nonempty prefix
+    before one shared table (``families._member_runs``), gathering no
+    member.
 
     The table's suffix values are read once and each row sorted once,
     descending, as (1, R) columns.  Each run's prefix values, largest
     first, are inserted into those columns as (g, 1) columns with
     ``np.maximum`` and ``np.minimum``, as a sorting network inserts a
-    value, and columns past ``width`` are dropped.  Columns 0..j-1 already
-    hold values at least as large as the j larger prefix values, so the
-    insertion of prefix value j (from 0) starts at column j.  Column k then
-    holds every path's k-th largest value in member order, as the sorted
-    gathered block does.  A block's columns are added as that block's are:
-    at width >= 2 each by its running sum, which adds row by row as
-    ``sum(axis=0)`` does, and at width 1 pairwise, as numpy sums the one
-    strided column.
+    value.  Columns 0..j-1 already hold values at least as large as the j
+    larger prefix values, so the insertion of prefix value j (from 0)
+    starts at column j.  Column k then holds every path's k-th largest
+    value in member order, as the sorted gathered block does.  A block's
+    columns are added as that block's are, each by its running sum, which
+    adds row by row as ``sum(axis=0)`` does; column 0 is also summed
+    pairwise, as numpy sums a contiguous column.
     """
     n, N, r = family.n, family.N, _run_width(family)
     table = _mapping_table(N, r)
     weights = N ** np.arange(r - 1, -1, -1)
     suffix = a.entries[np.arange(n - r, n), table - 1]
     suffix.sort(axis=1)
-    tops = suffix[:, ::-1][:, :width].T.copy()[:, None, :]
+    tops = suffix[:, ::-1].T.copy()[:, None, :]
     for groups in _member_runs(family, cap):
         parts = []
         for prefixes, rows in groups:
@@ -237,50 +239,101 @@ def _run_tops(a: Matrix, family: MapFamily, width: int, cap: int | None):
             start = int((rows[0] - 1) @ weights)
             cols = list(tops[:, :, start : start + rows.shape[0]])
             heads = np.sort(a.entries[np.arange(n - r), prefixes - 1], axis=1)
-            for j, x in enumerate(heads.T[::-1, :, None][:width]):
+            for j, x in enumerate(heads.T[::-1, :, None]):
                 merged = cols[:j]  # each at least x
-                for c in cols[j : width - 1]:  # x passes its minimum on
+                for c in cols[j:]:  # x passes its minimum on
                     merged.append(np.maximum(c, x))
                     x = np.minimum(c, x)
-                cols = merged + ([np.maximum(cols[-1], x)] if len(cols) == width else [x])
+                cols = merged + [x]
             parts.append(cols)
         columns = [parts[0][k].ravel() if len(parts) == 1
                    else np.concatenate([cols[k] for cols in parts], axis=None)
-                   for k in range(width)]
-        if width == 1:
-            yield {"top": np.array([columns[0].sum()])}
-        else:
-            yield {"top": np.array([np.cumsum(c)[-1] for c in columns])}
+                   for k in range(n)]
+        yield np.array([columns[0].sum()] + [np.cumsum(c)[-1] for c in columns])
+
+
+def _sorted_tops(paths: np.ndarray) -> np.ndarray:
+    """A block's pairwise sum of its column 0 and its n column sums (see
+    ``_top_record``), its paths sorted in place."""
+    paths.sort(axis=1)
+    top = paths[:, ::-1]
+    sums = np.empty(top.shape[1] + 1)
+    sums[0] = top[:, 0].copy().sum()
+    top.sum(axis=0, out=sums[1:])
+    return sums
+
+
+def _top_record(a: Matrix, family: MapFamily, cap: int | None) -> np.ndarray:
+    """The top-sum record [F, E_1, ..., E_n] of a (matrix, family) pair:
+    E_k is the exact expected k-th largest path value, and F the expected
+    largest one summed as a 1-wide pass sums it.  The pair's first exact
+    call computes it by one width-n pass and keeps it, read-only, on the
+    matrix, keyed by an explicit family itself or by a built-in family's
+    descriptor, which names its members and keeps no family object (nor
+    its path index) alive.  Every call makes the enumeration cap check,
+    before a kept record is read.
+
+    Each block's paths are sorted in place and reversed; column k of that
+    top block adds row by row (``sum(axis=0)`` of a block at least two
+    wide, or the running sums of ``_run_tops``), the bits of every ell-wide
+    pass with ell > k and ell >= 2.  A 1-wide pass sums its one column
+    pairwise instead, so F adds the pairwise sum of each block's
+    contiguous column 0.  A family enumerated as one run reads its one
+    block of paths through its path index with one take; a ``map`` family
+    whose runs have a prefix reads the runs, with the same bits."""
+    # one key string per built-in family, however many matrices hold it
+    key = family if family.kind == KIND_EXPLICIT else sys.intern(family.descriptor())
+    record = a._top_records.get(key)
+    if record is not None:
+        require_enumerable(family, cap)
+        return record
+    # the walk makes the cap check before its first block
+    if family.kind == KIND_FULL_MAPPING and _run_width(family) < family.n:
+        blocks = _run_tops(a, family, cap)
+    else:
+        blocks = map(_sorted_tops, _path_blocks(a.entries, family, cap))
+    # the first block's sums, then each further block's added: the same
+    # bits as adding every block onto zeros, since no sum is -0.0
+    record = next(blocks)
+    for sums in blocks:
+        record += sums
+    record /= family.size
+    record.setflags(write=False)
+    a._top_records[key] = record
+    return record
 
 
 def _top_sums(
     a: Matrix, family: MapFamily, ells: Sequence[int], *, width: int,
     cap: int | None = None, samples: int | None = None, seed: int = 0,
 ) -> list[OrderStatResult]:
-    """E top-ell path sum for each ell in ``ells`` from one pass over the
-    family (exact) or over ``samples`` seeded draws (Monte Carlo).
+    """E top-ell path sum for each ell in ``ells``, exact or from one pass
+    over ``samples`` seeded draws (Monte Carlo).
 
-    Each block's paths are sorted in place; the first ``width`` columns of
-    the reversed rows (width >= max(ells)) are its top block.  Its column
-    sums add row by row, so ell >= 2 takes the first ell of them and gets
-    the bits of its own ell-wide block.  A 1-wide block sums its one column
-    pairwise instead, so a Monte Carlo ell = 1 from a wider block sums a
-    contiguous copy of column 0; an exact ell = 1 keeps the row-by-row
-    column sum of the ell = n pass that campaigns run.  An exact pass over
-    a family enumerated as one run reads its one block of paths through the
-    family's path index with one take; over a ``map`` family whose runs
-    have a prefix it reads the runs, with the same bits (see ``_run_tops``).
-    On a small family a Monte Carlo pass looks each draw's top block and
-    row sums up (see ``_draw_stats``).
+    An exact ell reads the (matrix, family) record of ``_top_record``:
+    ell >= 2, or ell = 1 with ``width`` >= 2, takes the first ell of its
+    row-by-row sums, and a 1-wide call takes its pairwise F, so every
+    exact ell has the bits of its own ``width``-wide pass.
+    A Monte Carlo pass sorts each chunk's paths in place; the first
+    ``width`` columns of the reversed rows (width >= max(ells)) are its top
+    block, whose column sums add row by row, so ell >= 2 takes the first
+    ell of them.  Its ell = 1 from a wider block sums a contiguous copy of
+    column 0 pairwise, as a 1-wide pass sums its one column.  On a small
+    family a Monte Carlo pass looks each draw's top block and row sums up
+    (see ``_draw_stats``).
     """
     _check_dims(a, family)
     for ell in ells:
         if not 1 <= ell <= a.rows:
             raise DomainError(f"ell={ell} out of range 1..{a.rows}")
-    mc = samples is not None
-    lone = mc and width > 1 and 1 in ells
+    if samples is None:
+        record = _top_record(a, family, cap)
+        return [_result(record[:1].tolist() if width == 1 else record[1 : ell + 1].tolist(),
+                        "exact")
+                for ell in ells]
+    lone = width > 1 and 1 in ells
     sums, first = np.zeros(width), 0.0
-    moments = {ell: RunningMoments() for ell in ells} if mc else {}
+    moments = {ell: RunningMoments() for ell in ells}
 
     def path_stats(paths: np.ndarray) -> dict:
         paths.sort(axis=1)
@@ -292,29 +345,23 @@ def _top_sums(
             stats[ell] = top[:, :ell].sum(axis=1)
         return stats
 
-    if mc:
-        walk = map(_draw_stats(family, samples, lambda b: path_stats(_gather(a.entries, b))),
-                   _blocks(family, _MC_CHUNK, samples=samples, seed=seed))
-    elif family.kind == KIND_FULL_MAPPING and _run_width(family) < family.n:
-        walk = _run_tops(a, family, width, cap)
-    else:
-        walk = map(path_stats, _path_blocks(a.entries, family, cap))
-    for stats in walk:
+    for stats in map(_draw_stats(family, samples, lambda b: path_stats(_gather(a.entries, b))),
+                     _blocks(family, _MC_CHUNK, samples=samples, seed=seed)):
         top = stats["top"]
         sums += top.sum(axis=0) if top.ndim == 2 else top  # looked up: its sums
         if lone:
             first += stats["first"].sum()
         for ell, acc in moments.items():
             acc.add(stats[ell])
-    count = family.size if samples is None else samples
-    per_k = [float(s) / count for s in sums]
-    out = []
-    for ell in ells:
-        ks = tuple([float(first) / count] if ell == 1 and lone else per_k[:ell])
-        out.append(OrderStatResult(
-            value=math.fsum(ks), per_k=ks, mode="mc" if mc else "exact",
-            samples=samples, stderr=moments[ell].stderr() if mc else None))
-    return out
+    per_k = [float(s) / samples for s in sums]
+    return [_result([float(first) / samples] if ell == 1 and lone else per_k[:ell], "mc",
+                    samples, moments[ell].stderr())
+            for ell in ells]
+
+
+def _result(ks: list, mode: str, samples=None, stderr=None) -> OrderStatResult:
+    return OrderStatResult(value=math.fsum(ks), per_k=tuple(ks), mode=mode,
+                           samples=samples, stderr=stderr)
 
 
 def expected_top_sum(a: Matrix, family: MapFamily, ell: int) -> OrderStatResult:

@@ -12,6 +12,7 @@ import io
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import compress, repeat
 from json.encoder import encode_basestring
 from math import isfinite
@@ -326,11 +327,32 @@ _CSV_FIELDS = (
 )
 
 
-def _csv_rows(piece) -> list[str]:
+@lru_cache(maxsize=1024)
+def _csv_text(value) -> str:
+    """A text cell as ``csv.writer`` writes it: its quoting, which for CR
+    differs across Python versions, is taken from csv, once per value."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(
-        zip(*_piece_columns(piece, _CSV_FIELDS, True)))
-    return [buf.getvalue()]
+    csv.writer(buf, lineterminator="\n").writerow([value, ""])
+    return buf.getvalue()[:-2]  # the empty cell's comma and the newline
+
+
+def _csv_json(column: list) -> list[str]:
+    """JSON cells as ``csv.writer`` writes them.  JSON text holds no CR or
+    LF, so a cell is quoted, quotes doubled, exactly when it has a comma or
+    a quote."""
+    return ['"' + t.replace('"', '""') + '"' if "," in t or '"' in t else t for t in column]
+
+
+def _csv_rows(piece) -> list[str]:
+    """The CSV lines of a piece of keyed reports, joined here: a float cell
+    or an empty one needs no quoting."""
+    columns = _piece_columns(piece, _CSV_FIELDS, True)
+    for i, key in enumerate(_CSV_FIELDS):
+        if key in ("inputs", "extra"):
+            columns[i] = _csv_json(columns[i])
+        elif _ROW[key] is _text:
+            columns[i] = list(map(_csv_text, columns[i]))
+    return ["\n".join(map(",".join, zip(*columns))) + "\n"]
 
 
 def reports_to_csv(reports: Sequence[VerificationReport]) -> str:

@@ -9,12 +9,13 @@ of each path for its top-ell values, the per-index-pair loop of the
 explicit pairwise certificate that one count per first index replaced, the one-pass mixer and remainder that the
 piecewise mixer and the in-place remainder replaced, and the plain hinge-norm bisection that the
 filtered one replaced.
-Five helpers are not oracles in that sense: the vectorized hinge-norm
+Several helpers are not oracles in that sense: the vectorized hinge-norm
 bisection, which the acceptance criteria run over many vectors at once; the
 per-ell top-sum estimators that the one-pass estimator replaced, which run on
 the package's blocks, draws and accumulator; the per-p lp estimator that the
 one-pass estimator replaced, which runs on the package's block source, draw
-lookup and accumulator; the enumerated hit-count tally that counted map
+lookup and accumulator; the per-p head/tail bound that the all-p one
+replaced; the enumerated hit-count tally that counted map
 tables replaced, which runs on the package's blocks and gather; the
 lemma-suite oracle, which reads
 the package's hit-count table but decides every instance with its own
@@ -92,6 +93,25 @@ def scaled_head_tail_bound(rows, p) -> float:
     if not tail or tail[0] == 0:
         return head
     return head + tail[0] * (math.fsum((v / tail[0]) ** p for v in tail) / N) ** (1.0 / p)
+
+
+def oracle_head_tail_bound(a, p) -> float:
+    """head_tail_bound as one call per p, before every p of a call shared
+    its head sum and errstate: its body as it was."""
+    from osb.interpolation import _TINY
+
+    s = a.rearrangement
+    N = a.cols
+    head = math.fsum(s[:N]) / N
+    tail_terms = s[N:]
+    if not tail_terms.size or tail_terms[0] == 0.0:
+        return head
+    with np.errstate(over="ignore", under="ignore"):
+        powers = tail_terms**p
+        if not _TINY <= powers.sum() < math.inf:
+            top = tail_terms[0]
+            return head + top * (math.fsum((tail_terms / top) ** p) / N) ** (1.0 / p)
+    return head + (math.fsum(powers) / N) ** (1.0 / p)
 
 
 def path_values(a, g) -> np.ndarray:

@@ -261,6 +261,44 @@ class TestLoadFamily:
         with pytest.raises(FormatError):
             load_family(str(path))
 
+    @pytest.mark.parametrize("maps,message", [
+        ([[True, 1]], "map value True is not an integer"),
+        ([[1, 2], [1, False]], "map value False is not an integer"),
+        ([[1, 1.0]], "map value 1.0 is not an integer"),
+        ([[1, "a"]], "map value 'a' is not an integer"),
+        ([[1, [2]]], "map value [2] is not an integer"),
+        ([[[1, 2]]], "map value [1, 2] is not an integer"),
+        ([[1, None]], "map value None is not an integer"),
+        ([[1, {}]], "map value {} is not an integer"),
+        ([[1, 2**63]], "map values must be integers in 1..2"),
+        ([[1, -2**63 - 1]], "map values must be integers in 1..2"),
+        ([[1, 2**70]], "map values must be integers in 1..2"),
+        ([[1, 3]], "map values must be integers in 1..2"),
+        ([[1], [1, 2]], "each map must list 2 values"),
+        ([[1, 2], 5], "each map must list 2 values"),
+        ([1, 2], "each map must list 2 values"),
+        ([[1, 2, 1]], "each map must list 2 values"),
+    ])
+    def test_a_bad_map_value_is_named_whichever_way_the_maps_convert(
+            self, tmp_path, maps, message):
+        # the maps are converted once; the value scan that names the first
+        # non-integer runs only for a table that is not 2-d int64, or a
+        # text with true or false in it
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": 2, "N": 2, "maps": maps}))
+        with pytest.raises(FormatError) as err:
+            load_family(str(path))
+        assert str(err.value) == message
+
+    def test_a_true_elsewhere_in_the_text_loads_the_same_family(self, tmp_path):
+        maps = [list(p) for p in itertools.permutations(range(1, 5))]
+        path = tmp_path / "fam.json"
+        for extra in ({}, {"note": "true or false", "flag": True}):
+            path.write_text(json.dumps({"n": 4, "N": 4, "maps": maps, **extra}))
+            fam = load_family(str(path))
+            assert fam == explicit_family(maps, 4, 4)
+            assert fam.members.dtype == np.int64 and not fam.members.flags.writeable
+
     @pytest.mark.parametrize("n,N", [
         (True, True), (1, True), (True, 1), (1.0, 1), (0, 1), ("1", 1),
     ])
