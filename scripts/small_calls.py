@@ -7,12 +7,14 @@ with one family object, as a campaign does, and times five calls per
 matrix: ``expected_top_sum`` at ell = 1, ``_top_sums`` at every ell (the
 call ``verify-main`` makes), ``expected_lp_norm`` and ``verify_lp_bounds``
 with the four exponents of ``verify-lp``'s default ``--p``, and the Orlicz
-sweep's ``orlicz_upper_bound_check`` at every ell.  Each walk is repeated 7
-times after one untimed walk, which builds what the family caches; every
-walk reads fresh copies of the matrices, made before it is timed, so what
-a matrix caches (its digest, rearrangement and top-sum records) is
-computed as a campaign computes it, once per matrix.  The best walk,
-divided by the number of matrices, is printed in microseconds per call.
+sweep's pair at every ell: ``orlicz_upper_bound_check``, then
+``top_sum_sandwich_check`` on the flattened entries with j = ell * N.
+Each walk is repeated 7 times after one untimed walk, which builds what the
+family caches; every walk reads fresh copies of the matrices, made before
+it is timed, so what a matrix caches (its digest, rearrangement and top-sum
+records) is computed as a campaign computes it, once per matrix.  The best
+walk, divided by the number of matrices, is printed in microseconds per
+call.
 
 Usage:  PYTHONPATH=src python3 scripts/small_calls.py
 """
@@ -27,7 +29,7 @@ from osb.families import full_mapping_family, symmetric_group
 from osb.interpolation import expected_lp_norm, verify_lp_bounds
 from osb.matrices import Matrix
 from osb.orderstats import _top_sums, expected_top_sum
-from osb.orlicz import orlicz_upper_bound_check
+from osb.orlicz import orlicz_upper_bound_check, top_sum_sandwich_check
 
 FAMILIES = [full_mapping_family(1, 3), full_mapping_family(3, 3),
             full_mapping_family(4, 4), full_mapping_family(5, 5),
@@ -42,7 +44,9 @@ CALLS = {
     "lp 4 p": lambda a, family: expected_lp_norm(a, family, P_LIST),
     "lp bounds 4 p": lambda a, family: verify_lp_bounds(a, family, P_LIST),
     "orlicz every ell": lambda a, family: [
-        orlicz_upper_bound_check(a, family, ell) for ell in range(1, family.n + 1)],
+        (orlicz_upper_bound_check(a, family, ell),
+         top_sum_sandwich_check(a.entries.ravel(), ell * family.N))
+        for ell in range(1, family.n + 1)],
 }
 
 

@@ -327,7 +327,8 @@ def expected_lp_norm(
         with np.errstate(over="ignore", under="ignore"):
             sums = power_sums(table)
             out = sums ** (1.0 / q)
-            if not (sums.min() >= _TINY and sums.max() < np.inf):
+            low, high = sums.min(), sums.max()
+            if not (low >= _TINY and high < np.inf or _only_zero_paths_fail(a, table, high)):
                 _rescale(a, q, sums, out, flat_paths)
         return out
 
@@ -384,26 +385,41 @@ def _rescale(a: Matrix, q: float, sums: np.ndarray, out: np.ndarray, flat_paths)
     out[bad] = top[:, 0] * (scaled**q).sum(axis=1) ** (1.0 / q)
 
 
+def _only_zero_paths_fail(a: Matrix, table: np.ndarray, high: float) -> bool:
+    """Whether the paths whose power sums, from ``table`` (the entries
+    raised to q), left the normal range are all-zero paths, whose norm 0
+    is already the one ``_rescale`` would give them.  True when no sum
+    overflowed (``high`` is the largest) and every positive entry's power
+    in ``table`` is normal: a path with a positive entry then sums to at
+    least that power, as rounded sums of nonnegative values do.  An entry
+    whose power underflows, 1e-120 at p = 3 say, still needs the
+    rescale."""
+    return high < math.inf and np.min(
+        table, where=a.entries > 0, initial=math.inf) >= _TINY
+
+
 def _one_run_norms(a: Matrix, ps: list, index: np.ndarray) -> list:
     """The exact lp of a one-run family for every p, its bookkeeping done
     once: one errstate, one take of every p's powers through the path
     index, as (p, position, path), their row sums in one ``_row_sums``
-    call and one range check; only the p != 1 rows that fail it are
-    rescaled, p by p.  Each exponent stays a Python float.  A p = 1 sum
-    that overflowed is added again under the caller's error state, in p
-    order, so it warns or raises as its own call does."""
+    call and one range check; only the p != 1 rows that fail it, other
+    than by all-zero paths, are rescaled, p by p.  Each exponent stays a
+    Python float.  A p = 1 sum that overflowed is added again under the
+    caller's error state, in p order, so it warns or raises as its own
+    call does."""
     size = index.shape[0]
     with np.errstate(over="ignore", under="ignore"):
-        powers = np.array([a.entries if q == 1.0 else a.entries**q for q in ps])
-        powers = powers.reshape(len(ps), -1).take(index.T, axis=1)
+        tables = np.array([a.entries if q == 1.0 else a.entries**q for q in ps])
+        powers = tables.reshape(len(ps), -1).take(index.T, axis=1)
         sums = _row_sums(powers.transpose(1, 0, 2), (len(ps), size))
         low, high = sums.min(axis=1).tolist(), sums.max(axis=1).tolist()
         norms = []
-        for q, s, lo, hi in zip(ps, sums, low, high):
+        for q, s, lo, hi, table in zip(ps, sums, low, high, tables):
             x = s
             if q != 1.0:
                 x = s ** (1.0 / q)
-                if not (lo >= _TINY and hi < math.inf):
+                if not (lo >= _TINY and hi < math.inf
+                        or _only_zero_paths_fail(a, table, hi)):
                     _rescale(a, q, s, x, index.__getitem__)
             norms.append(x)
     out = []

@@ -39,8 +39,15 @@ def luxemburg_norm(x: Sequence[float], j: int) -> float:
     the sum is at least 1e6 - 1/j at its lower end and at most
     sum|x| / (sum|x| + 1) < 1 at its upper end.  Halves until the relative
     width is at most ``DEFAULT_NORM_TOL`` and returns the upper end, so the
-    constraint sum <= 1 holds at the returned value.  An infinite or NaN
-    entry raises DomainError.
+    constraint sum <= 1 holds at the returned value.  ``x`` is flattened,
+    so a matrix gives the norm of its entries.  An infinite or NaN entry
+    raises DomainError.
+
+    What the norms of one vector share (its sort, prefix sums, scale and
+    bracket ends) is made once, in a ``_HingeRecord`` that also keeps each
+    j's norm.  The record of the latest vector, keyed by its bytes, is
+    kept, and no other: the sweep's upper check and sandwich at each ell of
+    a matrix share it.
 
     A step moves ``hi`` to the midpoint m exactly when the plain hinge sum
     fsum(max(|x_i| / m - k, 0)) rounds to at most 1, k the float 1/j.  Most
@@ -73,55 +80,104 @@ def luxemburg_norm(x: Sequence[float], j: int) -> float:
     """
     if j < 1:
         raise DomainError("j must be >= 1")
-    absx = np.abs(np.asarray(x, dtype=np.float64))
-    top = float(absx.max()) if absx.size else 0.0
-    if not math.isfinite(top):  # max is NaN when any entry is
+    global _last
+    record = _record(np.asarray(x, dtype=np.float64).ravel())
+    if record is None:
         raise DomainError("the hinge norm needs finite entries")
-    if top == 0.0:
-        return 0.0
-    # the norm is homogeneous: rescale by an exact power of two a vector so
-    # tiny that the lower bracket end underflows to 0, or so large that its
-    # sum overflows (the upper bracket end would be inf)
-    scale = 0
-    if top * 1e-6 < sys.float_info.min:
-        scale = -math.frexp(top)[1]
-    elif top * absx.size > 0.5 * sys.float_info.max:
-        with np.errstate(over="ignore"):
-            if float(absx.sum()) == math.inf:
-                scale = -(absx.size.bit_length() + 1)
-    if scale:
-        absx = np.ldexp(absx, scale)
-    kink = 1.0 / j
-    lo = float(absx.max()) * 1e-6
-    hi = float(absx.sum()) + 1.0
-    below, above = _band_edges(absx, kink)
-    for _ in range(_MAX_BISECTIONS):
-        if hi - lo <= DEFAULT_NORM_TOL * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid > above:
-            hi = mid
-        elif mid < below:
-            lo = mid
-        elif math.fsum(np.maximum(absx / mid - kink, 0.0)) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    try:
-        return math.ldexp(hi, -scale)
-    except OverflowError:  # the norm itself is beyond the float range
-        return math.inf
+    _last = record
+    return record.norm(j)
 
 
-def _band_edges(absx: np.ndarray, kink: float) -> tuple[float, float]:
+class _HingeRecord:
+    """What every hinge norm and top sum of one vector shares, made once:
+    its decreasing rearrangement of magnitudes ``desc``; the magnitudes
+    ``absx`` in their own order and the bracket ends ``lo`` and ``hi``, all
+    scaled by 2**``scale``; the prefix sums of the scaled rearrangement (the
+    P_i of ``_band_edges``); and the norms found so far, by j.  ``key`` is the
+    vector's bytes.  The entries are finite."""
+
+    __slots__ = ("key", "desc", "absx", "scale", "lo", "hi", "prefix", "norms")
+
+    def __init__(self, key: bytes, absx: np.ndarray, desc: np.ndarray):
+        self.key, self.desc, self.norms = key, desc, {}
+        top = float(desc[0]) if desc.size else 0.0
+        if top == 0.0:
+            self.prefix = None  # every norm is 0
+            return
+        # the norm is homogeneous: rescale by an exact power of two a vector
+        # so tiny that the lower bracket end underflows to 0, or so large
+        # that its sum overflows (the upper bracket end would be inf)
+        scale = 0
+        if top * 1e-6 < sys.float_info.min:
+            scale = -math.frexp(top)[1]
+        elif top * absx.size > 0.5 * sys.float_info.max:
+            with np.errstate(over="ignore"):
+                if float(absx.sum()) == math.inf:
+                    scale = -(absx.size.bit_length() + 1)
+        if scale:
+            absx, desc = np.ldexp(absx, scale), np.ldexp(desc, scale)
+        self.absx, self.scale = absx, scale
+        self.lo = float(desc[0]) * 1e-6
+        self.hi = float(absx.sum()) + 1.0
+        self.prefix = desc.cumsum()
+
+    def norm(self, j: int) -> float:
+        """The hinge-j norm, bisected on the first call for this j."""
+        if self.prefix is None:
+            return 0.0
+        if j in self.norms:
+            return self.norms[j]
+        absx, lo, hi, kink = self.absx, self.lo, self.hi, 1.0 / j
+        below, above = _band_edges(self.prefix, kink)
+        for _ in range(_MAX_BISECTIONS):
+            if hi - lo <= DEFAULT_NORM_TOL * hi:
+                break
+            mid = 0.5 * (lo + hi)
+            if mid > above:
+                hi = mid
+            elif mid < below:
+                lo = mid
+            elif math.fsum(np.maximum(absx / mid - kink, 0.0)) <= 1.0:
+                hi = mid
+            else:
+                lo = mid
+        try:
+            norm = math.ldexp(hi, -self.scale)
+        except OverflowError:  # the norm itself is beyond the float range
+            norm = math.inf
+        self.norms[j] = norm
+        return norm
+
+
+# the record of the vector of the latest norm, and only that one
+_last: _HingeRecord | None = None
+
+
+def _record(x: np.ndarray) -> _HingeRecord | None:
+    """The hinge record of the flat float64 vector ``x``: the kept one when
+    it holds x's bytes, so a vector changed in place is never served a
+    stale one, else a new one, not kept.  None when an entry is not
+    finite."""
+    key = x.tobytes()
+    if _last is not None and _last.key == key:
+        return _last
+    absx = np.abs(x)
+    desc = np.sort(absx)[::-1]
+    if desc.size and not math.isfinite(desc[0]):  # NaN sorts last, so first here
+        return None
+    return _HingeRecord(key, absx, desc)
+
+
+def _band_edges(prefix: np.ndarray, kink: float) -> tuple[float, float]:
     """The edges of the band around the closed-form norm inside which
-    ``luxemburg_norm`` evaluates the hinge sum (see its docstring).
+    ``luxemburg_norm`` evaluates the hinge sum (see its docstring), from
+    ``prefix``, the P_i: the prefix sums of the decreasing rearrangement.
 
     Formed as differences, so an estimate that overflows gives a NaN lower
     edge and an infinite upper one and no step is decided without the sum.
     """
-    n = absx.size
-    ratios = np.sort(absx)[::-1].cumsum() / (1.0 + np.arange(1, n + 1) * kink)
+    n = prefix.size
+    ratios = prefix / (1.0 + np.arange(1, n + 1) * kink)
     estimate = float(ratios.max())
     slack = estimate * (4 * (n + 4) * (1.0 + kink) * 2.0**-53)
     return estimate - slack, estimate + slack
@@ -135,14 +191,19 @@ def top_sum_sandwich_check(x: Sequence[float], j: int) -> VerificationReport:
     """Check half the top-j sum <= hinge norm <= top-j sum (id lemma4.1).
 
     The check is made in floats, so a vector whose top-j sum is not finite
-    (an entry is, or the sum overflows) is rejected."""
-    x = np.asarray(x, dtype=np.float64)
+    (an entry is, or the sum overflows) is rejected.  ``x`` is flattened,
+    and its hinge record (see ``luxemburg_norm``) is kept only when the
+    check is made."""
+    global _last
+    x = np.asarray(x, dtype=np.float64).ravel()
     if not 1 <= j <= x.size:
         raise DomainError(f"j={j} out of range 1..{x.size}")
+    record = _record(x)
     with np.errstate(over="ignore"):
-        top = float(np.sort(np.abs(x))[::-1][:j].sum())
+        top = math.nan if record is None else float(record.desc[:j].sum())
     if not math.isfinite(top):
         raise DomainError("the top-j sum is not finite")
+    _last = record
     norm = luxemburg_norm(x, j)
     slack = DEFAULT_NORM_TOL * max(1.0, norm) + EXACT_SLACK
     margin = min(norm - 0.5 * top, top - norm)

@@ -295,6 +295,51 @@ class TestLargeP:
                 assert expected_lp_norm(a, fam, p).value == want
 
 
+class TestAllZeroPaths:
+    """A power sum below the normal range is rescaled unless every such sum
+    is an all-zero path's, whose norm is already 0."""
+
+    FAMILIES = [full_mapping_family(3, 3), symmetric_group(3),  # one-run index
+                symmetric_group(8)]  # the run walk
+
+    @staticmethod
+    def count_rescales(monkeypatch):
+        calls = []
+        rescale = interpolation._rescale
+        monkeypatch.setattr(interpolation, "_rescale",
+                            lambda *args: calls.append(args[1]) or rescale(*args))
+        return calls
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.descriptor())
+    @pytest.mark.parametrize("samples", [None, 3000])
+    def test_zero_paths_skip_the_rescale(self, family, samples, monkeypatch):
+        # a diagonal matrix: every path that misses the diagonal is all zero
+        a = Matrix(np.diag(np.arange(1.0, family.n + 1)))
+        calls = self.count_rescales(monkeypatch)
+        ps = [1.5, 2.0, 3.0]
+        got = expected_lp_norm(a, family, ps, samples=samples, seed=4)
+        for p, e in zip(ps, got):
+            want = oracle_expected_lp_norm(a, family, p, samples=samples, seed=4)
+            assert _bits(e) == _bits(want)
+        assert calls == []
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.descriptor())
+    @pytest.mark.parametrize("samples", [None, 3000])
+    def test_powers_that_underflow_are_still_rescaled(self, family, samples, monkeypatch):
+        # 1e-120 ** 3 underflows to 0, so a path through row 0 that misses
+        # the rest of the diagonal sums to 0 though its norm is 1e-120;
+        # 1e-120 ** 2 is normal
+        entries = np.diag(np.arange(1.0, family.n + 1))
+        entries[0] = 1e-120
+        a = Matrix(entries)
+        calls = self.count_rescales(monkeypatch)
+        got = expected_lp_norm(a, family, [2.0, 3.0], samples=samples, seed=4)
+        for p, e in zip([2.0, 3.0], got):
+            want = oracle_expected_lp_norm(a, family, p, samples=samples, seed=4)
+            assert _bits(e) == _bits(want)
+        assert calls and set(calls) == {3.0}  # the run walk rescales per group
+
+
 class TestVerifyLpBounds:
     def test_p1_is_exact_equality(self):
         a = random_matrix(3, 2, seed=10)

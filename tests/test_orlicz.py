@@ -228,7 +228,7 @@ class TestFilteredBisection:
             if absx.max() * 1e-6 < sys.float_info.min:
                 continue  # the norm rescales these first
             kink = 1.0 / j
-            below, above = _band_edges(absx, kink)
+            below, above = _band_edges(np.sort(absx)[::-1].cumsum(), kink)
             # just outside the band the filter decides, and so must the sum
             assert hinge_step(absx, np.nextafter(above, math.inf), kink)
             assert not hinge_step(absx, np.nextafter(below, 0.0), kink)
