@@ -18,7 +18,7 @@ from .families import (
 )
 from .corpus import Corpus
 from .matrices import order_map, reduce_to_top
-from .orderstats import _top_sums, build_hit_table, lemma_suite
+from .orderstats import _LemmaBatch, _top_sums, build_hit_table, lemma_suite
 from .interpolation import verify_lp_bounds
 from .reports import (
     STATUS_FAIL,
@@ -192,14 +192,21 @@ def run_lemmas(
     With ``aggregate`` (the default for corpus runs) the per-instance sweep
     reports of each (matrix, family, ell) group are collapsed to one
     worst-margin report per check id; every instance is still evaluated.
+    Each cell's instances are decided as one batch of exact columns, which
+    every ``lemma_suite`` call of the cell reads its row of.
     """
     out: list[VerificationReport] = []
     for cell, family in _iter_cell_families(corpus, spec):
         require_uniform_marginals(family)
-        for mid, a in cell.matrices:
-            table = build_hit_table(family, order_map(a), cap=cap)
+        if not cell.matrices:
+            continue
+        ells = _ell_values(ell_range, family.n)
+        tables = [build_hit_table(family, order_map(a), cap=cap) for _, a in cell.matrices]
+        # each table's slot now holds the cell's batch, which lemma_suite reads
+        _LemmaBatch(family, [a for _, a in cell.matrices], tables, ells)
+        for (mid, a), table in zip(cell.matrices, tables):
             cell_inputs = {"cell": f"{cell.n}x{cell.N}", "id": mid}
-            for ell in _ell_values(ell_range, family.n):
+            for ell in ells:
                 instance = lemma_suite(
                     a, family, ell, table=table, extra_inputs=cell_inputs,
                 )

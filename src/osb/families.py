@@ -212,12 +212,15 @@ def load_family(path: str) -> MapFamily:
 # enumeration
 
 
-def require_enumerable(family: MapFamily, cap: int | None = None):
+def require_enumerable(family: MapFamily, cap: int | None = None,
+                       advice: str = "use Monte Carlo sampling instead"):
+    """Refuse a family above the enumeration cap, with ``advice`` on what
+    to do instead."""
     cap = enumeration_cap() if cap is None else cap
     if family.size > cap:
         raise ResourceError(
             f"family {family.descriptor()} has {family.size} members, above the "
-            f"enumeration cap {cap}; use Monte Carlo sampling instead"
+            f"enumeration cap {cap}; {advice}"
         )
 
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -396,28 +396,10 @@ class HitCountTable:
     hist: np.ndarray
 
     @cached_property
-    def _tails(self) -> np.ndarray:
-        """tails[k, m] = #(X_m >= k) for k = 0..n+1, as Python ints."""
-        tails = np.zeros((self.n + 2, self.n * self.N + 1), dtype=object)
-        tails[0] = self.size
-        tails[1: self.n + 1] = np.cumsum(self.hist[1:], axis=1).astype(object)
-        tails.setflags(write=False)
-        return tails
-
-    @cached_property
-    def _shared_columns(self) -> dict:
-        # C -> the lemma columns that depend on no ell and no matrix entry,
-        # built by the first sweep that asks for them
+    def _lemma_rows(self) -> dict:
+        # C -> (the _LemmaBatch whose columns hold this table's instances,
+        # its row), set by the batch
         return {}
-
-    def coefficient_counts(self, ell: int) -> list[int]:
-        """Numerators over the family size of the exact weights f with
-        E S(b) = sum_j f[j-1] * b(h(j)) for every b carried by the ordering
-        (nonincreasing on ranks 1..ell*N, 0 beyond)."""
-        if not 1 <= ell <= self.n:
-            raise DomainError(f"ell={ell} out of range 1..{self.n}")
-        top = ell * self.N
-        return self.hist[1: ell + 1, 1: top + 1].sum(axis=0).tolist()
 
 
 def build_hit_table(
@@ -431,11 +413,13 @@ def build_hit_table(
     of (N - c_i(m)) + c_i(m) x, in Python integers.  The k-th smallest hit
     rank is m exactly when X_m >= k > X_(m-1).  A family enumerated as one
     run is read through its path index with one take.  Every family,
-    counted or not, is refused above the enumeration cap.
+    counted or not, is refused above the enumeration cap, with the advice
+    to raise it.
     """
     if (order.n, order.N) != (family.n, family.N):
         raise DomainError("ordering and family dimensions differ")
-    require_enumerable(family, cap)
+    # the lemma suite, the one reader of hit tables, has no Monte Carlo mode
+    require_enumerable(family, cap, "raise --enum-cap or OSB_ENUM_CAP")
     n, N = family.n, family.N
     nN = n * N
     rank = order.rank_of
@@ -464,29 +448,29 @@ def build_hit_table(
 #
 # Every side of every inequality is a ratio of integers formed from the hit
 # table's cumulative counts, the pairwise constant C = p/q and theta = a/b.
-# Each check id is evaluated as one column over its whole parameter grid:
-# numerator and denominator arrays of Python ints (object dtype, so no
-# product can wrap).  Reports are built only for the rows that are read.
+# The instances of a corpus cell are decided together: each check id is one
+# set of columns over the (ell, matrix, parameter row) axes, numerator and
+# denominator arrays of Python ints (object dtype, so no product can wrap).
+# A check that depends on no ell has one ell row for all of them.  Reports
+# are built only for the rows that are read.
 
 DEFAULT_THETAS = tuple(Fraction(t, 10) for t in range(1, 10))
 
 _AGGREGATE_NOTE = "aggregated: worst margin over the swept instances"
 
 
-def _at(values, i: int):
-    return values[i] if isinstance(values, np.ndarray) else values
-
-
 @dataclass
-class _Column:
-    """One check id swept over its parameter grid.
+class _Columns:
+    """One check id over a cell's instances.
 
-    ``params`` maps each swept input name to its per-row values; ``lhs`` and
-    ``rhs`` are (numerators, denominators), each an array over the rows or
-    one int for all of them, with positive denominators.  Rows where ``live``
-    is False are vacuous with ``note``.  The float margin of a row is the
-    correctly rounded quotient of its exact margin, as float(Fraction) gives,
-    and a row fails iff its exact margin is negative.
+    ``params`` maps each swept input name to its values on the parameter
+    rows; ``lhs`` and ``rhs`` are (numerators, denominators), arrays or ints
+    that broadcast to (ells, matrices, rows), with positive denominators.
+    Instance (l, b) has the first ``count[l, b]`` rows (all of them by
+    default); with none it is one vacuous instance with ``note``, as is each
+    of its rows where ``live`` is False.  The float margin of a row is the
+    correctly rounded quotient of its exact margin, as float(Fraction)
+    gives, and a row fails iff its exact margin is negative.
     """
 
     check_id: str
@@ -494,220 +478,233 @@ class _Column:
     params: dict
     lhs: tuple
     rhs: tuple
-    constant: Optional[float] = None
-    live: Optional[np.ndarray] = None
+    constant: Optional[float]
+    count: object = None
+    live: object = True
     note: Optional[str] = None
-    extra: Optional[Callable[[int], dict]] = None
+    extra: Optional[Callable[[int, int], dict]] = None
 
     def __post_init__(self):
-        (ln, ld), (rn, rd) = self.lhs, self.rhs
+        (ln, ld), (rn, rd) = (tuple(np.asarray(x, dtype=object) for x in side)
+                              for side in (self.lhs, self.rhs))
         num = ln * rd - rn * ld
+        num = num[(None,) * (3 - num.ndim)]
         if self.direction == "le":
             num = -num
-        den = ld * rd
-        self.margins = (num / den).astype(np.float64)
+        self.margins = (num / (ld * rd)).astype(np.float64)
         self.failed = (num < 0).astype(bool)
-        if self.live is None:
-            self.live = np.ones(len(num), dtype=bool)
+        self.sides = [np.broadcast_to(x, num.shape) for x in (ln, ld, rn, rd)]
+        rows = np.arange(num.shape[2])
+        count = np.asarray(rows.size if self.count is None else self.count)
+        self.live = np.broadcast_to(self.live & (rows < count[..., None]), num.shape)
+        self.count = np.broadcast_to(count, num.shape[:2]).tolist()
 
-    def __len__(self) -> int:
-        return len(self.live)
+    def _inputs(self, base: dict, i: int) -> dict:
+        return {**base, **{name: values[i] for name, values in self.params.items()}}
 
-    def report(self, i: int, base: dict) -> VerificationReport:
-        inputs = {**base, **{name: values[i] for name, values in self.params.items()}}
-        if not self.live[i]:
-            return vacuous_report(self.check_id, inputs, self.note)
-        (ln, ld), (rn, rd) = self.lhs, self.rhs
-        return VerificationReport(
-            check_id=self.check_id, inputs=inputs,
-            lhs=_at(ln, i) / _at(ld, i), rhs=_at(rn, i) / _at(rd, i),
-            margin=float(self.margins[i]),
-            status=STATUS_FAIL if self.failed[i] else STATUS_PASS,
+    def _floats(self, index) -> list:
+        """The float lhs, rhs and margin of the rows at ``index`` (an index
+        into each array), as lists."""
+        ln, ld, rn, rd = (x[index] for x in self.sides)
+        return [(ln / ld).tolist(), (rn / rd).tolist(), self.margins[index].tolist()]
+
+    def reports(self, l: int, b: int, base: dict) -> list[VerificationReport]:
+        """Instance (l, b)'s reports, one per row."""
+        l = min(l, len(self.count) - 1)
+        count = self.count[l][b]
+        if not count:
+            return [vacuous_report(self.check_id, base, self.note)]
+        rows = (l, b, slice(count))
+        return [VerificationReport(
+            check_id=self.check_id, inputs=self._inputs(base, i), lhs=lhs, rhs=rhs,
+            margin=margin, status=STATUS_FAIL if failed else STATUS_PASS,
             direction=self.direction, mode="exact", constant=self.constant,
-            extra=self.extra(i) if self.extra else {},
-        )
+            extra=self.extra(b, i) if self.extra else {},
+        ) if live else vacuous_report(self.check_id, self._inputs(base, i), self.note)
+            for i, (lhs, rhs, margin, failed, live) in enumerate(zip(
+                *self._floats(rows), self.failed[rows].tolist(), self.live[rows].tolist()))]
 
-    def aggregate(self, base: dict) -> VerificationReport:
-        """The first row of least float margin, standing for every row."""
-        inputs = {**base, "instances": len(self)}
-        live = np.flatnonzero(self.live)
-        if live.size == 0:
+    def reduce(self) -> "_Columns":
+        """Keep each instance's first live row of least float margin, with
+        its sides and failure count, found along the row axis for every
+        instance at once; then drop the arrays, after which only
+        ``aggregate`` reads this check."""
+        any_live = self.live.any(axis=2)
+        self.worst = [[None] * len(by_b) for by_b in self.count]
+        if any_live.any():
+            worst = np.where(self.live, self.margins, np.inf).argmin(axis=2)
+            at = np.ix_(*map(range, worst.shape)) + (worst,)
+            stats = [any_live.tolist(), worst.tolist(),
+                     np.count_nonzero(self.failed & self.live, axis=2).tolist(), *self._floats(at)]
+            self.worst = [[row[1:] if row[0] else None for row in zip(*by_b)]
+                          for by_b in zip(*stats)]
+        del self.sides, self.margins, self.failed, self.live
+        return self
+
+    def aggregate(self, l: int, b: int, base: dict) -> VerificationReport:
+        """Instance (l, b)'s one report: its first row of least float
+        margin, with the instance and failure counts."""
+        l = min(l, len(self.count) - 1)
+        inputs = {**base, "instances": self.count[l][b] or 1}
+        if self.worst[l][b] is None:
             return vacuous_report(self.check_id, inputs, self.note)
-        worst = self.report(int(live[np.argmin(self.margins[live])]), base)
-        failed = int(np.count_nonzero(self.failed[live]))
-        return replace(
-            worst, inputs=inputs, status=STATUS_FAIL if failed else STATUS_PASS,
+        i, failed, lhs, rhs, margin = self.worst[l][b]
+        return VerificationReport(
+            check_id=self.check_id, inputs=inputs, lhs=lhs, rhs=rhs, margin=margin,
+            status=STATUS_FAIL if failed else STATUS_PASS, direction=self.direction,
+            mode="exact", constant=self.constant,
             extra={"note": _AGGREGATE_NOTE, "failed_instances": failed,
-                   "worst_case": dict(worst.inputs)},
+                   "worst_case": self._inputs(base, i)},
         )
 
 
-def _vacuous_column(check_id: str, note: str) -> _Column:
-    """A check whose parameter range is empty: one vacuous instance."""
-    return _Column(check_id, "le", {}, (np.zeros(1, dtype=object), 1), (0, 1),
-                   live=np.zeros(1, dtype=bool), note=note)
+class _LemmaBatch:
+    """The suite's columns for the (matrix, ell) instances of a corpus cell
+    on ``family``, whose pairwise constant is ``c_pair``: matrix row b is
+    ``matrices[b]`` on its hit table ``tables[b]`` (one at least), at each
+    ell of ``ells``.  Making the batch points each table's slot for C at its
+    row; the batch keeps the tables' counts, not the tables, and builds its
+    columns when first read."""
 
+    def __init__(self, family: MapFamily, matrices: Sequence[Matrix],
+                 tables: Sequence[HitCountTable], ells: Sequence[int]):
+        self.matrices, self._hists = list(matrices), np.stack([t.hist for t in tables])
+        self._size = tables[0].size
+        self.c_pair = c_pair = pairwise_constant(family).pairwise_bound
+        self.ell_index = {ell: l for l, ell in enumerate(ells)}
+        for b, table in enumerate(tables):
+            table._lemma_rows[c_pair] = self, b
 
-def _ceil_div(num, den):
-    return -((-num) // den)
+    @cached_property
+    def columns(self) -> list[_Columns]:
+        """Every check's columns, in sweep order, for per-instance reports."""
+        return list(self._build())
 
+    @cached_property
+    def reduced(self) -> list[_Columns]:
+        """Every check reduced to its aggregates, in check-id order; each
+        check's arrays are dropped before the next check is built."""
+        return sorted((col.reduce() for col in self._build()), key=lambda col: col.check_id)
 
-def _theta_columns(table: HitCountTable, c_pair: Fraction) -> list[_Column]:
-    """The lemma3.1, lemma3.2 and paley-zygmund columns."""
-    n, N, S = table.n, table.N, table.size
-    nN = n * N
-    p, q = c_pair.numerator, c_pair.denominator
-    constant = float(c_pair)
-    tails = table._tails
-    m_idx = np.arange(1, nN + 1)
-    ms = m_idx.astype(object)
-    hit1 = tails[1, 1:]
+    def _build(self):
+        """The columns in sweep order: lemma3.1, lemma3.2, paley-zygmund,
+        lemma3.3a, lemma3.3b, lemma3.4, lemma3.5, lemma3.6.  The first
+        three depend on no ell."""
+        B, n, nN = self._hists.shape[0], self._hists.shape[1] - 1, self._hists.shape[2] - 1
+        N, S = nN // n, self._size
+        p, q = self.c_pair.numerator, self.c_pair.denominator
+        column = partial(_Columns, constant=float(self.c_pair))
+        # tails[b, k, m] = #(X_m >= k) on table b, k = 0..n+1
+        tails = np.zeros((B, n + 2, nN + 1), dtype=object)
+        tails[:, 0] = S
+        tails[:, 1: n + 1] = np.cumsum(self._hists[:, 1:], axis=2).astype(object)
+        bs = np.arange(B)[:, None]
+        m_idx = np.arange(1, nN + 1)
+        ms = m_idx.astype(object)
+        hit1 = tails[:, 1, 1:]
 
-    # the (m, theta) grid, m outer
-    T = len(DEFAULT_THETAS)
-    ta = np.tile(np.array([t.numerator for t in DEFAULT_THETAS], dtype=object), nN)
-    tb = np.tile(np.array([t.denominator for t in DEFAULT_THETAS], dtype=object), nN)
-    grid_m_idx = np.repeat(m_idx, T)
-    grid_m = grid_m_idx.astype(object)
-    grid_params = {"m": grid_m.tolist(),
-                   "theta": [float(t) for t in DEFAULT_THETAS] * nN}
-
-    cols = [_Column(
-        "lemma3.1", "ge", {"m": ms.tolist()}, (hit1, S),
-        (ms * (2 * N * q - p * (ms - 1)), 2 * N * N * q), constant=constant)]
-
-    k = np.clip(_ceil_div(ta * grid_m, tb * N), 1, n + 1).astype(np.int64)
-    cols.append(_Column(
-        "lemma3.2", "ge", grid_params, (tails[k, grid_m_idx], S),
-        ((tb - ta) ** 2 * grid_m * q, tb * tb * (N * q + grid_m * p)),
-        constant=constant))
-
-    # Z = X_m: E Z = M/S and E Z^2 = Q/S, and P(Z >= theta E Z) is the tail
-    # at the first integer reaching theta M/S
-    M = tails[1: n + 1, 1:].sum(axis=0)
-    Q = (np.arange(1, 2 * n, 2, dtype=object)[:, None] * tails[1: n + 1, 1:]).sum(axis=0)
-    grid_M, grid_Q = np.repeat(M, T), np.repeat(Q, T)
-    live = (grid_M > 0).astype(bool)
-    k = np.clip(_ceil_div(ta * grid_M, tb * S), 0, n + 1).astype(np.int64)
-    cols.append(_Column(
-        "paley-zygmund", "ge", grid_params, (tails[k, grid_m_idx], S),
-        ((tb - ta) ** 2 * grid_M * grid_M, tb * tb * S * np.where(live, grid_Q, 1)),
-        live=live, note="E Z = 0; inequality is vacuous",
-        extra=lambda i: {"mean": M[i // T] / S, "second_moment": Q[i // T] / S}))
-    return cols
-
-
-def _lemma_columns(
-    a: Matrix, table: HitCountTable, c_pair: Fraction, ell: int,
-) -> list[_Column]:
-    """The suite's columns in sweep order: lemma3.1, lemma3.2,
-    paley-zygmund, lemma3.3a, lemma3.3b, lemma3.4, lemma3.5, lemma3.6.
-    The first three depend only on the table and C, so every ell swept on
-    one table shares them."""
-    shared = table._shared_columns.get(c_pair)
-    if shared is None:
-        shared = table._shared_columns[c_pair] = _theta_columns(table, c_pair)
-    n, N, S = table.n, table.N, table.size
-    nN, top = n * N, ell * N
-    p, q = c_pair.numerator, c_pair.denominator
-    constant = float(c_pair)
-    tails = table._tails
-    ms = np.arange(1, nN + 1).astype(object)
-    hit1 = tails[1, 1:]
-    cols = list(shared)
-
-    # min(m/2N, 1/2C) * P(X_{ell N} >= 1)
-    small = (ms * p <= N * q).astype(bool)
-    cols.append(_Column(
-        "lemma3.3a", "ge", {"m": ms.tolist()}, (hit1, S),
-        (np.where(small, ms, q) * tails[1, top],
-         np.where(small, 2 * N, 2 * p).astype(object) * S),
-        constant=constant))
-
-    km = [(k, m) for k in range(1, n // 2 + 1) for m in range(2 * k * N, nN + 1)]
-    if km:
-        ks, ms_b = (np.array(v) for v in zip(*km))
-        cols.append(_Column(
-            "lemma3.3b", "ge", {"m": ms_b.tolist(), "k": ks.tolist()},
-            (tails[ks, ms_b], S), (tails[ks, top] * q, S * (2 * q + 4 * p)),
-            constant=constant))
-    else:
-        cols.append(_vacuous_column(
-            "lemma3.3b", "no (m, k) satisfies 2kN <= m <= nN"))
-
-    # indicator expectations: sum over k <= ell of #(X_m >= k), over S
-    plain = tails[1: ell + 1, 1: top + 1].sum(axis=0)
-    cols.append(_Column(
-        "lemma3.4", "le", {"m": ms[:top].tolist()},
-        (ms[:top] * plain[-1], top * S), ((8 * q + 16 * p) * plain, q * S),
-        constant=constant))
-
-    lhs, rhs = _lemma35_sides(a, table, p, q, ell)
-    cols.append(_Column("lemma3.5", "le", {}, lhs, rhs, constant=constant))
-
-    if ell // 2 >= 1:
-        ks = np.arange(1, ell // 2 + 1)
-        cols.append(_Column(
-            "lemma3.6", "ge", {"k": ks.tolist()}, (tails[ks, top], S),
-            (q, 2 * q + 4 * p), constant=constant))
-    else:
-        cols.append(_vacuous_column(
-            "lemma3.6", "k range 1..floor(ell/2) is empty for ell = 1"))
-    return cols
-
-
-def _lemma35_sides(a: Matrix, table: HitCountTable, p: int, q: int, ell: int):
-    """Averaging inequality for the matrix reduced to its ell*N largest
-    entries, through the exact coefficient representation.  Entries are
-    dyadic, so over the largest denominator d they are integers s_j."""
-    top = ell * table.N
-    ratios = [v.as_integer_ratio() for v in a.rearrangement[:top].tolist()]
-    d = max(den for _, den in ratios)
-    s = [num * (d // den) for num, den in ratios]
-    counts = table.coefficient_counts(ell)
-    S = table.size
-    averaged = (np.array([sum(counts) * sum(s)], dtype=object), S * d * top)
-    reduced = sum(c * v for c, v in zip(counts, s))
-    return averaged, ((8 * q + 16 * p) * reduced, q * S * d)
-
-
-class LemmaSweep:
-    """The suite's reports for one (matrix, family, ell) instance, held as
-    exact columns.  Iterating builds the per-instance reports in sweep
-    order; ``aggregate`` reduces each check id to its worst report."""
-
-    def __init__(self, base: dict, columns: list[_Column]):
-        self._base = base
-        self._columns = columns
-
-    def _rows(self):
-        """(column, row) pairs in sweep order: for each m, lemma3.1, then
-        lemma3.2 and paley-zygmund for each theta, then lemma3.3a; then every
-        row of each remaining column."""
-        c31, c32, cpz, c33a, *rest = self._columns
+        # the (m, theta) grid, m outer
         T = len(DEFAULT_THETAS)
-        for i in range(len(c31)):
-            yield c31, i
-            for j in range(i * T, (i + 1) * T):
-                yield c32, j
-                yield cpz, j
-            yield c33a, i
-        for col in rest:
-            for i in range(len(col)):
-                yield col, i
+        ta = np.tile(np.array([t.numerator for t in DEFAULT_THETAS], dtype=object), nN)
+        tb = np.tile(np.array([t.denominator for t in DEFAULT_THETAS], dtype=object), nN)
+        grid_m_idx = np.repeat(m_idx, T)
+        grid_m = grid_m_idx.astype(object)
+        grid = {"m": grid_m.tolist(), "theta": [float(t) for t in DEFAULT_THETAS] * nN}
 
-    def __len__(self) -> int:
-        return sum(len(col) for col in self._columns)
+        yield column("lemma3.1", "ge", {"m": ms.tolist()}, (hit1, S),
+                     (ms * (2 * N * q - p * (ms - 1)), 2 * N * N * q))
+
+        k = np.clip(-(-ta * grid_m // (tb * N)), 1, n + 1).astype(np.int64)
+        yield column("lemma3.2", "ge", grid, (tails[:, k, grid_m_idx], S),
+                     ((tb - ta) ** 2 * grid_m * q, tb * tb * (N * q + grid_m * p)))
+
+        # Z = X_m: E Z = M/S and E Z^2 = Q/S, and P(Z >= theta E Z) is the tail
+        # at the first integer reaching theta M/S
+        M = tails[:, 1: n + 1, 1:].sum(axis=1)
+        Q = (np.arange(1, 2 * n, 2, dtype=object)[:, None] * tails[:, 1: n + 1, 1:]).sum(axis=1)
+        grid_M, grid_Q = np.repeat(M, T, axis=1), np.repeat(Q, T, axis=1)
+        live = (grid_M > 0).astype(bool)
+        k = np.clip(-(-ta * grid_M // (tb * S)), 0, n + 1).astype(np.int64)
+        yield column(
+            "paley-zygmund", "ge", grid, (tails[bs, k, grid_m_idx], S),
+            ((tb - ta) ** 2 * grid_M * grid_M, tb * tb * S * np.where(live, grid_Q, 1)),
+            constant=None, live=live, note="E Z = 0; inequality is vacuous",
+            extra=lambda b, i: {"mean": M[b, i // T] / S, "second_moment": Q[b, i // T] / S})
+
+        ells = np.array(list(self.ell_index), dtype=np.int64)
+        tops = ells * N
+        at_top = tops[:, None, None]  # the (ell, matrix, row) axes
+
+        # min(m/2N, 1/2C) * P(X_{ell N} >= 1)
+        small = (ms * p <= N * q).astype(bool)
+        yield column("lemma3.3a", "ge", {"m": ms.tolist()}, (hit1, S),
+                     (np.where(small, ms, q) * tails[bs, 1, at_top],
+                      np.where(small, 2 * N, 2 * p).astype(object) * S))
+
+        km = np.array([(k, m) for k in range(1, n // 2 + 1) for m in range(2 * k * N, nN + 1)],
+                      dtype=np.int64).reshape(-1, 2)
+        ks, ms_b = km.T
+        yield column("lemma3.3b", "ge", {"m": ms_b.tolist(), "k": ks.tolist()},
+                     (tails[:, ks, ms_b], S),
+                     (tails[bs, ks, at_top] * q, S * (2 * q + 4 * p)),
+                     note="no (m, k) satisfies 2kN <= m <= nN")
+
+        # indicator expectations: sum over k <= ell of #(X_m >= k), over S,
+        # on the rows m <= ell N
+        plain = np.cumsum(tails[:, 1: n + 1, 1:], axis=1)[:, ells - 1].transpose(1, 0, 2)
+        plain_top = np.take_along_axis(plain, at_top - 1, 2)
+        yield column("lemma3.4", "le", {"m": ms.tolist()},
+                     (ms * plain_top, at_top.astype(object) * S),
+                     ((8 * q + 16 * p) * plain, q * S), count=tops[:, None])
+
+        # averaging for the matrix reduced to its ell N largest entries,
+        # through the exact weights plain[m] - plain[m - 1] of its ranks;
+        # entries are dyadic, so over matrix b's largest denominator d_b
+        # they are integers s
+        ratios = [[v.as_integer_ratio() for v in a.rearrangement.tolist()] for a in self.matrices]
+        d = np.array([max(den for _, den in r) for r in ratios], dtype=object)
+        s = np.array([[num * (db // den) for num, den in r] for r, db in zip(ratios, d)],
+                     dtype=object)
+        weights = np.diff(plain, axis=2, prepend=0)
+        reduced = np.where(m_idx <= at_top, weights * s, 0).sum(axis=2)
+        averaged = plain_top * np.take_along_axis(np.cumsum(s, axis=1)[None], at_top - 1, 2)
+        yield column("lemma3.5", "le", {},
+                     (averaged, at_top.astype(object) * S * d[:, None]),
+                     ((8 * q + 16 * p) * reduced[..., None], q * S * d[:, None]))
+
+        ks = np.arange(1, n // 2 + 1)
+        yield column("lemma3.6", "ge", {"k": ks.tolist()},
+                     (tails[bs, ks, at_top], S), (q, 2 * q + 4 * p), count=(ells // 2)[:, None],
+                     note="k range 1..floor(ell/2) is empty for ell = 1")
+
+
+class _LemmaInstance:
+    """The suite's reports for one (matrix, family, ell) instance: matrix
+    row ``b`` of a batch, at ``ell``.  Iterating builds the per-instance
+    reports in sweep order; ``aggregate`` gives one report per check id."""
+
+    def __init__(self, batch: _LemmaBatch, b: int, ell: int, base: dict):
+        self._batch, self._b, self._l, self._base = batch, b, batch.ell_index[ell], base
 
     def __iter__(self):
-        for col, i in self._rows():
-            yield col.report(i, self._base)
+        """For each m: lemma3.1, then lemma3.2 and paley-zygmund for each
+        theta, then lemma3.3a; then every row of each remaining check."""
+        c31, c32, cpz, c33a, *rest = (col.reports(self._l, self._b, self._base)
+                                      for col in self._batch.columns)
+        T = len(DEFAULT_THETAS)
+        for i, report in enumerate(c31):
+            yield report
+            for j in range(i * T, (i + 1) * T):
+                yield c32[j]
+                yield cpz[j]
+            yield c33a[i]
+        for reports in rest:
+            yield from reports
 
     def aggregate(self) -> list[VerificationReport]:
         """One report per check id, in check-id order: the first instance of
         least float margin, with the instance and failure counts."""
-        cols = sorted(self._columns, key=lambda col: col.check_id)
-        return [col.aggregate(self._base) for col in cols if len(col)]
+        return [col.aggregate(self._l, self._b, self._base) for col in self._batch.reduced]
 
 
 def lemma_suite(
@@ -717,14 +714,17 @@ def lemma_suite(
     *,
     table: HitCountTable | None = None,
     extra_inputs: dict | None = None,
-) -> LemmaSweep:
+) -> _LemmaInstance:
     """Run every tail inequality on one (matrix, family, ell) instance.
 
     Sweeps: m over 1..nN (restricted to m <= ell*N where the statement
     requires it), theta over ``DEFAULT_THETAS`` (0.1, ..., 0.9), and k over
     the admissible ranges.  Instances with an empty parameter range are
     reported as vacuous.  Every instance is decided in exact integer
-    arithmetic; reports are built when the returned sweep is read.
+    arithmetic; reports are built when the returned instance is read.  The
+    instance is read from the batch that ``table`` holds if that batch was
+    made from ``a`` itself and covers ``ell``, else from a new batch of one
+    over every ell.
     """
     _check_dims(a, family)
     if not 1 <= ell <= family.n:
@@ -733,8 +733,11 @@ def lemma_suite(
     c_pair = pairwise_constant(family).pairwise_bound
     if table is None:
         table = build_hit_table(family, order_map(a))
+    batch, b = table._lemma_rows.get(c_pair, (None, 0))
+    if batch is None or batch.matrices[b] is not a or ell not in batch.ell_index:
+        batch, b = _LemmaBatch(family, [a], [table], range(1, family.n + 1)), 0
     base = {
         **(extra_inputs or {}),
         "matrix": a.digest(), "family": family.descriptor(), "ell": ell,
     }
-    return LemmaSweep(base, _lemma_columns(a, table, c_pair, ell))
+    return _LemmaInstance(batch, b, ell, base)

@@ -293,7 +293,7 @@ def test_lemma_tables_keep_the_enumeration_cap(tmp_path, family, cap_from):
     code, out, err = _run(argv, env)
     assert code == 2 and out == "", (argv, code, err)
     assert err.splitlines() == [f"error: family {family} has {size} members, above the "
-                                f"enumeration cap {size - 1}; use Monte Carlo sampling instead"]
+                                f"enumeration cap {size - 1}; raise --enum-cap or OSB_ENUM_CAP"]
 
 
 def test_corpus_ids_that_are_not_strings_are_format_errors(tmp_path):
@@ -303,6 +303,31 @@ def test_corpus_ids_that_are_not_strings_are_format_errors(tmp_path):
     code, out, err = _run(["verify-main", "--family", "map", "--corpus", str(corpus)], {})
     assert code == 2 and out == "", (code, err)
     assert err.splitlines() == ["error: matrix id {'a': 1} in cell 2x2 is not a string"]
+
+
+@pytest.mark.parametrize("source", ["--matrix", "--corpus"])
+@pytest.mark.parametrize("seed_from", ["flag", "env", "config"])
+def test_lemmas_takes_a_seed_only_for_the_built_in_corpus(files, source, seed_from):
+    # the seed of a lemmas run only picks the built-in corpus; the flag with
+    # an input file is refused, while OSB_SEED and the config's seed stay
+    # silent defaults
+    argv = ["lemmas", "--family", "map:2:2", source,
+            files["m2.csv" if source == "--matrix" else "corpus.json"]]
+    env = {}
+    if seed_from == "flag":
+        argv += ["--seed", "7"]
+    elif seed_from == "env":
+        env["OSB_SEED"] = "7"
+    else:
+        env["OSB_CONFIG"] = files["cfg-good"]
+    code, out, err = _run(argv, env)
+    if seed_from == "flag":
+        assert code == 2 and out == "", (code, err)
+        assert err.splitlines() == ["error: lemmas reads --seed only to pick the built-in "
+                                    "corpus; drop it with --matrix or --corpus"]
+        assert _run(argv[:3] + ["--seed", "7"], {})[0] == 0  # the built-in corpus
+    else:
+        assert (code, out, err) == _run(argv[:5], {})
 
 
 @pytest.mark.parametrize("command", ["verify-main", "verify-lp", "lemmas"])
@@ -409,5 +434,8 @@ def test_one_run_families_are_refused_before_their_path_index_is_built(
         env["OSB_ENUM_CAP"] = str(size - 1)
     code, out, err = _run(argv, env)
     assert code == 2 and out == "", (argv, code, err)
+    # lemmas has no Monte Carlo mode, so it says to raise the cap instead
+    advice = ("raise --enum-cap or OSB_ENUM_CAP" if command == "lemmas"
+              else "use Monte Carlo sampling instead")
     assert err.splitlines() == [f"error: family {name} has {size} members, above the "
-                                f"enumeration cap {size - 1}; use Monte Carlo sampling instead"]
+                                f"enumeration cap {size - 1}; {advice}"]

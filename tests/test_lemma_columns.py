@@ -1,18 +1,20 @@
 """The columnar lemma sweep against the per-instance Fraction oracle.
 
 ``lemma_suite`` decides every instance in integer arithmetic over whole
-parameter columns and builds reports only when they are read; the oracle in
+parameter columns, one batch of columns for all the (matrix, ell) instances
+of a corpus cell, and builds reports only when they are read; the oracle in
 ``oracles.py`` decides each instance with fresh Fractions.  Reports must agree
 field for field, and aggregated campaign output byte for byte.
 """
 
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from osb.campaigns import run_lemmas
-from osb.corpus import CorpusSpec, generate_corpus
+from osb.corpus import Corpus, CorpusCell, CorpusSpec, generate_corpus
 from osb.families import (
     FamilySpec,
     explicit_family,
@@ -22,7 +24,7 @@ from osb.families import (
 )
 from osb import orderstats
 from osb.matrices import Matrix, order_map
-from osb.orderstats import (LemmaSweep, _Column, _lemma_columns, build_hit_table,
+from osb.orderstats import (_Columns, _LemmaBatch, _LemmaInstance, build_hit_table,
                             lemma_suite)
 from osb.reports import reports_to_json
 
@@ -49,27 +51,28 @@ def test_column_decides_like_exact_report(direction):
              (third - sign * eps / 2, third), (third - sign * 2 * eps, third),
              (third - sign * tiny, third), (third + sign * tiny, third),
              (Fraction(2**60 + 1, 3 * 2**60), Fraction(1, 7))]
-    col = _Column(
+    col = _Columns(
         "c", direction, {"i": list(range(len(pairs)))},
         (np.array([lhs.numerator for lhs, _ in pairs], dtype=object),
          np.array([lhs.denominator for lhs, _ in pairs], dtype=object)),
         (np.array([rhs.numerator for _, rhs in pairs], dtype=object),
-         np.array([rhs.denominator for _, rhs in pairs], dtype=object)))
-    got = [col.report(i, {}) for i in range(len(pairs))]
+         np.array([rhs.denominator for _, rhs in pairs], dtype=object)), None)
+    got = col.reports(0, 0, {})
     want = [exact_inequality_report("c", {"i": i}, lhs, rhs, direction=direction)
             for i, (lhs, rhs) in enumerate(pairs)]
     assert got == want
     assert [r.status for r in got[:7]] == ["pass", "fail", "fail", "fail", "fail",
                                            "fail", "pass"]
+    # the axis reduction picks the oracle's worst row and counts its failures
+    assert [col.reduce().aggregate(0, 0, {})] == aggregate_oracle(want, {})
 
 
 def _sweep(a, family, ell):
     """What ``lemma_suite`` returns, with no hypothesis check on the family."""
     table = build_hit_table(family, order_map(a))
-    c_pair = pairwise_constant(family).pairwise_bound
     base = {"id": "t", "matrix": a.digest(), "family": family.descriptor(),
             "ell": ell}
-    return LemmaSweep(base, _lemma_columns(a, table, c_pair, ell))
+    return _LemmaInstance(_LemmaBatch(family, [a], [table], [ell]), 0, ell, base)
 
 
 def _assert_same_sweep(a, family, ell, *, uniform=True):
@@ -79,7 +82,7 @@ def _assert_same_sweep(a, family, ell, *, uniform=True):
     if uniform:
         assert list(lemma_suite(a, family, ell, extra_inputs={"id": "t"})) == list(sweep)
     oracle = lemma_suite_oracle(a, family, ell, extra_inputs={"id": "t"})
-    assert len(sweep) == len(oracle)
+    assert len(list(sweep)) == len(oracle)
     for got, want in zip(sweep, oracle):
         assert got == want, (got, want)
     group = {"id": "t", "matrix": a.digest(), "family": family.descriptor(),
@@ -121,13 +124,13 @@ def test_explicit_family_with_duplicates_and_fractional_constant():
         _assert_same_sweep(a, family, ell)
 
 
-def test_theta_columns_are_built_once_per_table(monkeypatch):
-    """Every ell swept on one table shares lemma3.1, lemma3.2 and
-    paley-zygmund; the reports are those of a fresh table per ell."""
+def test_columns_are_built_once_per_table(monkeypatch):
+    """Every ell swept on one table reads one batch of one, built by the
+    first call; the reports are those of a fresh table per ell."""
     built = []
-    real = orderstats._theta_columns
-    monkeypatch.setattr(orderstats, "_theta_columns",
-                        lambda *args: built.append(args) or real(*args))
+    real = orderstats._LemmaBatch._build
+    monkeypatch.setattr(orderstats._LemmaBatch, "_build",
+                        lambda self: built.append(self) or real(self))
     a, family = random_matrix(4, 4, seed=3), symmetric_group(4)
     table = build_hit_table(family, order_map(a))
     shared = [list(lemma_suite(a, family, ell, table=table)) for ell in range(1, 5)]
@@ -135,9 +138,16 @@ def test_theta_columns_are_built_once_per_table(monkeypatch):
     fresh = [list(lemma_suite(a, family, ell)) for ell in range(1, 5)]
     assert len(built) == 5
     assert shared == fresh
-    # another C on the same table is another set of columns
-    orderstats._lemma_columns(a, table, Fraction(1, 2), 2)
+    # the aggregates are one more reading of the same batch
+    for ell in range(1, 5):
+        lemma_suite(a, family, ell, table=table).aggregate()
     assert len(built) == 6
+    # another C on the same table is another batch, in a slot of its own
+    other = full_mapping_family(4, 4)
+    list(lemma_suite(a, other, 2, table=table))
+    assert len(built) == 7 and len(table._lemma_rows) == 2
+    list(lemma_suite(a, family, 3, table=table))
+    assert len(built) == 7
 
 
 def test_unhit_top_position_makes_paley_zygmund_vacuous():
@@ -195,3 +205,123 @@ def test_aggregated_campaign_matches_oracle_bytes():
                          if r.check_id == "lemma3.1")
     assert worst.margin == 0.0 and worst.status == "pass"
     assert worst.extra["worst_case"]["m"] == 1
+
+
+def _cell_matrices(n, N, seed):
+    """Four matrices for an n x N cell: the zero matrix, an integer grid
+    with ties, entries of mixed dyadic denominators, and a uniform draw."""
+    rng = np.random.default_rng(seed)
+    dyadic = rng.integers(0, 64, (n, N)) / 2.0 ** rng.integers(0, 40, (n, N))
+    return (("zero", Matrix(np.zeros((n, N)))),
+            ("grid", Matrix(rng.integers(0, 3, (n, N)).astype(float))),
+            ("dyadic", Matrix(dyadic)),
+            ("uniform", random_matrix(n, N, seed)))
+
+
+def _oracle_campaign(corpus, family_of, ells=None):
+    """What an aggregated ``run_lemmas`` emits, from the Fraction oracle."""
+    want = []
+    for cell in corpus:
+        family = family_of(cell.n, cell.N)
+        if family is None:
+            continue
+        for mid, a in cell.matrices:
+            inputs = {"cell": f"{cell.n}x{cell.N}", "id": mid}
+            for ell in ells or range(1, cell.n + 1):
+                if ell > cell.n:
+                    continue
+                group = {**inputs, "matrix": a.digest(),
+                         "family": family.descriptor(), "ell": ell}
+                want.extend(aggregate_oracle(
+                    lemma_suite_oracle(a, family, ell, extra_inputs=inputs), group))
+    return want
+
+
+def test_cell_batches_match_oracle_bytes(tmp_path):
+    """Each cell's four matrices are decided as one batch; every aggregate
+    equals the oracle's, including the zero matrix, ties on the integer
+    grid, mixed dyadic denominators in lemma3.5, and the vacuous lemma3.3b
+    and lemma3.6 of n = 1 cells.  (Every family here has uniform marginals,
+    so E Z = m/N > 0 and no Paley-Zygmund row is vacuous; see the next
+    test.)"""
+    shapes = ((1, 1), (1, 3), (2, 2), (2, 3), (3, 3), (3, 2))
+    corpus = Corpus(seed=0, cells=tuple(
+        CorpusCell(n, N, _cell_matrices(n, N, seed=10 * n + N)) for n, N in shapes))
+    cyclic = [[1, 2, 3], [2, 3, 1], [3, 1, 2]]
+    explicit = explicit_family(cyclic * 2 + all_permutations(3), 3, 3)
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"n": 3, "N": 3, "maps": cyclic * 2 + all_permutations(3)}))
+    cases = [
+        (FamilySpec("sym"), lambda n, N: symmetric_group(n) if n == N else None),
+        (FamilySpec("map"), full_mapping_family),
+        (FamilySpec("file", path=str(path)),
+         lambda n, N: explicit if (n, N) == (3, 3) else None),
+    ]
+    for spec, family_of in cases:
+        got = run_lemmas(corpus, spec)
+        want = _oracle_campaign(corpus, family_of)
+        assert got == want
+        assert reports_to_json(got) == reports_to_json(want)
+        statuses = {(r.check_id, r.status) for r in got}
+        if spec.kind != "file":
+            assert {("lemma3.3b", "vacuous"), ("lemma3.6", "vacuous")} <= statuses
+    # an ell range that leaves ragged lemma3.4 and lemma3.6 rows
+    got = run_lemmas(corpus, FamilySpec("map"), ell_range=(2, 3))
+    assert got == _oracle_campaign(corpus, full_mapping_family, ells=(2, 3))
+
+
+def test_batch_with_vacuous_paley_zygmund_rows_matches_oracle():
+    """No member visits (1, 1), so a matrix whose largest entry is there has
+    X_1 = 0 and vacuous Paley-Zygmund rows at m = 1, while the other matrices
+    of the batch have none."""
+    family = explicit_family([[2, 1], [2, 2], [2, 1]], 2, 2)
+    matrices = [Matrix.from_rows([[9, 1], [2, 3]]), Matrix.from_rows([[1, 9], [2, 3]]),
+                Matrix.from_rows([[5, 0.5], [0.25, 5]])]
+    tables = [build_hit_table(family, order_map(a)) for a in matrices]
+    batch = _LemmaBatch(family, matrices, tables, [1, 2])
+    vacuous = []
+    for b, a in enumerate(matrices):
+        for ell in (1, 2):
+            base = {"matrix": a.digest(), "family": family.descriptor(), "ell": ell}
+            instance = _LemmaInstance(batch, b, ell, base)
+            oracle = lemma_suite_oracle(a, family, ell)
+            assert list(instance) == oracle
+            assert instance.aggregate() == aggregate_oracle(oracle, base)
+            vacuous += [b for r in oracle
+                        if r.check_id == "paley-zygmund" and r.status == "vacuous"]
+    assert set(vacuous) == {0, 2}  # the largest entry of the third ties at (1, 1)
+
+
+def test_instances_read_from_a_cell_batch_match_lone_calls():
+    family = full_mapping_family(3, 2)
+    matrices = [a for _, a in _cell_matrices(3, 2, seed=4)]
+    tables = [build_hit_table(family, order_map(a)) for a in matrices]
+    batch = _LemmaBatch(family, matrices, tables, [1, 3])
+    c_pair = pairwise_constant(family).pairwise_bound
+    for b, (a, table) in enumerate(zip(matrices, tables)):
+        assert table._lemma_rows[c_pair] == (batch, b)
+        for ell in (1, 3):
+            from_batch = lemma_suite(a, family, ell, table=table, extra_inputs={"id": b})
+            lone = lemma_suite(a, family, ell, extra_inputs={"id": b})
+            assert list(from_batch) == list(lone)
+            assert from_batch.aggregate() == lone.aggregate()
+        assert table._lemma_rows[c_pair] == (batch, b)
+    # an ell the batch does not cover is read from a new batch of one
+    assert list(lemma_suite(matrices[0], family, 2, table=tables[0])) == list(
+        lemma_suite(matrices[0], family, 2))
+    assert tables[0]._lemma_rows[c_pair][0] is not batch
+
+
+def test_another_matrix_on_a_batched_table_reads_its_own_entries():
+    """lemma3.5 reads the entries of the matrix passed in, never the row a
+    batch built from the table's own matrix."""
+    family = symmetric_group(3)
+    a = Matrix.from_rows([[4, 2, 1], [0.5, 3, 0], [1, 1, 6]])
+    b = Matrix.from_rows([[0.25, 9, 1], [7, 0.125, 2], [1, 5, 3]])
+    table = build_hit_table(family, order_map(a))
+    _LemmaBatch(family, [a], [table], [1, 2, 3])
+    for ell in (1, 2, 3):
+        got = list(lemma_suite(b, family, ell, table=table))
+        assert got == lemma_suite_oracle(b, family, ell, table=table)
+        own = [r for r in lemma_suite(a, family, ell, table=table) if r.check_id == "lemma3.5"]
+        assert [r for r in got if r.check_id == "lemma3.5"][0].lhs != own[0].lhs
