@@ -283,9 +283,10 @@ def _run(args) -> int:
     samples = args.mc_samples
     if args.command == "lemmas" and samples is not None:
         raise DomainError("lemmas has no Monte Carlo mode; drop --mc-samples")
-    if args.command == "lemmas" and args.seed is not None and (args.matrix or args.corpus):
-        raise DomainError("lemmas reads --seed only to pick the built-in corpus; "
-                          "drop it with --matrix or --corpus")
+    if args.seed is not None and (args.matrix or args.corpus) and samples is None:
+        draws = "" if args.command == "lemmas" else " or, with --mc-samples, the draws"
+        raise DomainError(f"{args.command} reads --seed only to pick the built-in "
+                          f"corpus{draws}; drop it with --matrix or --corpus")
     spec = parse_family_spec(args.family)
     p_list = _parse_p_list(args.p) if args.command == "verify-lp" else None
     corpus = _load_inputs(args)

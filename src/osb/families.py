@@ -165,7 +165,8 @@ def _member_array(maps, n: int, N: int) -> np.ndarray:
         raise DomainError("explicit families must be nonempty")
     if arr.ndim != 2 or arr.shape[1] != n:
         raise DomainError(f"each map must list {n} values")
-    if arr.dtype.kind not in "iu" or not ((arr >= 1) & (arr <= N)).all():
+    # two reductions, no boolean temporaries
+    if arr.dtype.kind not in "iu" or not (arr.min() >= 1 and arr.max() <= N):
         raise DomainError(f"map values must be integers in 1..{N}")
     arr = arr.astype(np.int64, copy=False)
     arr.setflags(write=False)
@@ -190,20 +191,26 @@ def load_family(path: str) -> MapFamily:
     # a bool among ints as an int: a 2-d int64 table holds only ints and
     # bools, and JSON writes a bool as true or false.  So the values' types
     # are scanned, to name the first that is not an int, only for another
-    # table or a text with one of those words in it
+    # table or a text with one of those words in it.  The text is not held
+    # beside the table
+    words = "true" in text or "false" in text
+    del text
     try:
         table = np.array(maps)
     except ValueError:  # ragged, or a map nested deeper
         table = None
-    if (table is None or table.dtype != np.int64 or table.ndim != 2
-            or "true" in text or "false" in text):
+    if table is None or table.dtype != np.int64 or table.ndim != 2 or words:
         if any(type(g) is not list for g in maps):
             raise FormatError(f"each map must list {n} values")
         if set(map(type, itertools.chain.from_iterable(maps))) - {int}:
             bad = next(v for v in itertools.chain.from_iterable(maps) if type(v) is not int)
             raise FormatError(f"map value {bad!r} is not an integer")
+    # a ragged list fails the shape check.  The JSON's lists are not held
+    # while MapFamily checks the table and copies it
+    members = maps if table is None else table
+    del obj, maps, table
     try:  # MapFamily checks the shape and the range
-        return explicit_family(maps if table is None else table, n, N)
+        return explicit_family(members, n, N)
     except DomainError as e:
         raise FormatError(str(e)) from e
 
@@ -449,23 +456,24 @@ def _compute_certificate(family: MapFamily) -> MeasureCertificate:
         else:
             bound, argmax = Fraction(1), ((1, 1), (2, 1))
     else:
-        arr = family.members
+        # row i of codes holds i * N + g(i) - 1 for every member g, so
         # counts[i, j - 1] members map i to j; |count/size - 1/N| is
         # |count*N - size| / (N*size)
-        codes = arr - 1 + N * np.arange(n)
+        codes = np.add(family.members.T, (N * np.arange(n) - 1)[:, None], order="C")
         counts = np.bincount(codes.ravel(), minlength=n * N).reshape(n, N)
         worst = Fraction(int(np.abs(counts * N - size).max()), N * size)
-        # one count per i1 of every (i2, j1, j2), i2 outermost, in the same
-        # array: with the i2 = i1 counts zeroed, argmax gives the first
-        # maximal pair, as every other i2 holds a positive count
-        codes += (N * N - N) * np.arange(n)
+        # one count per i1 of every (i2, j1, j2) with i2 > i1, i2 outermost,
+        # in the same array, from the rows below row i1 shifted in place:
+        # count(i1, j1, i2, j2) = count(i2, j2, i1, j1), so the first
+        # maximal pair in (i1, i2, j1, j2) order has i1 < i2, and argmax
+        # gives it, as every such i2 holds a positive count
+        codes += (N * N - N) * np.arange(n)[:, None]
         best_count, argmax = 0, None
-        for i1 in range(n):
-            first = (arr[:, i1 : i1 + 1] - 1) * N
-            codes += first
-            pair_counts = np.bincount(codes.ravel(), minlength=n * N * N)
-            codes -= first
-            pair_counts[i1 * N * N : (i1 + 1) * N * N] = 0
+        for i1 in range(n - 1):
+            first, rows = (codes[i1] - i1 * N * N) * N, codes[i1 + 1 :]
+            rows += first
+            pair_counts = np.bincount(rows.ravel(), minlength=n * N * N)
+            rows -= first
             top = int(pair_counts.argmax())
             if int(pair_counts[top]) > best_count:
                 best_count = int(pair_counts[top])

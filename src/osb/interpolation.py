@@ -285,8 +285,8 @@ def expected_lp_norm(
     A path's power sum adds its values as ``_row_sums`` does, so it has
     the bits of numpy's sum of the gathered row.  An exact pass over a
     family enumerated as one run takes every p's powers through the family's
-    path index with one take, and does its bookkeeping once for all p (see
-    ``_one_run_norms``).  Any other exact pass
+    path index, one take per 8,192 paths, and does its bookkeeping once for
+    all p (see ``_one_run_norms``).  Any other exact pass
     walks the enumeration's blocks of run groups (``families._member_runs``)
     once and gathers no member: each prefix position's powers are one value
     per run of a group, and each column of its shared table's powers are
@@ -398,20 +398,31 @@ def _only_zero_paths_fail(a: Matrix, table: np.ndarray, high: float) -> bool:
         table, where=a.entries > 0, initial=math.inf) >= _TINY
 
 
+# paths per take of a one-run family's exact lp: every default-corpus family
+# is one piece, and a piece of the 8! explicit family's powers at 4 p holds
+# 2 MB where one take of them all holds 10 MB
+_LP_PIECE = 8192
+
+
 def _one_run_norms(a: Matrix, ps: list, index: np.ndarray) -> list:
     """The exact lp of a one-run family for every p, its bookkeeping done
-    once: one errstate, one take of every p's powers through the path
-    index, as (p, position, path), their row sums in one ``_row_sums``
-    call and one range check; only the p != 1 rows that fail it, other
-    than by all-zero paths, are rescaled, p by p.  Each exponent stays a
-    Python float.  A p = 1 sum that overflowed is added again under the
-    caller's error state, in p order, so it warns or raises as its own
-    call does."""
+    once: one errstate, every p's powers taken through the path index
+    _LP_PIECE paths at a time, as (p, position, path), each piece's row
+    sums in one ``_row_sums`` call, and one range check; only the p != 1
+    rows that fail it, other than by all-zero paths, are rescaled, p by p.
+    Row sums are per path, so the pieces change no bit, and a family of
+    one piece keeps that piece's sums as they are.  Each exponent stays a
+    Python float.  A p = 1 sum that overflowed takes its powers again and
+    is added again under the caller's error state, in p order, so it warns
+    or raises as its own call does."""
     size = index.shape[0]
     with np.errstate(over="ignore", under="ignore"):
         tables = np.array([a.entries if q == 1.0 else a.entries**q for q in ps])
-        powers = tables.reshape(len(ps), -1).take(index.T, axis=1)
-        sums = _row_sums(powers.transpose(1, 0, 2), (len(ps), size))
+        flat = tables.reshape(len(ps), -1)
+        parts = [_row_sums(flat.take(index[lo : lo + _LP_PIECE].T, axis=1).transpose(1, 0, 2),
+                           (len(ps), min(_LP_PIECE, size - lo)))
+                 for lo in range(0, size, _LP_PIECE)]
+        sums = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
         low, high = sums.min(axis=1).tolist(), sums.max(axis=1).tolist()
         norms = []
         for q, s, lo, hi, table in zip(ps, sums, low, high, tables):
@@ -423,9 +434,9 @@ def _one_run_norms(a: Matrix, ps: list, index: np.ndarray) -> list:
                     _rescale(a, q, s, x, index.__getitem__)
             norms.append(x)
     out = []
-    for q, x, t, hi in zip(ps, norms, powers, high):
+    for q, x, hi in zip(ps, norms, high):
         if q == 1.0 and hi == math.inf:
-            x = _row_sums(t, (size,))
+            x = _row_sums(a.entries.ravel().take(index.T), (size,))
         out.append(ScalarExpectation(value=_block_fsum(x) / size, mode="exact"))
     return out
 

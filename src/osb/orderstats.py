@@ -72,8 +72,10 @@ class OrderStatResult:
 
 
 def _gather(table: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """table[i, block[:, i] - 1] for every row of the block, as one flat take."""
-    return table.ravel().take(block + _offsets(*table.shape))
+    """table[i, block[:, i] - 1] for every row of the block, as one flat take.
+    The block, a fresh int64 array, is consumed: its flat positions are
+    written into it, so a gather holds the block and the values alone."""
+    return table.ravel().take(np.add(block, _offsets(*table.shape), out=block))
 
 
 def _path_blocks(table: np.ndarray, family: MapFamily, cap: int | None):
@@ -184,11 +186,11 @@ def _draw_stats(family: MapFamily, samples: int | None, stats):
         return stats
     members, weights = lookup
     offset = int(weights.sum())
+    index = members @ weights - offset  # before ``stats``, which may consume members
     with np.errstate(over="ignore", invalid="ignore"):
         values = stats(members)
     if not all(np.isfinite(v).all() for v in values.values()):
         return stats
-    index = members @ weights - offset
     tables, columns = {}, {}
     for key, v in values.items():
         table = np.zeros((family.N**family.n,) + v.shape[1:])
@@ -422,11 +424,10 @@ def build_hit_table(
     require_enumerable(family, cap, "raise --enum-cap or OSB_ENUM_CAP")
     n, N = family.n, family.N
     nN = n * N
-    rank = order.rank_of
     hist = np.zeros((n + 1, nN + 1), dtype=np.int64)
     if family.kind == KIND_FULL_MAPPING:
         hits = np.zeros((n, nN + 1), dtype=np.int64)
-        hits[np.arange(n)[:, None], rank] = 1
+        hits[np.arange(n)[:, None], order.rank_of] = 1
         counts = np.zeros((n + 1, nN + 1), dtype=object)
         counts[0] = 1
         for c in hits.cumsum(axis=1).astype(object):  # c_i(m), m = 0..nN
@@ -435,6 +436,9 @@ def build_hit_table(
         tails = counts[::-1].cumsum(axis=0)[::-1]  # tails[k, m] = #(X_m >= k)
         hist[1:, 1:] = np.diff(tails[1:], axis=1)
     else:
+        # ranks 1..nN in the narrowest type, one byte up to nN = 255: the
+        # taken ranks, their row sort and the bincounts read no wider values
+        rank = order.rank_of.astype(np.min_scalar_type(nN))
         for pos in _path_blocks(rank, family, cap):
             pos.sort(axis=1)
             for k in range(1, n + 1):

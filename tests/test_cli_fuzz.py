@@ -330,6 +330,42 @@ def test_lemmas_takes_a_seed_only_for_the_built_in_corpus(files, source, seed_fr
         assert (code, out, err) == _run(argv[:5], {})
 
 
+@pytest.mark.parametrize("command", ["verify-main", "verify-lp"])
+@pytest.mark.parametrize("source", ["--matrix", "--corpus"])
+@pytest.mark.parametrize("seed_from", ["flag", "env", "config"])
+def test_exact_verify_runs_take_a_seed_only_for_the_built_in_corpus(
+        files, command, source, seed_from):
+    # an exact run of an input file draws nothing, so the flag is refused;
+    # with --mc-samples it picks the draws, and OSB_SEED and the config's
+    # seed stay silent defaults
+    argv = [command, "--family", "map:2:2", source,
+            files["m2.csv" if source == "--matrix" else "corpus.json"]]
+    env = {}
+    if seed_from == "flag":
+        argv += ["--seed", "7"]
+    elif seed_from == "env":
+        env["OSB_SEED"] = "7"
+    else:
+        env["OSB_CONFIG"] = files["cfg-good"]
+    code, out, err = _run(argv, env)
+    if seed_from == "flag":
+        assert code == 2 and out == "", (code, err)
+        assert err.splitlines() == [f"error: {command} reads --seed only to pick the built-in "
+                                    "corpus or, with --mc-samples, the draws; drop it with "
+                                    "--matrix or --corpus"]
+        drawn = _run(argv + ["--mc-samples", "64"], {})
+        assert drawn[0] == 0 and drawn != _run(argv[:5] + ["--mc-samples", "64"], {})
+    else:
+        assert (code, out, err) == _run(argv[:5], {})
+
+
+def test_an_exact_verify_run_with_a_seed_of_any_size_is_refused(files):
+    argv = ["verify-main", "--family", "sym", "--matrix", files["m2.csv"],
+            "--seed", "99999999999999999999999999"]
+    code, out, err = _run(argv, {})
+    assert code == 2 and out == "" and len(err.splitlines()) == 1, (code, err)
+
+
 @pytest.mark.parametrize("command", ["verify-main", "verify-lp", "lemmas"])
 @pytest.mark.parametrize("order", ["matrix first", "corpus first"])
 def test_matrix_and_corpus_together_are_a_usage_error(files, command, order):

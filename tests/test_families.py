@@ -452,7 +452,7 @@ class TestPairwiseConstant:
         assert pairwise_constant(full_mapping_family(1, 4)).pairwise_bound == 0
 
     @pytest.mark.parametrize("n,N", [(1, 1), (1, 3), (2, 1), (2, 2), (3, 2), (3, 4),
-                                     (4, 3), (5, 2)])
+                                     (4, 3), (5, 2), (6, 3), (7, 2), (8, 8)])
     def test_explicit_certificate_matches_the_per_pair_loop(self, n, N):
         # few values and repeated members make ties between pairs common
         rng = np.random.default_rng(10 * n + N)

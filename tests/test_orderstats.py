@@ -67,7 +67,8 @@ class TestGather:
         for n, N in [(1, 1), (1, 6), (3, 4), (5, 5)]:
             table = rng.choice(np.array(specials + [0.5, 1.25]), size=(n, N))
             for block in iter_member_arrays(full_mapping_family(n, N)):
-                got, want = _gather(table, block), oracle_gather(table, block)
+                # _gather consumes its block, so it takes a copy
+                got, want = _gather(table, block.copy()), oracle_gather(table, block)
                 assert got.shape == want.shape and got.dtype == want.dtype
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -79,11 +80,20 @@ class TestGather:
             blocks = list(iter_member_arrays(fam))
             blocks.append(sample_array(fam, seed=1, count=9))
             for block in blocks:
-                assert np.array_equal(_gather(a.entries, block).view(np.uint64),
+                assert np.array_equal(_gather(a.entries, block.copy()).view(np.uint64),
                                       oracle_gather(a.entries, block).view(np.uint64))
-                got = _gather(rank, block)
+                got = _gather(rank, block.copy())
                 assert got.dtype == np.int64
                 assert np.array_equal(got, oracle_gather(rank, block))
+
+    def test_the_block_is_consumed_for_its_flat_positions(self):
+        a = random_matrix(3, 4, 7)
+        block = sample_array(full_mapping_family(3, 4), seed=2, count=11)
+        want = oracle_gather(a.entries, block)
+        positions = block + np.arange(3) * 4 - 1
+        got = _gather(a.entries, block)
+        assert np.array_equal(block, positions)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestTopValues:
