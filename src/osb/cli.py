@@ -283,6 +283,9 @@ def _run(args) -> int:
     samples = args.mc_samples
     if args.command == "lemmas" and samples is not None:
         raise DomainError("lemmas has no Monte Carlo mode; drop --mc-samples")
+    if args.enum_cap is not None and samples is not None:
+        raise DomainError(f"{args.command} --mc-samples enumerates no family, so "
+                          "--enum-cap does not apply; drop one of them")
     if args.seed is not None and (args.matrix or args.corpus) and samples is None:
         draws = "" if args.command == "lemmas" else " or, with --mc-samples, the draws"
         raise DomainError(f"{args.command} reads --seed only to pick the built-in "

@@ -389,7 +389,10 @@ class HitCountTable:
     For each member g, its n path positions have ranks in 1..n*N under the
     ordering; ``hist[k][j]`` counts members whose k-th smallest rank equals j.
     Every hit-count tail probability follows by prefix summation:
-    #(X_m >= k) = sum over j <= m of hist[k][j].
+    #(X_m >= k) = sum over j <= m of hist[k][j].  A counted ``map`` table
+    holds Python ints (object dtype), which no size wraps; an enumerated
+    one holds int64, as its counts are at most the size of a family that
+    was enumerated.
     """
 
     size: int
@@ -412,11 +415,11 @@ def build_hit_table(
     A ``map:n:N`` table is counted, not enumerated: the positions of a map
     are independent, and position i hits the m best ranks with c_i(m) of its
     N values, so #(X_m = k) is the coefficient of x**k in the product over i
-    of (N - c_i(m)) + c_i(m) x, in Python integers.  The k-th smallest hit
-    rank is m exactly when X_m >= k > X_(m-1).  A family enumerated as one
-    run is read through its path index with one take.  Every family,
-    counted or not, is refused above the enumeration cap, with the advice
-    to raise it.
+    of (N - c_i(m)) + c_i(m) x, in Python integers, which the table keeps.
+    The k-th smallest hit rank is m exactly when X_m >= k > X_(m-1).  A
+    family enumerated as one run is read through its path index with one
+    take.  Every family, counted or not, is refused above the enumeration
+    cap, with the advice to raise it.
     """
     if (order.n, order.N) != (family.n, family.N):
         raise DomainError("ordering and family dimensions differ")
@@ -424,8 +427,9 @@ def build_hit_table(
     require_enumerable(family, cap, "raise --enum-cap or OSB_ENUM_CAP")
     n, N = family.n, family.N
     nN = n * N
-    hist = np.zeros((n + 1, nN + 1), dtype=np.int64)
-    if family.kind == KIND_FULL_MAPPING:
+    counted = family.kind == KIND_FULL_MAPPING
+    hist = np.zeros((n + 1, nN + 1), dtype=object if counted else np.int64)
+    if counted:
         hits = np.zeros((n, nN + 1), dtype=np.int64)
         hits[np.arange(n)[:, None], order.rank_of] = 1
         counts = np.zeros((n + 1, nN + 1), dtype=object)
@@ -512,6 +516,13 @@ class _Columns:
         ln, ld, rn, rd = (x[index] for x in self.sides)
         return [(ln / ld).tolist(), (rn / rd).tolist(), self.margins[index].tolist()]
 
+    def _report(self, inputs: dict, lhs: float, rhs: float, margin: float,
+                failed, extra: dict) -> VerificationReport:
+        return VerificationReport(
+            check_id=self.check_id, inputs=inputs, lhs=lhs, rhs=rhs, margin=margin,
+            status=STATUS_FAIL if failed else STATUS_PASS, direction=self.direction,
+            mode="exact", constant=self.constant, extra=extra)
+
     def reports(self, l: int, b: int, base: dict) -> list[VerificationReport]:
         """Instance (l, b)'s reports, one per row."""
         l = min(l, len(self.count) - 1)
@@ -519,14 +530,11 @@ class _Columns:
         if not count:
             return [vacuous_report(self.check_id, base, self.note)]
         rows = (l, b, slice(count))
-        return [VerificationReport(
-            check_id=self.check_id, inputs=self._inputs(base, i), lhs=lhs, rhs=rhs,
-            margin=margin, status=STATUS_FAIL if failed else STATUS_PASS,
-            direction=self.direction, mode="exact", constant=self.constant,
-            extra=self.extra(b, i) if self.extra else {},
-        ) if live else vacuous_report(self.check_id, self._inputs(base, i), self.note)
-            for i, (lhs, rhs, margin, failed, live) in enumerate(zip(
-                *self._floats(rows), self.failed[rows].tolist(), self.live[rows].tolist()))]
+        return [self._report(self._inputs(base, i), lhs, rhs, margin, failed,
+                             self.extra(b, i) if self.extra else {})
+                if live else vacuous_report(self.check_id, self._inputs(base, i), self.note)
+                for i, (lhs, rhs, margin, failed, live) in enumerate(zip(
+                    *self._floats(rows), self.failed[rows].tolist(), self.live[rows].tolist()))]
 
     def reduce(self) -> "_Columns":
         """Keep each instance's first live row of least float margin, with
@@ -553,13 +561,9 @@ class _Columns:
         if self.worst[l][b] is None:
             return vacuous_report(self.check_id, inputs, self.note)
         i, failed, lhs, rhs, margin = self.worst[l][b]
-        return VerificationReport(
-            check_id=self.check_id, inputs=inputs, lhs=lhs, rhs=rhs, margin=margin,
-            status=STATUS_FAIL if failed else STATUS_PASS, direction=self.direction,
-            mode="exact", constant=self.constant,
-            extra={"note": _AGGREGATE_NOTE, "failed_instances": failed,
-                   "worst_case": self._inputs(base, i)},
-        )
+        return self._report(inputs, lhs, rhs, margin, failed,
+                            {"note": _AGGREGATE_NOTE, "failed_instances": failed,
+                             "worst_case": self._inputs(base, i)})
 
 
 class _LemmaBatch:
@@ -581,19 +585,19 @@ class _LemmaBatch:
 
     @cached_property
     def columns(self) -> list[_Columns]:
-        """Every check's columns, in sweep order, for per-instance reports."""
+        """Every check's columns, in check-id order, for per-instance reports."""
         return list(self._build())
 
     @cached_property
     def reduced(self) -> list[_Columns]:
         """Every check reduced to its aggregates, in check-id order; each
         check's arrays are dropped before the next check is built."""
-        return sorted((col.reduce() for col in self._build()), key=lambda col: col.check_id)
+        return [col.reduce() for col in self._build()]
 
     def _build(self):
-        """The columns in sweep order: lemma3.1, lemma3.2, paley-zygmund,
-        lemma3.3a, lemma3.3b, lemma3.4, lemma3.5, lemma3.6.  The first
-        three depend on no ell."""
+        """The columns in check-id order: lemma3.1, lemma3.2, lemma3.3a,
+        lemma3.3b, lemma3.4, lemma3.5, lemma3.6, paley-zygmund.  The first
+        two and the last depend on no ell."""
         B, n, nN = self._hists.shape[0], self._hists.shape[1] - 1, self._hists.shape[2] - 1
         N, S = nN // n, self._size
         p, q = self.c_pair.numerator, self.c_pair.denominator
@@ -601,7 +605,7 @@ class _LemmaBatch:
         # tails[b, k, m] = #(X_m >= k) on table b, k = 0..n+1
         tails = np.zeros((B, n + 2, nN + 1), dtype=object)
         tails[:, 0] = S
-        tails[:, 1: n + 1] = np.cumsum(self._hists[:, 1:], axis=2).astype(object)
+        tails[:, 1: n + 1] = np.cumsum(self._hists[:, 1:].astype(object), axis=2)
         bs = np.arange(B)[:, None]
         m_idx = np.arange(1, nN + 1)
         ms = m_idx.astype(object)
@@ -621,19 +625,6 @@ class _LemmaBatch:
         k = np.clip(-(-ta * grid_m // (tb * N)), 1, n + 1).astype(np.int64)
         yield column("lemma3.2", "ge", grid, (tails[:, k, grid_m_idx], S),
                      ((tb - ta) ** 2 * grid_m * q, tb * tb * (N * q + grid_m * p)))
-
-        # Z = X_m: E Z = M/S and E Z^2 = Q/S, and P(Z >= theta E Z) is the tail
-        # at the first integer reaching theta M/S
-        M = tails[:, 1: n + 1, 1:].sum(axis=1)
-        Q = (np.arange(1, 2 * n, 2, dtype=object)[:, None] * tails[:, 1: n + 1, 1:]).sum(axis=1)
-        grid_M, grid_Q = np.repeat(M, T, axis=1), np.repeat(Q, T, axis=1)
-        live = (grid_M > 0).astype(bool)
-        k = np.clip(-(-ta * grid_M // (tb * S)), 0, n + 1).astype(np.int64)
-        yield column(
-            "paley-zygmund", "ge", grid, (tails[bs, k, grid_m_idx], S),
-            ((tb - ta) ** 2 * grid_M * grid_M, tb * tb * S * np.where(live, grid_Q, 1)),
-            constant=None, live=live, note="E Z = 0; inequality is vacuous",
-            extra=lambda b, i: {"mean": M[b, i // T] / S, "second_moment": Q[b, i // T] / S})
 
         ells = np.array(list(self.ell_index), dtype=np.int64)
         tops = ells * N
@@ -681,29 +672,32 @@ class _LemmaBatch:
                      (tails[bs, ks, at_top], S), (q, 2 * q + 4 * p), count=(ells // 2)[:, None],
                      note="k range 1..floor(ell/2) is empty for ell = 1")
 
+        # Z = X_m: E Z = M/S and E Z^2 = Q/S, and P(Z >= theta E Z) is the tail
+        # at the first integer reaching theta M/S
+        M = tails[:, 1: n + 1, 1:].sum(axis=1)
+        Q = (np.arange(1, 2 * n, 2, dtype=object)[:, None] * tails[:, 1: n + 1, 1:]).sum(axis=1)
+        grid_M, grid_Q = np.repeat(M, T, axis=1), np.repeat(Q, T, axis=1)
+        live = (grid_M > 0).astype(bool)
+        k = np.clip(-(-ta * grid_M // (tb * S)), 0, n + 1).astype(np.int64)
+        yield column(
+            "paley-zygmund", "ge", grid, (tails[bs, k, grid_m_idx], S),
+            ((tb - ta) ** 2 * grid_M * grid_M, tb * tb * S * np.where(live, grid_Q, 1)),
+            constant=None, live=live, note="E Z = 0; inequality is vacuous",
+            extra=lambda b, i: {"mean": M[b, i // T] / S, "second_moment": Q[b, i // T] / S})
+
 
 class _LemmaInstance:
     """The suite's reports for one (matrix, family, ell) instance: matrix
     row ``b`` of a batch, at ``ell``.  Iterating builds the per-instance
-    reports in sweep order; ``aggregate`` gives one report per check id."""
+    reports in check-id order, each check's rows in sweep order;
+    ``aggregate`` gives one report per check id."""
 
     def __init__(self, batch: _LemmaBatch, b: int, ell: int, base: dict):
         self._batch, self._b, self._l, self._base = batch, b, batch.ell_index[ell], base
 
     def __iter__(self):
-        """For each m: lemma3.1, then lemma3.2 and paley-zygmund for each
-        theta, then lemma3.3a; then every row of each remaining check."""
-        c31, c32, cpz, c33a, *rest = (col.reports(self._l, self._b, self._base)
-                                      for col in self._batch.columns)
-        T = len(DEFAULT_THETAS)
-        for i, report in enumerate(c31):
-            yield report
-            for j in range(i * T, (i + 1) * T):
-                yield c32[j]
-                yield cpz[j]
-            yield c33a[i]
-        for reports in rest:
-            yield from reports
+        for col in self._batch.columns:
+            yield from col.reports(self._l, self._b, self._base)
 
     def aggregate(self) -> list[VerificationReport]:
         """One report per check id, in check-id order: the first instance of

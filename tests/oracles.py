@@ -793,8 +793,8 @@ def check_lemma36(table, c_pair: Fraction, ell: int, k: int):
 def lemma_suite_oracle(a, family, ell, *, table=None, c_pair=None,
                        extra_inputs=None):
     """Every tail inequality on one (matrix, family, ell) instance, one
-    Fraction-decided report per swept instance, in sweep order.  No
-    hypothesis check is made."""
+    Fraction-decided report per swept instance, in check-id order, each
+    check's instances in sweep order.  No hypothesis check is made."""
     from osb.families import pairwise_constant
     from osb.matrices import order_map
     from osb.orderstats import DEFAULT_THETAS, build_hit_table
@@ -861,7 +861,7 @@ def lemma_suite_oracle(a, family, ell, *, table=None, c_pair=None,
     else:
         out.append(vacuous_report(
             "lemma3.6", base, "k range 1..floor(ell/2) is empty for ell = 1"))
-    return out
+    return sorted(out, key=lambda r: r.check_id)
 
 
 def aggregate_oracle(reports, group_inputs):

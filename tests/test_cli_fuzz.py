@@ -255,13 +255,18 @@ def test_draw_counts_past_the_word_counter_fail_at_once(files, command, family):
 @pytest.mark.parametrize("family", ["map:2:2", "sym:3"])
 def test_monte_carlo_ignores_the_enumeration_cap(files, command, family):
     # at 4096 draws each member's values are looked up in tables built from
-    # the enumeration, which that lookup walks with the family's size as cap
+    # the enumeration, which that lookup walks with the family's size as cap;
+    # the cap from the environment is a silent default, as OSB_SEED is, but
+    # the flag, which a Monte Carlo run cannot honour, is refused
     argv = [command, "--family", family, "--corpus", files["corpus.json"],
             "--mc-samples", "4096", "--seed", "5"]
     code, out, err = _run(argv, {})
     assert code in (0, 1) and err == "" and json.loads(out)["reports"], (code, err)
-    assert _run(argv + ["--enum-cap", "1"], {}) == (code, out, err)
     assert _run(argv, {"OSB_ENUM_CAP": "1"}) == (code, out, err)
+    code, out, err = _run(argv + ["--enum-cap", "1"], {})
+    assert code == 2 and out == "", (code, err)
+    assert err.splitlines() == [f"error: {command} --mc-samples enumerates no family, "
+                                "so --enum-cap does not apply; drop one of them"], err
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,6 +8,7 @@ field for field, and aggregated campaign output byte for byte.
 """
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,7 @@ from osb.families import (
     pairwise_constant,
     symmetric_group,
 )
-from osb import orderstats
+from osb import cli, orderstats
 from osb.matrices import Matrix, order_map
 from osb.orderstats import (_Columns, _LemmaBatch, _LemmaInstance, build_hit_table,
                             lemma_suite)
@@ -325,3 +326,77 @@ def test_another_matrix_on_a_batched_table_reads_its_own_entries():
         assert got == lemma_suite_oracle(b, family, ell, table=table)
         own = [r for r in lemma_suite(a, family, ell, table=table) if r.check_id == "lemma3.5"]
         assert [r for r in got if r.check_id == "lemma3.5"][0].lhs != own[0].lhs
+
+
+# ---------------------------------------------------------------------------
+# counted map tables past 2**63: map:16:16 has 2**64 members, map:20:20 about
+# 10**26, so the tails and the counts leave the int64 range
+
+
+def _dyadic_matrix(n, N, seed):
+    rng = np.random.default_rng(seed)
+    return Matrix(rng.integers(0, 64, (n, N)) / 2.0 ** rng.integers(0, 40, (n, N)))
+
+
+def _row_hits(a):
+    """c[m][i]: how many of the m largest positions lie in row i, m = 0..nN."""
+    pairs = order_map(a).pairs
+    c = [[0] * a.rows]
+    for i, _ in pairs:
+        c.append(list(c[-1]))
+        c[-1][i - 1] += 1
+    return c
+
+
+def _product_hist(a):
+    """The counted table's hist from the product over rows of
+    (N - c_i(m)) + c_i(m) x, coefficient by coefficient in Python ints."""
+    n, N = a.rows, a.cols
+    tails = []  # tails[m][k] = #(X_m >= k)
+    for c in _row_hits(a):
+        poly = [1]
+        for ci in c:
+            poly = [(N - ci) * x + ci * y for x, y in zip(poly + [0], [0] + poly)]
+        tails.append([sum(poly[k:]) for k in range(n + 1)])
+    return [[0] * (n * N + 1)] + [
+        [0] + [tails[m][k] - tails[m - 1][k] for m in range(1, n * N + 1)]
+        for k in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("n", [16, 20])
+def test_batch_tails_past_int64_equal_the_closed_forms(n):
+    """#(X_m >= 1) = N**n - prod_i (N - c_i(m)) and #(X_m >= n) = prod_i c_i(m)
+    for every m, as the batch's columns read them: lemma3.1's left sides
+    and the ell = n less the ell = n - 1 rows of lemma3.4's right sides."""
+    family, a = full_mapping_family(n, n), _dyadic_matrix(n, n, seed=n)
+    table = build_hit_table(family, order_map(a), cap=10**30)
+    batch = _LemmaBatch(family, [a], [table], range(1, n + 1))
+    cols = {col.check_id: col for col in batch.columns}
+    assert list(cols) == sorted(cols)
+    at_least_one = cols["lemma3.1"].sides[0][0, 0].tolist()
+    p, q = batch.c_pair.numerator, batch.c_pair.denominator
+    plain = cols["lemma3.4"].sides[2][:, 0]
+    all_hit = [(x - y) // (8 * q + 16 * p) for x, y in zip(plain[n - 1], plain[n - 2])]
+    c = _row_hits(a)[1:]
+    assert at_least_one == [n**n - math.prod(n - ci for ci in cm) for cm in c]
+    assert all_hit == [math.prod(cm) for cm in c]
+    assert max(at_least_one) >= 2**63 and max(all_hit) >= 2**63
+
+
+def test_counted_table_past_int64_is_the_product_formula():
+    a = _dyadic_matrix(20, 20, seed=3)
+    got = build_hit_table(full_mapping_family(20, 20), order_map(a), cap=10**30)
+    assert all(type(x) is int for x in got.hist.flat)
+    assert got.hist.tolist() == _product_hist(a)
+    assert got.hist.max() >= 2**63
+
+
+@pytest.mark.parametrize("n", [16, 20])
+def test_lemma_cli_past_int64_fails_no_check(tmp_path, capsys, n):
+    path = tmp_path / "m.csv"
+    rows = _dyadic_matrix(n, n, seed=n).entries.tolist()
+    path.write_text("".join(",".join(map(repr, row)) + "\n" for row in rows))
+    code = cli.main(["lemmas", "--family", f"map:{n}:{n}", "--matrix", str(path),
+                     "--enum-cap", str(10**30), "--summary"])
+    out = capsys.readouterr().out
+    assert code == 0 and " fail: 0 " in out.splitlines()[0], out
