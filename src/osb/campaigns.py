@@ -21,11 +21,10 @@ from .matrices import order_map, reduce_to_top
 from .orderstats import _LemmaBatch, _top_sums, build_hit_table, lemma_suite
 from .interpolation import verify_lp_bounds
 from .reports import (
-    STATUS_FAIL,
-    STATUS_PASS,
     STATUS_VACUOUS,
     VerificationReport,
     inequality_report,
+    ratio_report,
     vacuous_report,
 )
 
@@ -169,13 +168,8 @@ def run_verify_lp(
             ))
             continue
         ratio, worst_inputs = min_ratio[p]
-        status = STATUS_PASS if ratio > 0.0 else STATUS_FAIL
-        out.append(VerificationReport(
-            check_id="thm1.2/lower-min-ratio",
-            inputs={"p": float(p)},
-            lhs=ratio, rhs=0.0, margin=ratio, status=status, direction="ge",
-            extra={"worst_case": worst_inputs},
-        ))
+        out.append(ratio_report("thm1.2/lower-min-ratio", {"p": float(p)}, ratio,
+                                extra={"worst_case": worst_inputs}))
     return out
 
 

@@ -7,14 +7,13 @@ of (seed, distribution, n, N, index), so corpora regenerate identically.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import rng
-from .errors import FormatError, read_input_text
+from .errors import FormatError, parse_json, read_input_text
 from .matrices import Matrix, _validate_grid
 from .reports import canonical_json
 
@@ -141,10 +140,7 @@ def corpus_to_json(corpus: Corpus) -> str:
 
 
 def parse_corpus_json(text: str) -> Corpus:
-    try:
-        obj = json.loads(text)
-    except ValueError as e:  # JSONDecodeError, or an integer too long to parse
-        raise FormatError(f"invalid JSON: {e}") from e
+    obj = parse_json(text)
     if not isinstance(obj, dict) or not isinstance(obj.get("cells"), list):
         raise FormatError('corpus JSON needs a "cells" list')
     seed = obj.get("seed", 0)

@@ -1,5 +1,8 @@
-"""Exception types shared across the package, and the reader of input files
-that reports an undecodable file as a FormatError."""
+"""Exception types shared across the package, the reader of input files
+that reports an undecodable file as a FormatError, and the JSON decoder
+that reports an undecodable text as one."""
+
+import json
 
 
 class DomainError(ValueError):
@@ -30,3 +33,11 @@ def read_input_text(path: str) -> str:
             return fh.read()
         except UnicodeDecodeError as e:
             raise FormatError(f"{path} is not UTF-8 text: {e}") from e
+
+
+def parse_json(text: str):
+    """The value of a JSON text."""
+    try:
+        return json.loads(text)
+    except ValueError as e:  # JSONDecodeError, or an integer too long to parse
+        raise FormatError(f"invalid JSON: {e}") from e

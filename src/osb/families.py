@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import rng
 from .errors import (DomainError, FormatError, HypothesisError, ResourceError,
-                     read_input_text)
+                     parse_json, read_input_text)
 
 DEFAULT_ENUM_CAP = 10_000_000
 
@@ -176,10 +175,7 @@ def _member_array(maps, n: int, N: int) -> np.ndarray:
 def load_family(path: str) -> MapFamily:
     """Read an explicit family from JSON {"n": ..., "N": ..., "maps": [[...]]}."""
     text = read_input_text(path)
-    try:
-        obj = json.loads(text)
-    except ValueError as e:  # JSONDecodeError, or an integer too long to parse
-        raise FormatError(f"invalid JSON: {e}") from e
+    obj = parse_json(text)
     if not isinstance(obj, dict) or not {"n", "N", "maps"} <= set(obj):
         raise FormatError('family JSON needs keys "n", "N", "maps"')
     n, N, maps = obj["n"], obj["N"], obj["maps"]

@@ -30,13 +30,7 @@ from .orderstats import (
     _offsets,
     expected_top_sum,
 )
-from .reports import (
-    STATUS_FAIL,
-    STATUS_PASS,
-    VerificationReport,
-    inequality_report,
-    vacuous_report,
-)
+from .reports import VerificationReport, inequality_report, ratio_report, vacuous_report
 
 _MC_CHUNK = 65536
 _TINY = np.finfo(np.float64).tiny
@@ -74,10 +68,7 @@ class KFunctionalCurve:
     @cached_property
     def knots(self) -> tuple[float, ...]:
         """Curve values at the integer breakpoints 0..n."""
-        ps = [0.0]
-        for s in self.slopes:
-            ps.append(ps[-1] + s)
-        return tuple(ps)
+        return tuple(itertools.accumulate(self.slopes, initial=0.0))
 
     def value(self, t: float) -> float:
         if t < 0:
@@ -162,7 +153,7 @@ def interpolation_norm_from_curve(curve: KFunctionalCurve, p: float) -> float:
         first = curve.slopes[0]
         scale = math.ldexp(1.0, math.frexp(first)[1] - 1) if attempt == 0 else first
         slopes = [s / scale for s in curve.slopes]
-        knots = [0.0, *itertools.accumulate(slopes)]
+        knots = list(itertools.accumulate(slopes, initial=0.0))
 
 
 def interpolation_norm(x: Sequence[float], p: float) -> float:
@@ -172,6 +163,16 @@ def interpolation_norm(x: Sequence[float], p: float) -> float:
 
 # ---------------------------------------------------------------------------
 # expected lp path norms and the head/tail benchmark
+
+
+def _exponents(p) -> tuple[list, bool]:
+    """The exponents ``p`` names, one or a sequence, as a list, and whether
+    it was one; each must be finite and at least 1."""
+    one = np.ndim(p) == 0
+    ps = [p] if one else list(p)
+    if not all(math.isfinite(q) and q >= 1.0 for q in ps):
+        raise DomainError("p must be finite and >= 1")
+    return ps, one
 
 
 @dataclass(frozen=True)
@@ -295,11 +296,7 @@ def expected_lp_norm(
     one group without prefix.
     """
     _check_dims(a, family)
-    one = np.ndim(p) == 0
-    ps = [p] if one else list(p)
-    if not all(math.isfinite(q) and q >= 1.0 for q in ps):
-        raise DomainError("p must be finite and >= 1")
-
+    ps, one = _exponents(p)
     if samples is None and (index := _one_run_index(family, cap)) is not None:
         out = _one_run_norms(a, ps, index)
         return out[0] if one else out
@@ -451,10 +448,7 @@ def head_tail_bound(a: Matrix, p: float | Sequence[float]) -> float | list[float
     errstate.  A tail whose power sum leaves the normal float range is
     scaled by its largest entry, the first of the rearrangement.
     """
-    one = np.ndim(p) == 0
-    ps = [p] if one else list(p)
-    if not all(math.isfinite(q) and q >= 1.0 for q in ps):
-        raise DomainError("p must be finite and >= 1")
+    ps, one = _exponents(p)
     s = a.rearrangement
     N = a.cols
     head = math.fsum(s[:N].tolist()) / N
@@ -496,7 +490,7 @@ def verify_lp_bounds(
     require_uniform_marginals(family)
     c_pair = pairwise_constant(family).pairwise_bound
     reference = 1.0 / (32.0 * float((1 + 2 * c_pair)) ** 2)
-    ps = [p] if np.ndim(p) == 0 else list(p)
+    ps, _ = _exponents(p)
     expectations = expected_lp_norm(a, family, ps, cap=cap, samples=samples, seed=seed)
     shared = {**(extra_inputs or {}), "matrix": a.digest(), "family": family.descriptor()}
     labels = {} if samples is None else {"samples": samples, "seed": seed}
@@ -512,11 +506,8 @@ def verify_lp_bounds(
                 "thm1.2/lower-ratio", inputs, "zero matrix; ratio is undefined"
             )
         else:
-            ratio = expectation.value / bound
-            status = STATUS_PASS if ratio > 0.0 else STATUS_FAIL
-            lower = VerificationReport(
-                check_id="thm1.2/lower-ratio", inputs=inputs,
-                lhs=ratio, rhs=0.0, margin=ratio, status=status, direction="ge",
+            lower = ratio_report(
+                "thm1.2/lower-ratio", inputs, expectation.value / bound,
                 mode=expectation.mode, stderr=expectation.stderr,
                 extra={"reference_constant": reference},
             )

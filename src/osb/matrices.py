@@ -9,7 +9,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -17,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DomainError, FormatError, read_input_text
+from .errors import DomainError, FormatError, parse_json, read_input_text
 
 
 def render_float(x: float) -> str:
@@ -185,10 +184,7 @@ def _validate_grid(rows_field, cols_field, grid) -> Matrix:
 
 
 def parse_matrix_json(text: str) -> Matrix:
-    try:
-        obj = json.loads(text)
-    except ValueError as e:  # JSONDecodeError, or an integer too long to parse
-        raise FormatError(f"invalid JSON: {e}") from e
+    obj = parse_json(text)
     if not isinstance(obj, dict) or not {"rows", "cols", "entries"} <= set(obj):
         raise FormatError('matrix JSON needs keys "rows", "cols", "entries"')
     return _validate_grid(obj["rows"], obj["cols"], obj["entries"])
@@ -205,14 +201,7 @@ def parse_matrix_csv(text: str) -> Matrix:
             raise FormatError(f"bad CSV field: {e}") from e
     if not grid:
         raise FormatError("empty matrix file")
-    width = len(grid[0])
-    if any(len(r) != width for r in grid):
-        raise FormatError("ragged rows are not allowed")
-    for row in grid:
-        for v in row:
-            if not np.isfinite(v):
-                raise FormatError(f"non-finite entry {v!r}")
-    return Matrix.from_rows(grid)
+    return _validate_grid(len(grid), len(grid[0]), grid)
 
 
 def load_matrix(path: str) -> Matrix:

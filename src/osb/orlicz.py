@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -45,9 +46,9 @@ def luxemburg_norm(x: Sequence[float], j: int) -> float:
 
     What the norms of one vector share (its sort, prefix sums, scale and
     bracket ends) is made once, in a ``_HingeRecord`` that also keeps each
-    j's norm.  The record of the latest vector, keyed by its bytes, is
-    kept, and no other: the sweep's upper check and sandwich at each ell of
-    a matrix share it.
+    j's norm.  A one-entry memo keyed by the vector's bytes keeps the
+    record of the latest vector, and no other: the sweep's upper check and
+    sandwich at each ell of a matrix share it.
 
     A step moves ``hi`` to the midpoint m exactly when the plain hinge sum
     fsum(max(|x_i| / m - k, 0)) rounds to at most 1, k the float 1/j.  Most
@@ -80,11 +81,9 @@ def luxemburg_norm(x: Sequence[float], j: int) -> float:
     """
     if j < 1:
         raise DomainError("j must be >= 1")
-    global _last
-    record = _record(np.asarray(x, dtype=np.float64).ravel())
+    record = _record(np.asarray(x, dtype=np.float64).tobytes())
     if record is None:
         raise DomainError("the hinge norm needs finite entries")
-    _last = record
     return record.norm(j)
 
 
@@ -93,13 +92,13 @@ class _HingeRecord:
     its decreasing rearrangement of magnitudes ``desc``; the magnitudes
     ``absx`` in their own order and the bracket ends ``lo`` and ``hi``, all
     scaled by 2**``scale``; the prefix sums of the scaled rearrangement (the
-    P_i of ``_band_edges``); and the norms found so far, by j.  ``key`` is the
-    vector's bytes.  The entries are finite."""
+    P_i of ``_band_edges``); and the norms found so far, by j.  The entries
+    are finite."""
 
-    __slots__ = ("key", "desc", "absx", "scale", "lo", "hi", "prefix", "norms")
+    __slots__ = ("desc", "absx", "scale", "lo", "hi", "prefix", "norms")
 
-    def __init__(self, key: bytes, absx: np.ndarray, desc: np.ndarray):
-        self.key, self.desc, self.norms = key, desc, {}
+    def __init__(self, absx: np.ndarray, desc: np.ndarray):
+        self.desc, self.norms = desc, {}
         top = float(desc[0]) if desc.size else 0.0
         if top == 0.0:
             self.prefix = None  # every norm is 0
@@ -149,23 +148,17 @@ class _HingeRecord:
         return norm
 
 
-# the record of the vector of the latest norm, and only that one
-_last: _HingeRecord | None = None
-
-
-def _record(x: np.ndarray) -> _HingeRecord | None:
-    """The hinge record of the flat float64 vector ``x``: the kept one when
-    it holds x's bytes, so a vector changed in place is never served a
-    stale one, else a new one, not kept.  None when an entry is not
+@lru_cache(maxsize=1)
+def _record(key: bytes) -> _HingeRecord | None:
+    """The hinge record of the float64 vector whose bytes are ``key``, kept
+    for the latest key only: a vector changed in place has other bytes, so
+    it is never served a stale record.  None when an entry is not
     finite."""
-    key = x.tobytes()
-    if _last is not None and _last.key == key:
-        return _last
-    absx = np.abs(x)
+    absx = np.abs(np.frombuffer(key))
     desc = np.sort(absx)[::-1]
     if desc.size and not math.isfinite(desc[0]):  # NaN sorts last, so first here
         return None
-    return _HingeRecord(key, absx, desc)
+    return _HingeRecord(absx, desc)
 
 
 def _band_edges(prefix: np.ndarray, kink: float) -> tuple[float, float]:
@@ -192,19 +185,16 @@ def top_sum_sandwich_check(x: Sequence[float], j: int) -> VerificationReport:
 
     The check is made in floats, so a vector whose top-j sum is not finite
     (an entry is, or the sum overflows) is rejected.  ``x`` is flattened,
-    and its hinge record (see ``luxemburg_norm``) is kept only when the
-    check is made."""
-    global _last
+    and its hinge record (see ``luxemburg_norm``) is kept."""
     x = np.asarray(x, dtype=np.float64).ravel()
     if not 1 <= j <= x.size:
         raise DomainError(f"j={j} out of range 1..{x.size}")
-    record = _record(x)
+    record = _record(x.tobytes())
     with np.errstate(over="ignore"):
         top = math.nan if record is None else float(record.desc[:j].sum())
     if not math.isfinite(top):
         raise DomainError("the top-j sum is not finite")
-    _last = record
-    norm = luxemburg_norm(x, j)
+    norm = record.norm(j)
     slack = DEFAULT_NORM_TOL * max(1.0, norm) + EXACT_SLACK
     margin = min(norm - 0.5 * top, top - norm)
     status = STATUS_PASS if margin >= -slack else STATUS_FAIL

@@ -128,6 +128,19 @@ def inequality_report(
     )
 
 
+def ratio_report(
+    check_id: str, inputs: Mapping[str, object], ratio: float, *,
+    extra: Mapping[str, object], mode: str = "exact", stderr: float | None = None,
+) -> VerificationReport:
+    """A recorded ratio asserted strictly positive: lhs and margin are the
+    ratio, rhs is 0 and the direction "ge"."""
+    return VerificationReport(
+        check_id=check_id, inputs=inputs, lhs=ratio, rhs=0.0, margin=ratio,
+        status=STATUS_PASS if ratio > 0.0 else STATUS_FAIL, direction="ge",
+        mode=mode, stderr=stderr, extra=extra,
+    )
+
+
 def vacuous_report(
     check_id: str, inputs: Mapping[str, object], note: str
 ) -> VerificationReport:

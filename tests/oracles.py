@@ -421,7 +421,8 @@ def oracle_top_values(paths, ell):
 
 # ---------------------------------------------------------------------------
 # The lp estimator as one pass per p, before one pass served every p: its
-# body as it was, on the package's block source, draw lookup and accumulator
+# body as it was, on the package's block source and accumulator, with every
+# draw's norm computed from its own path (no lookup of a draw's norms)
 
 
 def oracle_expected_lp_norm(a, family, p, *, cap=None, samples=None, seed=0):
@@ -429,7 +430,7 @@ def oracle_expected_lp_norm(a, family, p, *, cap=None, samples=None, seed=0):
     one p: block norms summed with math.fsum, or fed to one accumulator."""
     from osb.families import iter_member_arrays
     from osb.interpolation import _MC_CHUNK, _TINY, ScalarExpectation
-    from osb.orderstats import RunningMoments, _blocks, _check_dims, _draw_stats
+    from osb.orderstats import RunningMoments, _blocks, _check_dims
 
     _check_dims(a, family)
     if not math.isfinite(p) or p < 1.0:
@@ -454,10 +455,9 @@ def oracle_expected_lp_norm(a, family, p, *, cap=None, samples=None, seed=0):
     if samples is None:
         totals = [math.fsum(block_norms(b)) for b in iter_member_arrays(family, cap=cap)]
         return ScalarExpectation(value=math.fsum(totals) / family.size, mode="exact")
-    draw_norms = _draw_stats(family, samples, lambda block: {"norm": block_norms(block)})
     moments = RunningMoments()
     for block in _blocks(family, _MC_CHUNK, samples=samples, seed=seed):
-        moments.add(draw_norms(block)["norm"])
+        moments.add(block_norms(block))
     return ScalarExpectation(
         value=moments.mean, mode="mc", samples=samples, stderr=moments.stderr()
     )
@@ -471,12 +471,12 @@ def oracle_expected_lp_norm(a, family, p, *, cap=None, samples=None, seed=0):
 def oracle_build_hit_table(family, order, cap=None):
     """Tally hit ranks member by member over the enumerated blocks."""
     from osb.families import iter_member_arrays
-    from osb.orderstats import HitCountTable, _gather
+    from osb.orderstats import HitCountTable
 
     n, N = family.n, family.N
     hist = np.zeros((n + 1, n * N + 1), dtype=np.int64)
     for block in iter_member_arrays(family, cap=cap):
-        pos = _gather(order.rank_of, block)
+        pos = oracle_gather(order.rank_of, block)
         pos.sort(axis=1)
         for k in range(1, n + 1):
             hist[k] += np.bincount(pos[:, k - 1], minlength=n * N + 1)

@@ -1,7 +1,8 @@
 """The hinge record: every hinge norm and top-j sum of a vector made from one
-record of its sort, prefix sums, scale and bracket, kept for the latest
-vector only.  Each value must have the bits of the plain bisection and of
-the sandwich's own sort-and-sum, whatever the order of the calls."""
+record of its sort, prefix sums, scale and bracket, kept in a one-entry
+memo for the latest vector only.  Each value must have the bits of the
+plain bisection and of the sandwich's own sort-and-sum, whatever the order
+of the calls."""
 
 import math
 import sys
@@ -87,7 +88,7 @@ class TestCorpusBits:
     def test_vectors_interleaved(self, sweep):
         # every vector's first j, then every vector's second j, ...: no two
         # consecutive calls share a vector, and each vector comes back after
-        # the slot has moved on
+        # the memo has moved on
         inputs, want = sweep
         seen = {}
         rounds = []
@@ -101,9 +102,9 @@ class TestCorpusBits:
     def test_a_matrix_gives_the_bits_of_its_entries(self, sweep):
         inputs, want = sweep
         for entries, j in inputs[::5]:
-            orlicz._last = None  # the 2-d call makes its own record
+            orlicz._record.cache_clear()  # the 2-d call makes its own record
             assert luxemburg_norm(entries, j).hex() == want[entries.tobytes(), j][0]
-            orlicz._last = None
+            orlicz._record.cache_clear()
             report = top_sum_sandwich_check(entries, j)
             assert report == top_sum_sandwich_check(entries.ravel(), j)
             assert report.rhs.hex() == want[entries.tobytes(), j][1]
@@ -191,28 +192,30 @@ RAISING = [
 
 
 @pytest.mark.parametrize("call,x,j,text", RAISING)
-def test_a_raising_call_keeps_its_error_and_no_record(call, x, j, text):
-    luxemburg_norm([4.0, 1.0], 1)
-    kept = orlicz._last
+def test_a_raising_call_keeps_its_error(call, x, j, text):
+    first = [4.0, 1.0]
+    norm = luxemburg_norm(first, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError) as info:
             call(x, j)
     assert type(info.value) is DomainError and str(info.value) == text
-    assert orlicz._last is kept
+    assert luxemburg_norm(first, 1).hex() == norm.hex() == oracle_norm(first, 1).hex()
 
 
-def test_the_slot_holds_one_vector():
+def test_the_memo_holds_one_vector():
     a, b = np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0])
     luxemburg_norm(a, 1)
     luxemburg_norm(a, 2)
-    record = orlicz._last
-    assert record.key == a.tobytes() and set(record.norms) == {1, 2}
+    record = orlicz._record(a.tobytes())
+    assert set(record.norms) == {1, 2} and orlicz._record.cache_info().currsize == 1
     top_sum_sandwich_check(a, 2)
-    assert orlicz._last is record and set(record.norms) == {1, 2}
+    assert orlicz._record(a.tobytes()) is record and set(record.norms) == {1, 2}
     top_sum_sandwich_check(b, 1)
-    assert orlicz._last.key == b.tobytes()
+    assert set(orlicz._record(b.tobytes()).norms) == {1}
+    assert orlicz._record.cache_info().currsize == 1
     # nothing but this name and getrefcount's argument holds a's record
     assert sys.getrefcount(record) == 2
     luxemburg_norm(a, 1)
-    assert orlicz._last is not record and orlicz._last.norms == {1: record.norms[1]}
+    again = orlicz._record(a.tobytes())
+    assert again is not record and again.norms == {1: record.norms[1]}

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -226,6 +227,20 @@ class TestFileFormats:
     def test_csv_rejects_empty(self):
         with pytest.raises(FormatError):
             parse_matrix_csv("\n")
+
+    @pytest.mark.parametrize("grid", [[[1, math.inf], [3]], [[1, 2], [3]],
+                                      [[1, math.nan], [3, 4]]])
+    def test_csv_and_json_readers_report_the_same_first_defect(self, grid):
+        # the grid is checked row by row in both: a non-finite entry in the
+        # first row is named before a ragged second row
+        csv_text = "".join(",".join(map(repr, row)) + "\n" for row in grid)
+        json_text = json.dumps({"rows": len(grid), "cols": len(grid[0]), "entries": grid})
+        messages = []
+        for parse, text in ((parse_matrix_csv, csv_text), (parse_matrix_json, json_text)):
+            with pytest.raises(FormatError) as info:
+                parse(text)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
 
     def test_digest_is_stable(self):
         a = Matrix.from_rows([[1, 2], [3, 4]])
