@@ -46,12 +46,9 @@ def _iter_cell_families(corpus: Corpus, spec: FamilySpec):
             yield cell, family
 
 
-def _ell_values(ell_range: Optional[tuple[int, int]], n: int) -> list[int]:
-    if ell_range is None:
-        return list(range(1, n + 1))
-    lo, hi = ell_range
-    values = [ell for ell in range(lo, hi + 1) if 1 <= ell <= n]
-    return values
+def _ell_values(ell_range: Optional[tuple[int, int]], n: int) -> range:
+    lo, hi = ell_range or (1, n)
+    return range(max(lo, 1), min(hi, n) + 1)
 
 
 def run_verify_main(

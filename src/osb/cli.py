@@ -11,7 +11,6 @@ Exit codes: 0 all non-vacuous checks pass, 1 any failure, 2 usage error
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -28,7 +27,7 @@ from .corpus import (
     single_matrix_corpus,
 )
 from .errors import (DomainError, FormatError, HypothesisError, ResourceError,
-                     read_input_text)
+                     parse_int_setting, read_input_text)
 from .families import (
     DEFAULT_ENUM_CAP,
     check_marginals,
@@ -36,6 +35,7 @@ from .families import (
     parse_family_spec,
     sample_array,
 )
+from .interpolation import _exponents
 from .matrices import load_matrix
 from .reports import (
     all_passed,
@@ -72,21 +72,14 @@ def _read_config(path: Optional[str]) -> dict[str, str]:
     return settings
 
 
-def _parse_setting(raw: str, name: str, source: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise DomainError(f"{name} from {source} must be an integer, got {raw!r}")
-
-
 def _resolve_int(cli_value, env_name: str, config: dict, key: str, default: int) -> int:
     if cli_value is not None:
         return int(cli_value)
     env = os.environ.get(env_name)
     if env:
-        return _parse_setting(env, env_name, "the environment")
+        return parse_int_setting(env, env_name, "the environment")
     if key in config:
-        return _parse_setting(config[key], key, "the config file")
+        return parse_int_setting(config[key], key, "the config file")
     return default
 
 
@@ -114,10 +107,7 @@ def _parse_p_list(text: str) -> list[float]:
         raise DomainError(f"bad p list {text!r}; expected comma-separated numbers")
     if not values:
         raise DomainError(f"p list {text!r} names no exponent")
-    if not all(math.isfinite(p) for p in values):
-        raise DomainError("p must be finite and >= 1")
-    if any(p < 1 for p in values):
-        raise DomainError("p values must be >= 1")
+    _exponents(values)
     repeated = [p for i, p in enumerate(values) if p in values[:i]]
     if repeated:
         raise DomainError(f"p list {text!r} repeats p = {repeated[0]:g}")
@@ -311,8 +301,8 @@ def _run(args) -> int:
     else:  # pragma: no cover - argparse restricts commands
         raise DomainError(f"unknown command {args.command}")
     if not reports:
-        ns = [family.n for cell in corpus if cell.matrices
-              and (family := family_for_cell(spec, cell.n, cell.N)) is not None]
+        ns = [family.n for cell, family in campaigns._iter_cell_families(corpus, spec)
+              if cell.matrices]
         if ns:  # only an --ell range above every applicable n empties the list
             raise DomainError(f"ell range {args.ell!r} selects no ell of an "
                               f"applicable family (largest n is {max(ns)})")

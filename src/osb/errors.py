@@ -1,6 +1,6 @@
 """Exception types shared across the package, the reader of input files
-that reports an undecodable file as a FormatError, and the JSON decoder
-that reports an undecodable text as one."""
+that reports an undecodable file as a FormatError, the JSON decoder that
+reports an undecodable text as one, and the parser of integer settings."""
 
 import json
 
@@ -39,5 +39,13 @@ def parse_json(text: str):
     """The value of a JSON text."""
     try:
         return json.loads(text)
-    except ValueError as e:  # JSONDecodeError, or an integer too long to parse
+    except (ValueError, RecursionError) as e:  # JSONDecodeError, a too-long int, deep nesting
         raise FormatError(f"invalid JSON: {e}") from e
+
+
+def parse_int_setting(raw: str, name: str, source: str) -> int:
+    """The value of the integer setting ``name``, read as ``raw`` from ``source``."""
+    try:
+        return int(raw)
+    except ValueError:
+        raise DomainError(f"{name} from {source} must be an integer, got {raw!r}") from None

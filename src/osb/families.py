@@ -21,7 +21,7 @@ import numpy as np
 
 from . import rng
 from .errors import (DomainError, FormatError, HypothesisError, ResourceError,
-                     parse_json, read_input_text)
+                     parse_int_setting, parse_json, read_input_text)
 
 DEFAULT_ENUM_CAP = 10_000_000
 
@@ -35,14 +35,7 @@ _SAMPLE_STREAM = 101
 
 def enumeration_cap() -> int:
     raw = os.environ.get("OSB_ENUM_CAP")
-    if not raw:
-        return DEFAULT_ENUM_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise DomainError(
-            f"OSB_ENUM_CAP from the environment must be an integer, got {raw!r}"
-        ) from None
+    return parse_int_setting(raw, "OSB_ENUM_CAP", "the environment") if raw else DEFAULT_ENUM_CAP
 
 
 @dataclass(frozen=True, eq=False)

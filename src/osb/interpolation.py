@@ -121,11 +121,11 @@ def interpolation_norm_from_curve(curve: KFunctionalCurve, p: float) -> float:
     Each middle unit interval uses a fixed 32-point Gauss-Legendre rule, so
     results are bit-reproducible.  A curve whose integral leaves the normal
     float range is integrated again divided by the power of two at or below
-    its first slope, so that K(1) lies in [1, 2), and the norm scaled back.
-    If that integral leaves the range too, as (K(t)/t)^p does for p above
-    about 1024, the curve is divided by its first slope, so that K(1) = 1
-    and K(t)/t <= 1, and the tail is taken as (K(n)/n)^p n/(p-1): no piece
-    overflows, and the integral is at least 1.
+    its largest slope, which is its first unless the monotonicity tolerance
+    admitted a later one, and the norm scaled back.  If that integral leaves
+    the range too, as (K(t)/t)^p does for p above about 1024, the curve is
+    divided by its largest slope, so that K(t)/t <= 1, and the tail is taken
+    as (K(n)/n)^p n/(p-1): no piece overflows.
     """
     if not math.isfinite(p) or p <= 1.0:
         raise DomainError("the integral norm requires p > 1")
@@ -150,8 +150,8 @@ def interpolation_norm_from_curve(curve: KFunctionalCurve, p: float) -> float:
             total = math.inf
         if attempt == 2 or _TINY <= total < math.inf:
             return scale * total ** (1.0 / p)
-        first = curve.slopes[0]
-        scale = math.ldexp(1.0, math.frexp(first)[1] - 1) if attempt == 0 else first
+        top = max(curve.slopes)
+        scale = math.ldexp(1.0, math.frexp(top)[1] - 1) if attempt == 0 else top
         slopes = [s / scale for s in curve.slopes]
         knots = list(itertools.accumulate(slopes, initial=0.0))
 
@@ -302,8 +302,7 @@ def expected_lp_norm(
         return out[0] if one else out
     # a power is a function of the entry alone, so the entries are raised
     # once per p and read at the flat positions that _gather reads
-    with np.errstate(over="ignore", under="ignore"):
-        tables = [a.entries if q == 1.0 else a.entries**q for q in ps]
+    tables = _powers(a, ps)
     offsets = _offsets(*a.entries.shape)[:, None]
 
     def positions(values: np.ndarray, first: int) -> np.ndarray:
@@ -322,12 +321,7 @@ def expected_lp_norm(
         if q == 1.0:
             return power_sums(table)
         with np.errstate(over="ignore", under="ignore"):
-            sums = power_sums(table)
-            out = sums ** (1.0 / q)
-            low, high = sums.min(), sums.max()
-            if not (low >= _TINY and high < np.inf or _only_zero_paths_fail(a, table, high)):
-                _rescale(a, q, sums, out, flat_paths)
-        return out
+            return _roots(a, q, table, power_sums(table), flat_paths)
 
     def group_norms(prefixes: np.ndarray, rows: np.ndarray) -> list[np.ndarray]:
         """Each p's norms of the paths of a ``_member_runs`` group, in its
@@ -369,6 +363,30 @@ def expected_lp_norm(
     return out[0] if one else out
 
 
+def _powers(a: Matrix, ps: list) -> np.ndarray:
+    """The entries raised to each p, stacked in p order; p = 1 keeps them.
+    Each exponent stays a Python float, as a one-p call raises it."""
+    with np.errstate(over="ignore", under="ignore"):
+        return np.array([a.entries if q == 1.0 else a.entries**q for q in ps])
+
+
+def _roots(a: Matrix, q: float, table: np.ndarray, sums: np.ndarray, flat_paths) -> np.ndarray:
+    """The lp norms, p = q != 1, of the paths whose power sums are ``sums``,
+    from ``table``, the entries raised to q.  The sums that left the normal
+    range are taken again by ``_rescale`` (``flat_paths`` as it takes it),
+    unless no sum overflowed and every positive entry's power in ``table``
+    is normal: a path with a positive entry then sums to at least that
+    power, as rounded sums of nonnegative values do, so every failing sum
+    is an all-zero path's, whose norm 0 is already its root.  An entry whose
+    power underflows, 1e-120 at p = 3 say, still needs the rescale.  Called
+    with overflow and underflow ignored."""
+    out = sums ** (1.0 / q)
+    if sums.max() == math.inf or (sums.min() < _TINY and np.min(
+            table, where=a.entries > 0, initial=math.inf) < _TINY):
+        _rescale(a, q, sums, out, flat_paths)
+    return out
+
+
 def _rescale(a: Matrix, q: float, sums: np.ndarray, out: np.ndarray, flat_paths):
     """Each norm in ``out`` whose power sum in ``sums``, p = q, left the
     normal range, again from its path scaled by its largest entry:
@@ -382,19 +400,6 @@ def _rescale(a: Matrix, q: float, sums: np.ndarray, out: np.ndarray, flat_paths)
     out[bad] = top[:, 0] * (scaled**q).sum(axis=1) ** (1.0 / q)
 
 
-def _only_zero_paths_fail(a: Matrix, table: np.ndarray, high: float) -> bool:
-    """Whether the paths whose power sums, from ``table`` (the entries
-    raised to q), left the normal range are all-zero paths, whose norm 0
-    is already the one ``_rescale`` would give them.  True when no sum
-    overflowed (``high`` is the largest) and every positive entry's power
-    in ``table`` is normal: a path with a positive entry then sums to at
-    least that power, as rounded sums of nonnegative values do.  An entry
-    whose power underflows, 1e-120 at p = 3 say, still needs the
-    rescale."""
-    return high < math.inf and np.min(
-        table, where=a.entries > 0, initial=math.inf) >= _TINY
-
-
 # paths per take of a one-run family's exact lp: every default-corpus family
 # is one piece, and a piece of the 8! explicit family's powers at 4 p holds
 # 2 MB where one take of them all holds 10 MB
@@ -403,36 +408,27 @@ _LP_PIECE = 8192
 
 def _one_run_norms(a: Matrix, ps: list, index: np.ndarray) -> list:
     """The exact lp of a one-run family for every p, its bookkeeping done
-    once: one errstate, every p's powers taken through the path index
-    _LP_PIECE paths at a time, as (p, position, path), each piece's row
-    sums in one ``_row_sums`` call, and one range check; only the p != 1
-    rows that fail it, other than by all-zero paths, are rescaled, p by p.
-    Row sums are per path, so the pieces change no bit, and a family of
-    one piece keeps that piece's sums as they are.  Each exponent stays a
-    Python float.  A p = 1 sum that overflowed takes its powers again and
-    is added again under the caller's error state, in p order, so it warns
-    or raises as its own call does."""
+    once: one errstate, every p's powers (``_powers``) taken through the
+    path index _LP_PIECE paths at a time, as (p, position, path), and each
+    piece's row sums in one ``_row_sums`` call; each p != 1 row then goes to
+    ``_roots``.  Row sums are per path, so the pieces change no bit, and a
+    family of one piece keeps that piece's sums as they are.  A p = 1 sum
+    that overflowed takes its powers again and is added again under the
+    caller's error state, in p order, so it warns or raises as its own call
+    does."""
     size = index.shape[0]
+    tables = _powers(a, ps)
+    flat = tables.reshape(len(ps), -1)
     with np.errstate(over="ignore", under="ignore"):
-        tables = np.array([a.entries if q == 1.0 else a.entries**q for q in ps])
-        flat = tables.reshape(len(ps), -1)
         parts = [_row_sums(flat.take(index[lo : lo + _LP_PIECE].T, axis=1).transpose(1, 0, 2),
                            (len(ps), min(_LP_PIECE, size - lo)))
                  for lo in range(0, size, _LP_PIECE)]
         sums = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-        low, high = sums.min(axis=1).tolist(), sums.max(axis=1).tolist()
-        norms = []
-        for q, s, lo, hi, table in zip(ps, sums, low, high, tables):
-            x = s
-            if q != 1.0:
-                x = s ** (1.0 / q)
-                if not (lo >= _TINY and hi < math.inf
-                        or _only_zero_paths_fail(a, table, hi)):
-                    _rescale(a, q, s, x, index.__getitem__)
-            norms.append(x)
+        norms = [s if q == 1.0 else _roots(a, q, table, s, index.__getitem__)
+                 for q, s, table in zip(ps, sums, tables)]
     out = []
-    for q, x, hi in zip(ps, norms, high):
-        if q == 1.0 and hi == math.inf:
+    for q, x in zip(ps, norms):
+        if q == 1.0 and x.max() == math.inf:
             x = _row_sums(a.entries.ravel().take(index.T), (size,))
         out.append(ScalarExpectation(value=_block_fsum(x) / size, mode="exact"))
     return out

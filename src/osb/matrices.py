@@ -27,13 +27,14 @@ def render_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Matrix:
     """Immutable n x N matrix of nonnegative reals.
 
     Construction takes absolute values, so downstream code never re-checks
     sign.  The decreasing rearrangement of all entries is computed once and
-    cached.
+    cached.  Two matrices are equal when their entries are; a matrix hashes
+    by its digest, which equal finite nonnegative entries share.
     """
 
     entries: np.ndarray
@@ -47,6 +48,14 @@ class Matrix:
         arr = np.abs(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
+
+    def __eq__(self, other):
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return np.array_equal(self.entries, other.entries)
+
+    def __hash__(self):
+        return hash(self.digest())
 
     @property
     def rows(self) -> int:
@@ -136,15 +145,13 @@ def order_map(m: Matrix) -> OrderMap:
 
 
 def reduce_to_top(m: Matrix, order: OrderMap, ell: int) -> Matrix:
-    """Zero every entry outside the ell*N largest (ties resolved by ``order``)."""
+    """Zero every entry outside the ell*N largest (ties resolved by
+    ``order``): the positions of rank at most ell*N."""
     if (m.rows, m.cols) != (order.n, order.N):
         raise DomainError(f"matrix is {m.rows}x{m.cols}, ordering is {order.n}x{order.N}")
     if not 1 <= ell <= m.rows:
         raise DomainError(f"ell={ell} out of range 1..{m.rows}")
-    out = np.zeros((order.n, order.N))
-    for i, j in order.pairs[: ell * order.N]:
-        out[i - 1, j - 1] = m.entries[i - 1, j - 1]
-    return Matrix(out)
+    return Matrix(np.where(order.rank_of <= ell * order.N, m.entries, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +199,15 @@ def parse_matrix_json(text: str) -> Matrix:
 
 def parse_matrix_csv(text: str) -> Matrix:
     grid = []
-    for record in csv.reader(io.StringIO(text)):
-        if not record or all(not f.strip() for f in record):
-            continue
-        try:
+    try:
+        for record in csv.reader(io.StringIO(text)):
+            if not record or all(not f.strip() for f in record):
+                continue
             grid.append([float(f) for f in record])
-        except ValueError as e:
-            raise FormatError(f"bad CSV field: {e}") from e
+    except ValueError as e:
+        raise FormatError(f"bad CSV field: {e}") from e
+    except csv.Error as e:  # a field over the csv module's length limit, say
+        raise FormatError(f"bad CSV: {e}") from e
     if not grid:
         raise FormatError("empty matrix file")
     return _validate_grid(len(grid), len(grid[0]), grid)

@@ -382,7 +382,7 @@ def expected_top_sum_mc(
 # hit counts: how many of the m largest positions does a path cross?
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HitCountTable:
     """Integer tallies of path hit ranks for one (family, ordering) pair.
 
@@ -392,13 +392,20 @@ class HitCountTable:
     #(X_m >= k) = sum over j <= m of hist[k][j].  A counted ``map`` table
     holds Python ints (object dtype), which no size wraps; an enumerated
     one holds int64, as its counts are at most the size of a family that
-    was enumerated.
+    was enumerated.  Two tables are equal when their fields are; a table is
+    not hashable.
     """
 
     size: int
     n: int
     N: int
     hist: np.ndarray
+
+    def __eq__(self, other):
+        if not isinstance(other, HitCountTable):
+            return NotImplemented
+        return ((self.size, self.n, self.N) == (other.size, other.n, other.N)
+                and np.array_equal(self.hist, other.hist))
 
     @cached_property
     def _lemma_rows(self) -> dict:

@@ -21,11 +21,11 @@ BENCH = ROOT / "perfbench"
 RECORDED = json.loads((BENCH / "digests.json").read_text())["exact-scaled"]
 
 
-def _workloads():
-    """perfbench/workloads.py, compiled from its text, so that no bytecode
-    is written beside it."""
-    path = BENCH / "workloads.py"
-    module = types.ModuleType("perfbench_workloads")
+def _bench_module(name):
+    """perfbench/<name>.py, compiled from its text, so that no bytecode is
+    written beside it."""
+    path = BENCH / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
     sys.modules[module.__name__] = module  # its dataclasses look their module up
     exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
     return module
@@ -44,7 +44,7 @@ def _child(args, cwd):
 
 @pytest.mark.parametrize("seed", sorted(RECORDED))
 def test_exact_scaled_outputs_keep_their_bytes(seed, tmp_path):
-    workloads = _workloads()
+    workloads = _bench_module("workloads")
     inputs = tmp_path / "inputs"
     inputs.mkdir()
     run = _child(["setup", "exact-scaled", seed, inputs], inputs)

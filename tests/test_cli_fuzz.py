@@ -221,6 +221,7 @@ def test_edge_command_lines(files, argv):
     ("2,2.0", "error: p list '2,2.0' repeats p = 2"),
     ("1,3,1.5,3", "error: p list '1,3,1.5,3' repeats p = 3"),
     ("nan", "error: p must be finite and >= 1"),
+    ("0.5", "error: p must be finite and >= 1"),
     ("inf", "error: p must be finite and >= 1"),
     ("2,1e999", "error: p must be finite and >= 1"),
     ("-inf", "error: p must be finite and >= 1"),
@@ -308,6 +309,29 @@ def test_corpus_ids_that_are_not_strings_are_format_errors(tmp_path):
     code, out, err = _run(["verify-main", "--family", "map", "--corpus", str(corpus)], {})
     assert code == 2 and out == "", (code, err)
     assert err.splitlines() == ["error: matrix id {'a': 1} in cell 2x2 is not a string"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-main", "--family", "sym", "--matrix", "deep.json"],
+    ["verify-main", "--family", "sym", "--corpus", "deep.json"],
+    ["family-check", "--family", "file:deep.json"],
+])
+def test_json_nested_too_deeply_is_a_format_error(tmp_path, argv):
+    # the decoder gives up on nesting past the interpreter's recursion limit
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000 + "]" * 200000)
+    argv = [a.replace("deep.json", str(deep)) for a in argv]
+    code, out, err = _run(argv, {})
+    assert code == 2 and out == "", (argv, code, err)
+    assert len(err.splitlines()) == 1 and err.startswith("error: invalid JSON: "), err
+
+
+def test_a_csv_field_over_the_csv_length_limit_is_a_format_error(tmp_path):
+    wide = tmp_path / "wide.csv"
+    wide.write_text("1" * 200000 + "\n")
+    code, out, err = _run(["verify-main", "--family", "sym", "--matrix", str(wide)], {})
+    assert code == 2 and out == "", (code, err)
+    assert err.splitlines() == ["error: bad CSV: field larger than field limit (131072)"]
 
 
 @pytest.mark.parametrize("source", ["--matrix", "--corpus"])

@@ -161,6 +161,15 @@ class TestInterpolationNorm:
         assert math.isclose(interpolation_norm([3e100, 3e100], p), 3e100 * want,
                             rel_tol=1e-12)
 
+    @pytest.mark.parametrize("p", [2.0, 30.0, 1000.0])
+    def test_a_curve_whose_first_slope_is_zero(self, p):
+        # the monotonicity tolerance admits a zero first slope below a
+        # positive one; its retries scale by the largest slope
+        got = interpolation_norm_from_curve(KFunctionalCurve((0.0, 1e-13)), p)
+        want = interpolation_norm_from_curve(KFunctionalCurve((0.0, 1e-12)), p) / 10
+        assert math.isfinite(got) and got > 0
+        assert math.isclose(got, want, rel_tol=1e-12), (got, want)
+
     def test_against_scipy_quadrature(self):
         rng = np.random.default_rng(44)
         for _ in range(10):

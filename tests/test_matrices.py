@@ -162,6 +162,25 @@ class TestIndicatorMatrix:
             indicator_matrix(h, 5)
 
 
+class TestEquality:
+    def test_matrices_compare_by_their_entries(self):
+        a = Matrix.from_rows([[1, 2], [3, 4]])
+        assert a == Matrix.from_rows([[1, 2], [3, -4]])
+        assert a != Matrix.from_rows([[1, 2], [3, 5]])
+        assert a != Matrix.from_rows([[1, 2, 3, 4]])
+        assert a != [[1, 2], [3, 4]] and not a == "a"
+
+    def test_equal_matrices_hash_alike(self):
+        a, b = Matrix.from_rows([[1, 2], [3, 4]]), Matrix.from_rows([[1.0, 2], [3, 4]])
+        assert hash(a) == hash(b) and len({a, b}) == 1
+        assert len({a, Matrix.from_rows([[1, 2], [4, 3]])}) == 2
+
+    def test_corpora_compare_by_their_matrices(self):
+        assert default_corpus(5) == default_corpus(5)
+        assert default_corpus(5) != default_corpus(6)
+        assert default_corpus(5).cells[0] == default_corpus(5).cells[0]
+
+
 class TestReduceToTop:
     def test_keeps_largest(self):
         m = Matrix.from_rows([[3, 1], [2, 2]])

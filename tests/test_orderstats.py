@@ -379,6 +379,20 @@ class TestHitCounts:
             for k in range(0, 3):
                 assert table_tail(table, m, k) == brute_hit_tail(maps, positions, k)
 
+    @pytest.mark.parametrize("fam,rows,other", [
+        (symmetric_group(3), [[9, 8, 7], [6, 5, 4], [3, 2, 1]],
+         [[9, 6, 3], [2, 8, 5], [4, 1, 7]]),
+        (full_mapping_family(2, 3), [[6, 5, 4], [3, 2, 1]], [[6, 3, 2], [5, 4, 1]]),
+    ])
+    def test_tables_compare_by_their_counts(self, fam, rows, other):
+        # an enumerated table holds int64 counts, a counted one Python ints
+        table = build_hit_table(fam, order_map(Matrix.from_rows(rows)))
+        assert table == build_hit_table(fam, order_map(Matrix.from_rows(rows)))
+        assert table != build_hit_table(fam, order_map(Matrix.from_rows(other)))
+        assert table != (table.size, table.n, table.N)
+        with pytest.raises(TypeError):
+            hash(table)
+
     def test_tail_monotonicity(self):
         a = random_matrix(3, 3, seed=17)
         table = build_hit_table(symmetric_group(3), order_map(a))
